@@ -45,7 +45,6 @@ from .toolkit import (
     enumerate_module_subsets,
     load_prompt_text,
     profile_for_task,
-    register_tool,
     strategy_subsets,
 )
 from .fixtures import (

@@ -1,6 +1,7 @@
 """The reasoning loop: prompt assembly, iterate generate-execute until a
 finish call or the step budget, plus the direct, single-program, and
-self-evaluation runners.
+self-evaluation runners. The agent episode, the single-program baseline
+and the self-evaluation rounds all take their turns through one transcript.
 
 The agent prompt is text only; video reaches the model exclusively through
 tools. Each turn appends the emitted program and its rendered result to
@@ -10,6 +11,7 @@ verbatim.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,10 +22,11 @@ from .core import (
     TaskKind,
     TaskQuery,
     Unparsed,
+    VideoSegment,
     format_timestamp,
     parse_final_answer,
 )
-from .dsl import extract_code_block, run_source
+from .dsl import DslExecutionError, extract_code_block, run_source
 from .modelclient import ModelClient, ModelTransportError, text_request
 from .toolkit import StrategySubset, ToolRegistry, load_prompt_text
 from .tools import TagContext
@@ -45,7 +48,6 @@ _NUMBER_WORDS = {
 
 class StopReason(Enum):
     FINISHED = "Finished"
-    BUDGET_EXHAUSTED = "BudgetExhausted"
     FORCED_ANSWER = "ForcedAnswer"
 
 
@@ -97,8 +99,6 @@ def final_from_dict(data: dict) -> FinalAnswer:
     if kind == "choice":
         return Choice(data["value"])
     if kind == "ranges":
-        from .core import VideoSegment
-
         return Ranges(tuple(VideoSegment(s, e) for s, e in data["value"]))
     return Unparsed(data.get("raw", ""))
 
@@ -126,19 +126,85 @@ def render_step(step: Step) -> str:
     return f"{step.result}\n\n"
 
 
-def _capture_finish(registry: ToolRegistry) -> list[str]:
-    """Wrap the snapshot's finish backend to record its raw argument."""
-    captured: list[str] = []
-    original = registry.backends.get("finish")
-    if original is None:
-        return captured
+def _pool_subset(label: str, registry: ToolRegistry) -> StrategySubset:
+    """Every registered video module under one non-direct label."""
+    modules = tuple(
+        name for name in registry.specs if name not in ("think", "finish")
+    )
+    return StrategySubset(label, modules)
 
-    def wrapped(final_answer):
-        captured.append(final_answer if isinstance(final_answer, str) else str(final_answer))
-        return original(final_answer=final_answer)
 
-    registry.backends["finish"] = wrapped
-    return captured
+class _Transcript:
+    """One agent transcript: the prompt so far, the DSL environment, the
+    steps taken, and the turn counter that numbers request tags."""
+
+    def __init__(
+        self,
+        task: TaskQuery,
+        subset: StrategySubset,
+        model: ModelClient,
+        registry: ToolRegistry,
+        preamble: str,
+        tags: TagContext | None,
+    ):
+        self.task = task
+        self.subset = subset
+        self.model = model
+        self.snapshot = registry.with_subset(subset)
+        self.base = tags.base if tags else f"{task.id}/{subset.label}"
+        self.env: dict = {}
+        self.steps: list[Step] = []
+        self.turn = 0
+        self.prompt = (
+            load_prompt_text(preamble)
+            + self.snapshot.render_api(subset)
+            + "\n"
+            + task_statement(task)
+            + "\n\n"
+        )
+
+    def ask(self, suffix) -> str:
+        return self.model.complete(
+            text_request(self.prompt, tag=f"{self.base}/{suffix}")
+        )
+
+    def take_turns(self, budget: int, force: bool = True) -> tuple[str, StopReason]:
+        """Take turns until a step is terminal or `budget` steps are taken.
+
+        Returns the raw answer and the stop reason. When the budget runs
+        out, `force` asks once more for an answer (a turn that is not a
+        step); without it the last step becomes terminal instead.
+        """
+        for _ in range(budget):
+            reply = self.ask(self.turn)
+            self.turn += 1
+            code = extract_code_block(reply)
+            if code is None:
+                raw = reply
+                final = parse_final_answer(reply, self.task.kind)
+                step = Step("", reply, terminal=not isinstance(final, Unparsed))
+            else:
+                result = run_source(code, self.env, self.snapshot)
+                raw = str(result.answer) if result.terminal else result.rendered
+                step = Step(code, result.rendered, terminal=result.terminal)
+            self.steps.append(step)
+            self.prompt += render_step(step)
+            if step.terminal:
+                return raw, StopReason.FINISHED
+            if code is None:
+                self.prompt += load_prompt_text("corrective.txt") + "\n\n"
+        if not force:
+            step.terminal = True
+            return raw, StopReason.FINISHED
+        self.prompt += load_prompt_text("forced_answer.txt") + "\n\n"
+        reply = self.ask(self.turn)
+        self.turn += 1
+        self.prompt += f"{reply}\n\n"
+        return reply, StopReason.FORCED_ANSWER
+
+    def trace(self, raw: str, stop: StopReason, budget: int) -> Trace:
+        final = parse_final_answer(raw, self.task.kind)
+        return Trace(self.task, self.subset, self.steps, final, raw, stop, budget)
 
 
 def run_episode(
@@ -152,70 +218,16 @@ def run_episode(
     """One iterative episode under one non-direct strategy subset."""
     if subset.direct:
         raise ValueError("run_episode needs a non-direct subset; use run_direct")
-    snapshot = registry.with_subset(subset)
-    captured = _capture_finish(snapshot)
-    tags = tags or TagContext(f"{task.id}/{subset.label}")
-    env: dict = {}
-    steps: list[Step] = []
-    prompt = (
-        load_prompt_text("agent_preamble.txt")
-        + snapshot.render_api(subset)
-        + "\n"
-        + task_statement(task)
-        + "\n\n"
-    )
-    corrective = load_prompt_text("corrective.txt")
-    turn = 0
+    transcript = _Transcript(task, subset, model, registry, "agent_preamble.txt", tags)
     try:
-        while len(steps) < step_budget:
-            response = model.complete(
-                text_request(prompt, tag=f"{tags.base}/{turn}")
-            )
-            turn += 1
-            code = extract_code_block(response)
-            if code is None:
-                final = parse_final_answer(response, task.kind)
-                if not isinstance(final, Unparsed):
-                    steps.append(Step(program="", result=response, terminal=True))
-                    return Trace(
-                        task,
-                        subset,
-                        steps,
-                        final,
-                        response,
-                        StopReason.FINISHED,
-                        step_budget,
-                    )
-                steps.append(Step(program="", result=response, terminal=False))
-                prompt += f"{response}\n\n{corrective}\n\n"
-                continue
-            result = run_source(code, env, snapshot)
-            steps.append(
-                Step(program=code, result=result.rendered, terminal=result.terminal)
-            )
-            prompt += f"```\n{code}\n```\n{result.rendered}\n\n"
-            if result.terminal:
-                raw = captured[-1] if captured else result.rendered
-                final = parse_final_answer(raw, task.kind)
-                return Trace(
-                    task, subset, steps, final, raw, StopReason.FINISHED, step_budget
-                )
-        # budget exhausted: one forced-answer turn, not counted as a step
-        prompt += load_prompt_text("forced_answer.txt") + "\n\n"
-        response = model.complete(
-            text_request(prompt, tag=f"{tags.base}/{turn}")
-        )
-        final = parse_final_answer(response, task.kind)
-        return Trace(
-            task, subset, steps, final, response, StopReason.FORCED_ANSWER, step_budget
-        )
+        return transcript.trace(*transcript.take_turns(step_budget), step_budget)
     except ModelTransportError as exc:
         message = f"error: model transport failed: {exc}"
-        steps.append(Step(program="", result=message, terminal=True))
+        transcript.steps.append(Step(program="", result=message, terminal=True))
         return Trace(
             task,
             subset,
-            steps,
+            transcript.steps,
             Unparsed(message),
             message,
             StopReason.FINISHED,
@@ -249,7 +261,7 @@ def run_direct(
             kwargs["answer_options"] = list(task.options)
     try:
         response = snapshot.call(module, [], kwargs)
-    except Exception as exc:
+    except DslExecutionError as exc:
         response = str(exc)
     text = response if isinstance(response, str) else str(response)
     final = parse_final_answer(text, task.kind)
@@ -264,35 +276,9 @@ def run_single_program(
     tags: TagContext | None = None,
 ) -> Trace:
     """One model call, one program, no feedback loop."""
-    modules = tuple(
-        name for name in registry.specs if name not in ("think", "finish")
-    )
-    subset = StrategySubset("single", modules)
-    snapshot = registry.with_subset(subset)
-    captured = _capture_finish(snapshot)
-    tags = tags or TagContext(f"{task.id}/single")
-    prompt = (
-        load_prompt_text("single_program.txt")
-        + snapshot.render_api(subset)
-        + "\n"
-        + task_statement(task)
-        + "\n\n"
-    )
-    response = model.complete(text_request(prompt, tag=f"{tags.base}/0"))
-    code = extract_code_block(response)
-    if code is None:
-        final = parse_final_answer(response, task.kind)
-        steps = [Step(program="", result=response, terminal=True)]
-        return Trace(task, subset, steps, final, response, StopReason.FINISHED, 1)
-    env: dict = {}
-    result = run_source(code, env, snapshot)
-    steps = [Step(program=code, result=result.rendered, terminal=True)]
-    if captured:
-        raw = captured[-1]
-    else:
-        raw = result.rendered
-    final = parse_final_answer(raw, task.kind)
-    return Trace(task, subset, steps, final, raw, StopReason.FINISHED, 1)
+    subset = _pool_subset("single", registry)
+    transcript = _Transcript(task, subset, model, registry, "single_program.txt", tags)
+    return transcript.trace(*transcript.take_turns(1, force=False), 1)
 
 
 def run_self_eval(
@@ -310,111 +296,28 @@ def run_self_eval(
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    modules = tuple(
-        name for name in registry.specs if name not in ("think", "finish")
-    )
-    subset = StrategySubset("self", modules)
-    snapshot = registry.with_subset(subset)
-    captured = _capture_finish(snapshot)
-    tags = tags or TagContext(f"{task.id}/self")
-    env: dict = {}
-    steps: list[Step] = []
-    prompt = (
-        load_prompt_text("agent_preamble.txt")
-        + snapshot.render_api(subset)
-        + "\n"
-        + task_statement(task)
-        + "\n\n"
-    )
-    corrective = load_prompt_text("corrective.txt")
+    subset = _pool_subset("self", registry)
+    transcript = _Transcript(task, subset, model, registry, "agent_preamble.txt", tags)
     confidence_prompt = load_prompt_text("confidence.txt")
     retry_template = load_prompt_text("self_eval_retry.txt")
-    total_budget = step_budget * max_rounds
-    turn = 0
-    candidate_raw = ""
-    candidate: FinalAnswer = Unparsed("")
-    stop = StopReason.BUDGET_EXHAUSTED
-
     for round_no in range(1, max_rounds + 1):
-        candidate_raw, candidate, forced, turn = _self_eval_round(
-            task,
-            model,
-            snapshot,
-            env,
-            steps,
-            captured,
-            tags,
-            turn,
-            step_budget,
-            corrective,
-            prompt_ref := [prompt],
-        )
-        prompt = prompt_ref[0]
-        if forced:
-            stop = StopReason.FORCED_ANSWER
+        raw, stop = transcript.take_turns(step_budget)
+        if stop is StopReason.FORCED_ANSWER:
             break
-        prompt += confidence_prompt + "\n"
-        reply = model.complete(
-            text_request(prompt, tag=f"{tags.base}/confidence/{round_no}")
-        )
+        transcript.prompt += confidence_prompt + "\n"
+        reply = transcript.ask(f"confidence/{round_no}")
         confidence = _parse_confidence(reply)
-        prompt += f"{reply}\n\n"
+        transcript.prompt += f"{reply}\n\n"
         if confidence >= 3 or round_no == max_rounds:
-            stop = StopReason.FINISHED
             break
-        prompt += retry_template.format(confidence=confidence) + "\n\n"
+        transcript.prompt += retry_template.format(confidence=confidence) + "\n\n"
+    return transcript.trace(raw, stop, step_budget * max_rounds)
 
-    return Trace(task, subset, steps, candidate, candidate_raw, stop, total_budget)
 
-
-def _self_eval_round(
-    task,
-    model,
-    snapshot,
-    env,
-    steps,
-    captured,
-    tags,
-    turn,
-    step_budget,
-    corrective,
-    prompt_ref,
-):
-    """One candidate-producing sub-episode; returns (raw, final, forced, turn)."""
-    taken = 0
-    while taken < step_budget:
-        response = model.complete(
-            text_request(prompt_ref[0], tag=f"{tags.base}/{turn}")
-        )
-        turn += 1
-        taken += 1
-        code = extract_code_block(response)
-        if code is None:
-            final = parse_final_answer(response, task.kind)
-            if not isinstance(final, Unparsed):
-                steps.append(Step(program="", result=response, terminal=True))
-                prompt_ref[0] += f"{response}\n\n"
-                return response, final, False, turn
-            steps.append(Step(program="", result=response, terminal=False))
-            prompt_ref[0] += f"{response}\n\n{corrective}\n\n"
-            continue
-        result = run_source(code, env, snapshot)
-        steps.append(
-            Step(program=code, result=result.rendered, terminal=result.terminal)
-        )
-        prompt_ref[0] += f"```\n{code}\n```\n{result.rendered}\n\n"
-        if result.terminal:
-            raw = captured[-1] if captured else result.rendered
-            return raw, parse_final_answer(raw, task.kind), False, turn
-    prompt_ref[0] += load_prompt_text("forced_answer.txt") + "\n\n"
-    response = model.complete(text_request(prompt_ref[0], tag=f"{tags.base}/{turn}"))
-    turn += 1
-    prompt_ref[0] += f"{response}\n\n"
-    return response, parse_final_answer(response, task.kind), True, turn
+# A confidence digit standing alone, not an end of a range such as "1-3".
+_CONFIDENCE = re.compile(r"(?<![\w-])[1-3](?![\w-])")
 
 
 def _parse_confidence(text: str) -> int:
-    for ch in text:
-        if ch in "123":
-            return int(ch)
-    return 1
+    match = _CONFIDENCE.search(text)
+    return int(match.group()) if match else 1

@@ -23,6 +23,7 @@ from typing import Union
 from .core import VideoSegment
 
 TOOL_CALL_CAP = 20  # defensive bound per program, generous vs observed traces
+NESTING_CAP = 100  # brackets open at once; keeps parsing and evaluation shallow
 
 
 class DslParseError(ValueError):
@@ -129,6 +130,7 @@ class StepResult:
     values: dict = field(default_factory=dict)
     terminal: bool = False
     error: str | None = None
+    answer: object = None  # the value the terminal call returned
 
 
 # --- code block extraction ---
@@ -217,6 +219,8 @@ def _scan_logical_lines(source: str) -> list[_LogicalLine]:
             continue
         if ch in "([":
             depth += 1
+            if depth > NESTING_CAP:
+                raise DslParseError("brackets nested too deeply", line_no, 1, ch)
         elif ch in ")]":
             depth = max(0, depth - 1)
         if pending and not ch.isspace():
@@ -237,9 +241,6 @@ def _flush(buf: list[str], start_line: int) -> _LogicalLine:
 
 
 # --- tokenizer for one logical line ---
-
-_KEYWORDS = {"if", "None"}
-
 
 @dataclass(frozen=True)
 class _Token:
@@ -315,7 +316,11 @@ def _tokenize(ll: _LogicalLine) -> list[_Token]:
                 j += 1
             if j < n and _is_ident_start(text[j]):
                 raise DslParseError("malformed number", ll.line, col, text[i : j + 1])
-            tokens.append(_Token("INT", int(text[i:j]), col))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # more digits than the interpreter converts
+                raise DslParseError("integer literal too long", ll.line, col) from None
+            tokens.append(_Token("INT", value, col))
             i = j
             continue
         if _is_ident_start(ch):
@@ -620,10 +625,6 @@ def render_value(value: object) -> str:
     return str(value)
 
 
-class _Terminal(Exception):
-    """Internal signal: a terminal tool ran inside the current statement."""
-
-
 def execute_program(program: Program, env: dict, registry) -> StepResult:
     """Run a program against an episode environment and a tool registry.
 
@@ -641,10 +642,17 @@ def execute_program(program: Program, env: dict, registry) -> StepResult:
     except DslExecutionError as exc:
         message = str(exc)
         return StepResult(
-            rendered=message, values=state.delta, terminal=state.terminal, error=message
+            rendered=message,
+            values=state.delta,
+            terminal=state.terminal,
+            error=message,
+            answer=state.answer,
         )
     return StepResult(
-        rendered=render_value(last_value), values=state.delta, terminal=state.terminal
+        rendered=render_value(last_value),
+        values=state.delta,
+        terminal=state.terminal,
+        answer=state.answer,
     )
 
 
@@ -665,6 +673,7 @@ class _ExecState:
         self.delta: dict = {}
         self.calls = 0
         self.terminal = False
+        self.answer: object = None
 
     def exec_statement(self, stmt: Statement) -> object:
         if isinstance(stmt, Assign):
@@ -733,4 +742,5 @@ class _ExecState:
         value = self.registry.call(call.callee, args, kwargs)
         if call.callee in self.registry.terminal_tools:
             self.terminal = True
+            self.answer = value
         return value

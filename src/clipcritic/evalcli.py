@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -128,10 +129,15 @@ def load_config_file(path: str) -> RunConfig:
     if not isinstance(data, dict):
         raise DataError(f"{path}: config must be a JSON object")
     config = RunConfig()
-    allowed = set(config.__dataclass_fields__)
+    types = typing.get_type_hints(RunConfig)
     for key, value in data.items():
-        if key not in allowed:
+        if key not in types:
             raise DataError(f"{path}: unknown config key '{key}'")
+        if isinstance(value, bool) or not isinstance(value, types[key]):
+            shown = RunConfig.__dataclass_fields__[key].type
+            raise DataError(f"{path}: config key '{key}' must be {shown}")
+        if key in ("step_budget", "concurrency") and value < 1:
+            raise DataError(f"{path}: config key '{key}' must be >= 1")
         setattr(config, key, value)
     return config
 
@@ -193,6 +199,8 @@ def load_dataset(path: str, profile: str | None = None) -> list[DatasetItem]:
             task_id = data["id"]
             if not isinstance(task_id, str) or not task_id:
                 raise DataError(f"{where}: id must be a nonempty string")
+            if "/" in task_id:
+                raise DataError(f"{where}: id '{task_id}' must not contain '/'")
             if task_id in seen_ids:
                 raise DataError(f"{where}: duplicate id '{task_id}'")
             seen_ids.add(task_id)
@@ -249,10 +257,6 @@ def _score(item: DatasetItem, final: FinalAnswer) -> tuple[bool | None, float | 
     return None, interval_union_iou(pred, item.truth.segments)
 
 
-def _tool_config(config: RunConfig) -> ToolConfig:
-    return ToolConfig(window_stride=config.window_stride)
-
-
 def _examples_for(profile: Profile, config: RunConfig):
     path = config.examples_files.get(profile.name)
     if path:
@@ -268,7 +272,7 @@ def _registry_factory(item: DatasetItem, config: RunConfig, model: ModelClient):
             item.source,
             backend=config.backend,
             model=model,
-            config=_tool_config(config),
+            config=ToolConfig(window_stride=config.window_stride),
             tags=TagContext(f"{item.task.id}/{subset.label}"),
             answer_capable=profile.answer_capable,
         )
@@ -278,10 +282,11 @@ def _registry_factory(item: DatasetItem, config: RunConfig, model: ModelClient):
 
 def _agent_subset(profile: Profile) -> StrategySubset:
     """The all-module non-direct subset used for agent-only evaluation."""
-    for subset in reversed(profile.strategies):
-        if not subset.direct and set(subset.modules) == set(profile.pool):
-            return subset
-    return StrategySubset("C", profile.pool)
+    return next(
+        s
+        for s in reversed(profile.strategies)
+        if not s.direct and set(s.modules) == set(profile.pool)
+    )
 
 
 def run_item(
@@ -294,8 +299,8 @@ def run_item(
     task = item.task
     profile = profile_for_task(task, config.profile)
     factory = _registry_factory(item, config, model)
-    record: dict = {"id": task.id, "kind": task.kind.value}
-    traces: list[Trace]
+    traces: list[Trace] = []
+    extra: dict = {}
     if config.mode == "agent_critic":
         selection, traces, verdict = run_agent_critic(
             task,
@@ -307,57 +312,48 @@ def run_item(
             example_count=config.example_count,
             elide_over=config.elide_over,
         )
-        final = selection.final
-        record["strategy"] = selection.label
-        record["winners"] = list(verdict.winners)
-        record["fallback_used"] = selection.fallback_used
-        raw = selection.trace.raw_final
+        chosen = selection.trace
+        extra = {
+            "winners": list(verdict.winners),
+            "fallback_used": selection.fallback_used,
+        }
     elif config.mode == "agent":
         subset = fixed_subset or _agent_subset(profile)
-        registry = factory(subset)
-        trace = run_episode(
+        chosen = run_episode(
             task,
             subset,
             model,
-            registry,
+            factory(subset),
             step_budget=config.step_budget,
             tags=TagContext(f"{task.id}/{subset.label}"),
         )
-        traces = [trace]
-        final = trace.final
-        raw = trace.raw_final
-        record["strategy"] = subset.label
     elif config.mode == "direct":
         direct = next(s for s in profile.strategies if s.direct)
-        trace = run_direct(task, direct, model, factory(direct))
-        traces = [trace]
-        final = trace.final
-        raw = trace.raw_final
-        record["strategy"] = direct.label
+        chosen = run_direct(task, direct, model, factory(direct))
     elif config.mode == "single_program":
         subset = StrategySubset("single", profile.pool)
-        trace = run_single_program(task, model, factory(subset))
-        traces = [trace]
-        final = trace.final
-        raw = trace.raw_final
-        record["strategy"] = "single"
+        chosen = run_single_program(task, model, factory(subset))
     elif config.mode == "self_eval":
         subset = StrategySubset("self", profile.pool)
-        trace = run_self_eval(
+        chosen = run_self_eval(
             task,
             model,
             factory(subset),
             max_rounds=config.max_rounds,
             step_budget=config.step_budget,
         )
-        traces = [trace]
-        final = trace.final
-        raw = trace.raw_final
-        record["strategy"] = "self"
     else:
         raise UsageError(f"unknown mode '{config.mode}'")
+    traces = traces or [chosen]
+    final = chosen.final
+    record: dict = {
+        "id": task.id,
+        "kind": task.kind.value,
+        "strategy": chosen.strategy.label,
+        **extra,
+        "selected": final_to_dict(final, chosen.raw_final),
+    }
     correct, iou = _score(item, final)
-    record["selected"] = final_to_dict(final, raw)
     if correct is not None:
         record["correct"] = correct
     if iou is not None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 from .core import TaskKind, TaskQuery
 from .dsl import DslExecutionError
+from .modelclient import ReplayMismatchError
 
 
 def load_prompt_text(name: str) -> str:
@@ -217,7 +218,7 @@ class ToolRegistry:
         backend = self.backends[name]
         try:
             return backend(**bound)
-        except DslExecutionError:
+        except (DslExecutionError, ReplayMismatchError):
             raise
         except Exception as exc:
             raise DslExecutionError(f"error: {name} failed: {exc}") from exc
@@ -279,11 +280,6 @@ def _synthesize_block(spec: ModuleSpec) -> str:
     ret = f" -> {spec.return_text}" if spec.return_text else ""
     doc = spec.doc if spec.doc.endswith("\n") else spec.doc + "\n"
     return f"def {spec.name}({args}){ret}:\n  \"\"\"{doc}  \"\"\"\n\n"
-
-
-def register_tool(registry: ToolRegistry, spec: ModuleSpec, backend) -> ToolRegistry:
-    registry.register(spec, backend)
-    return registry
 
 
 # --- profiles ---

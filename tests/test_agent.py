@@ -255,9 +255,10 @@ def run_self_eval_with(confidences, answers=None, max_rounds=3):
 
 
 def test_self_eval_stops_at_first_high_confidence():
-    trace, rounds = run_self_eval_with(["3 certain"], max_rounds=3)
-    assert rounds == 1
-    assert trace.final == Choice(2)
+    for reply in ("3 certain", "Confidence (1-3): 3"):
+        trace, rounds = run_self_eval_with([reply], max_rounds=3)
+        assert rounds == 1
+        assert trace.final == Choice(2)
 
 
 def test_self_eval_retries_until_confident():

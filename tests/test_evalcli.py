@@ -18,7 +18,13 @@ from clipcritic.evalcli import (
     main,
     replay_run,
 )
-from clipcritic.modelclient import Cassette, CassetteClient, CassetteMode, ScriptedModel
+from clipcritic.modelclient import (
+    CallableModel,
+    Cassette,
+    CassetteClient,
+    CassetteMode,
+    ScriptedModel,
+)
 from clipcritic.toolkit import StrategySubset
 
 
@@ -96,6 +102,7 @@ GOOD_ROW = {
             2,
             "invalid range",
         ),
+        (lambda r: {**r, "id": "grp/v01"}, 2, "id 'grp/v01' must not contain '/'"),
     ],
 )
 def test_load_dataset_diagnostics(tmp_path, mutate, line_no, fragment):
@@ -138,6 +145,33 @@ def test_load_config_file(tmp_path):
     path.write_text(json.dumps([1, 2]))
     with pytest.raises(DataError, match="must be a JSON object"):
         load_config_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "data, fragment",
+    [
+        ({"concurrency": "4"}, "config key 'concurrency' must be int"),
+        ({"step_budget": "ten"}, "config key 'step_budget' must be int"),
+        ({"step_budget": True}, "config key 'step_budget' must be int"),
+        ({"profile": 3}, "config key 'profile' must be str | None"),
+        ({"transport": "http://x"}, "config key 'transport' must be dict"),
+        ({"step_budget": 0}, "config key 'step_budget' must be >= 1"),
+        ({"concurrency": -2}, "config key 'concurrency' must be >= 1"),
+    ],
+)
+def test_load_config_file_checks_types(tmp_path, data, fragment):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(DataError, match=fragment.replace("|", r"\|")):
+        load_config_file(str(path))
+
+
+def test_load_config_file_accepts_optional_none(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"profile": None, "window_stride": None, "concurrency": 2}))
+    cfg = load_config_file(str(path))
+    assert cfg.profile is None and cfg.window_stride is None
+    assert cfg.concurrency == 2
 
 
 # --- evaluation modes ---
@@ -359,6 +393,46 @@ def test_replay_detects_prompt_drift(tmp_path, suite_paths, all_items):
             items, cfg, cassette_path, cfg.traces_dir, report_path,
             str(tmp_path / "replayed"),
         )
+
+
+def scripted_tool_turns(req):
+    """Agent turn 0 asks find_when, turn 1 finishes; tool windows see nothing."""
+    if req.tag == "t1/C/0":
+        return "```\nfind_when(query='door')\n```"
+    if req.tag == "t1/C/1":
+        return "```\nfinish(final_answer='Final Answer: (2)')\n```"
+    return ""
+
+
+@pytest.mark.parametrize(
+    "mode, tampered",
+    [
+        ("agent", "t1/C/find_when/window/0"),
+        ("direct", "t1/B/retrieval_qa/window/0"),
+    ],
+)
+def test_replay_names_diverging_tool_window(tmp_path, mode, tampered):
+    items = load_dataset(write_rows(tmp_path, [GOOD_ROW]))
+    cassette_path = str(tmp_path / "run.cassette.jsonl")
+    cfg = RunConfig(mode=mode, backend="model", traces_dir=str(tmp_path / "traces"))
+    model = CassetteClient(
+        Cassette.open(cassette_path, CassetteMode.RECORD), CallableModel(scripted_tool_turns)
+    )
+    report = evaluate(items, cfg, model)
+    report_path = str(tmp_path / "report.json")
+    with open(report_path, "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    rows = [json.loads(line) for line in open(cassette_path)]
+    assert tampered in [row["tag"] for row in rows]
+    for row in rows:
+        if row["tag"] == tampered:
+            row["fingerprint"] = "0" * 64
+    with open(cassette_path, "w") as fh:
+        for row in rows:
+            fh.write(json.dumps(row) + "\n")
+    with pytest.raises(ReplayDivergence, match=f"replay mismatch at tag '{tampered}'"):
+        replay_run(items, cfg, cassette_path, cfg.traces_dir, report_path, str(tmp_path / "replayed"))
 
 
 # --- command line ---
