@@ -56,7 +56,7 @@ from .toolkit import (
     enumerate_module_subsets,
     profile_for_task,
 )
-from .tools import TagContext, ToolConfig, build_registry
+from .tools import BACKENDS, TagContext, ToolConfig, build_registry
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -120,6 +120,10 @@ class RunConfig:
         }
 
 
+# keys whose values name one of a closed set
+_CONFIG_CHOICES = {"mode": MODES, "backend": BACKENDS, "profile": tuple(sorted(PROFILES))}
+
+
 def load_config_file(path: str) -> RunConfig:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -136,8 +140,13 @@ def load_config_file(path: str) -> RunConfig:
         if isinstance(value, bool) or not isinstance(value, types[key]):
             shown = RunConfig.__dataclass_fields__[key].type
             raise DataError(f"{path}: config key '{key}' must be {shown}")
-        if key in ("step_budget", "concurrency") and value < 1:
+        if key in ("step_budget", "concurrency", "max_rounds") and value < 1:
             raise DataError(f"{path}: config key '{key}' must be >= 1")
+        allowed = _CONFIG_CHOICES.get(key)
+        if allowed is not None and value is not None and value not in allowed:
+            raise DataError(
+                f"{path}: config key '{key}' must be one of {', '.join(allowed)}"
+            )
         setattr(config, key, value)
     return config
 
@@ -574,7 +583,11 @@ def _build_parser() -> _Parser:
     parser.add_argument("--mode", choices=MODES, help="evaluation mode")
     parser.add_argument("--profile", choices=sorted(PROFILES), help="strategy profile")
     parser.add_argument("--budget", type=int, help="agent step budget")
-    parser.add_argument("--concurrency", type=int, help="parallel episodes cap")
+    parser.add_argument(
+        "--concurrency",
+        type=int,
+        help="cap on model calls in flight, shared by items and a tool's windows",
+    )
     parser.add_argument(
         "--cassette", help="record:<path> or replay:<path> model cassette"
     )

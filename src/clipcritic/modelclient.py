@@ -10,13 +10,17 @@ transport, so the rest of the system never touches pixels.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import os
+import random
 import threading
 import time
+import urllib.error
 import urllib.request
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Union
@@ -27,7 +31,7 @@ FRAME_BUDGET = 120  # frames per request, the context-size proxy
 
 
 class ModelTransportError(RuntimeError):
-    """Live transport failed after all retry attempts."""
+    """Live transport failed: a fatal fault, or retryable ones on every attempt."""
 
 
 class BudgetExceededError(ValueError):
@@ -108,10 +112,36 @@ def episode_key(tag: str) -> str:
     return "/".join(tag.split("/")[:2])
 
 
+def _in_order(call, requests: list, width: int) -> tuple[list, Exception | None]:
+    """Apply `call` to each request, up to `width` at once, in request order.
+
+    Returns the responses before the first request, in order, whose call
+    raised, and that error (None when every call returned). Requests not
+    yet started when it is reached are cancelled.
+    """
+    workers = min(width, len(requests))
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    responses = []
+    try:
+        pending = [
+            pool.submit(call, req).result if pool else functools.partial(call, req)
+            for req in requests
+        ]
+        for result in pending:
+            responses.append(result())
+    except Exception as exc:
+        return responses, exc
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    return responses, None
+
+
 class ModelClient:
     """Base client: enforces the frame budget then delegates."""
 
     frame_budget = FRAME_BUDGET
+    width = 1  # requests complete_all keeps in flight at once
 
     def complete(self, req: ModelRequest) -> str:
         used = budget_frames(req.parts)
@@ -120,6 +150,17 @@ class ModelClient:
                 f"request uses {used} frames, budget is {self.frame_budget}"
             )
         return self._complete(req)
+
+    def complete_all(self, requests: list[ModelRequest]) -> list[str]:
+        """Complete independent requests, up to `width` at once.
+
+        Responses come back in request order. The first request, in order,
+        that fails raises its error; requests still queued are cancelled.
+        """
+        responses, error = _in_order(self.complete, requests, self.width)
+        if error is not None:
+            raise error
+        return responses
 
     def _complete(self, req: ModelRequest) -> str:
         raise NotImplementedError
@@ -214,7 +255,10 @@ class CassetteClient(ModelClient):
 
     Replay partitions the recorded entries by episode (task id + strategy
     label from the tag) so concurrent episodes each replay their own slice
-    in order.
+    in order. Recording keeps request order: `complete_all` fans out
+    through the inner client, then appends the batch on the calling thread
+    in request order, so the cassette reads as a serial run's would.
+    Replay is serial (width 1).
     """
 
     def __init__(self, cassette: Cassette, inner: ModelClient | None = None):
@@ -231,20 +275,42 @@ class CassetteClient(ModelClient):
                     entry
                 )
 
+    @property
+    def width(self) -> int:
+        if self.cassette.mode is CassetteMode.REPLAY:
+            return 1
+        return self.inner.width
+
+    def complete_all(self, requests: list[ModelRequest]) -> list[str]:
+        if self.cassette.mode is not CassetteMode.RECORD:
+            return super().complete_all(requests)
+        responses, error = _in_order(self.inner.complete, requests, self.width)
+        # after a failure only the responses before it are recorded, as in
+        # a serial run
+        self._record(requests, responses)
+        if error is not None:
+            raise error
+        return responses
+
+    def _record(self, requests, responses) -> None:
+        entries = [
+            {"fingerprint": fingerprint(req), "tag": req.tag, "response": response}
+            for req, response in zip(requests, responses)
+        ]
+        if not entries:
+            return
+        lines = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries)
+        with self._lock:
+            self.cassette.entries.extend(entries)
+            with open(self.cassette.path, "a", encoding="utf-8") as fh:
+                fh.write(lines)
+
     def _complete(self, req: ModelRequest) -> str:
         if self.cassette.mode is CassetteMode.PASSTHROUGH:
             return self.inner.complete(req)
         if self.cassette.mode is CassetteMode.RECORD:
             response = self.inner.complete(req)
-            entry = {
-                "fingerprint": fingerprint(req),
-                "tag": req.tag,
-                "response": response,
-            }
-            with self._lock:
-                self.cassette.entries.append(entry)
-                with open(self.cassette.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            self._record([req], [response])
             return response
         key = episode_key(req.tag)
         with self._lock:
@@ -271,6 +337,7 @@ class ConcurrencyLimitedClient(ModelClient):
         if max_concurrent < 1:
             raise ValueError("concurrency cap must be >= 1")
         self.inner = inner
+        self.width = max_concurrent
         self._semaphore = threading.BoundedSemaphore(max_concurrent)
 
     def _complete(self, req: ModelRequest) -> str:
@@ -278,12 +345,27 @@ class ConcurrencyLimitedClient(ModelClient):
             return self.inner.complete(req)
 
 
+def _retryable(exc: Exception) -> bool:
+    """Transport faults worth another attempt: network errors, 429 and 5xx."""
+    if isinstance(exc, urllib.error.HTTPError):
+        return exc.code == 429 or exc.code >= 500
+    # URLError, timeouts and connection errors are all OSErrors
+    return isinstance(exc, OSError)
+
+
+def _equal_jitter(delay: float) -> float:
+    return delay / 2 + random.uniform(0, delay / 2)
+
+
 class HttpModelClient(ModelClient):
     """Minimal live transport: JSON POST with bounded retry.
 
-    Credentials come from an environment variable so keys never live in
-    run configuration files. The wire format is isolated here; everything
-    upstream sees only request/response text.
+    Only transport faults (`_retryable`) are retried, with exponential
+    backoff passed through `jitter`; a missing key, any other 4xx or a
+    malformed reply fails on the first attempt. Credentials come from an
+    environment variable so keys never live in run configuration files.
+    The wire format is isolated here; everything upstream sees only
+    request/response text.
     """
 
     def __init__(
@@ -295,7 +377,10 @@ class HttpModelClient(ModelClient):
         backoff_base: float = 1.0,
         transport: Callable[[dict], str] | None = None,
         sleep: Callable[[float], None] = time.sleep,
+        jitter: Callable[[float], float] = _equal_jitter,
     ):
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1")
         self.endpoint = endpoint
         self.model_name = model_name
         self.api_key_env = api_key_env
@@ -303,6 +388,7 @@ class HttpModelClient(ModelClient):
         self.backoff_base = backoff_base
         self._transport = transport or self._http_post
         self._sleep = sleep
+        self._jitter = jitter
 
     def _payload(self, req: ModelRequest) -> dict:
         content = []
@@ -320,6 +406,7 @@ class HttpModelClient(ModelClient):
                     content.append(
                         {
                             "type": "image",
+                            "index": ref.index,
                             "timestamp": ref.label(),
                             "data": data,
                         }
@@ -355,14 +442,16 @@ class HttpModelClient(ModelClient):
 
     def _complete(self, req: ModelRequest) -> str:
         payload = self._payload(req)
-        last_error = None
         for attempt in range(self.max_attempts):
             try:
                 return self._transport(payload)
+            except ModelTransportError:
+                raise
             except Exception as exc:
-                last_error = exc
-                if attempt + 1 < self.max_attempts:
-                    self._sleep(self.backoff_base * (2**attempt))
-        raise ModelTransportError(
-            f"transport failed after {self.max_attempts} attempts: {last_error}"
-        ) from last_error
+                if not _retryable(exc):
+                    raise ModelTransportError(f"transport failed: {exc}") from exc
+                if attempt + 1 == self.max_attempts:
+                    raise ModelTransportError(
+                        f"transport failed after {self.max_attempts} attempts: {exc}"
+                    ) from exc
+                self._sleep(self._jitter(self.backoff_base * (2**attempt)))

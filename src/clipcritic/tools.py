@@ -30,6 +30,8 @@ from .fixtures import (
 from .modelclient import FramesPart, ModelClient, ModelRequest, TextPart
 from .toolkit import ToolRegistry, builtin_specs, load_prompt_text
 
+BACKENDS = ("oracle", "model")
+
 NO_RANGES_SENTENCE = "no relevant ranges found"
 NOT_VISIBLE_SENTENCE = "not visible in this segment"
 NO_SPEECH_SENTENCE = "no speech available"
@@ -126,7 +128,7 @@ class ToolSuite:
         config: ToolConfig | None = None,
         tags: TagContext | None = None,
     ):
-        if backend not in ("oracle", "model"):
+        if backend not in BACKENDS:
             raise ValueError(f"unknown tool backend '{backend}'")
         if backend == "oracle" and not isinstance(video, VideoFixture):
             raise ValueError("oracle backends need a fixture video")
@@ -188,24 +190,30 @@ class ToolSuite:
     def _find_when_model(self, query: str, segment: VideoSegment) -> str:
         template = _template("find_when_window.txt")
         stride = self.config.window_stride
-        parts_out: list[str] = []
-        for i, window in enumerate(
-            windows(self.video, segment, self.config.find_when_window, stride)
-        ):
-            prompt = template.format(
-                query=query,
-                start=format_timestamp(window.segment.start),
-                end=format_timestamp(window.segment.end),
+        requests = [
+            ModelRequest(
+                parts=(
+                    TextPart(
+                        template.format(
+                            query=query,
+                            start=format_timestamp(window.segment.start),
+                            end=format_timestamp(window.segment.end),
+                        )
+                    ),
+                    FramesPart(window.refs),
+                ),
+                tag=self.tags.tag(f"find_when/window/{i}"),
             )
-            response = self.model.complete(
-                ModelRequest(
-                    parts=(TextPart(prompt), FramesPart(window.refs)),
-                    tag=self.tags.tag(f"find_when/window/{i}"),
-                )
+            for i, window in enumerate(
+                windows(self.video, segment, self.config.find_when_window, stride)
             )
-            for line in response.split("\n"):
-                if line.strip():
-                    parts_out.append(line.rstrip())
+        ]
+        parts_out = [
+            line.rstrip()
+            for response in self.model.complete_all(requests)
+            for line in response.split("\n")
+            if line.strip()
+        ]
         if not parts_out:
             return NO_RANGES_SENTENCE
         return "\n".join(parts_out)
@@ -232,21 +240,23 @@ class ToolSuite:
     def _retrieval_model(self, question, answer_options, segment: VideoSegment) -> str:
         phase1 = _template("retrieval_phase1.txt")
         stride = self.config.window_stride
-        retrieved: set[int] = set()
-        ref_by_index: dict[int, FrameRef] = {}
-        fell_back = False
-        for i, window in enumerate(
-            windows(self.video, segment, self.config.retrieval_window, stride)
-        ):
-            for ref in window.refs:
-                ref_by_index[ref.index] = ref
-            prompt = phase1.format(question=question)
-            response = self.model.complete(
+        grid = windows(self.video, segment, self.config.retrieval_window, stride)
+        prompt = phase1.format(question=question)
+        responses = self.model.complete_all(
+            [
                 ModelRequest(
                     parts=(TextPart(prompt), FramesPart(window.refs)),
                     tag=self.tags.tag(f"retrieval_qa/window/{i}"),
                 )
-            )
+                for i, window in enumerate(grid)
+            ]
+        )
+        retrieved: set[int] = set()
+        ref_by_index: dict[int, FrameRef] = {}
+        fell_back = False
+        for window, response in zip(grid, responses):
+            for ref in window.refs:
+                ref_by_index[ref.index] = ref
             allowed = set(window.indices)
             for line in response.split("\n"):
                 line = line.strip()
@@ -350,9 +360,8 @@ class ToolSuite:
             chunks.append("\n".join(current))
         options_block = _options_block(answer_options)
         chunk_template = _template("asr_chunk.txt")
-        findings = []
-        for i, chunk in enumerate(chunks):
-            response = self.model.complete(
+        responses = self.model.complete_all(
+            [
                 ModelRequest(
                     parts=(
                         TextPart(
@@ -365,9 +374,14 @@ class ToolSuite:
                     ),
                     tag=self.tags.tag(f"asr_understanding/chunk/{i}"),
                 )
-            )
-            if response.strip():
-                findings.append(f"(chunk {i + 1}) {response.strip()}")
+                for i, chunk in enumerate(chunks)
+            ]
+        )
+        findings = [
+            f"(chunk {i + 1}) {response.strip()}"
+            for i, response in enumerate(responses)
+            if response.strip()
+        ]
         consolidation = _template("asr_consolidate.txt").format(
             findings="\n".join(findings) if findings else "(none)",
             question=question,

@@ -2,6 +2,8 @@
 
 import json
 import os
+import threading
+import time
 
 import pytest
 
@@ -23,6 +25,8 @@ from clipcritic.modelclient import (
     Cassette,
     CassetteClient,
     CassetteMode,
+    ConcurrencyLimitedClient,
+    FramesPart,
     ScriptedModel,
 )
 from clipcritic.toolkit import StrategySubset
@@ -157,6 +161,10 @@ def test_load_config_file(tmp_path):
         ({"transport": "http://x"}, "config key 'transport' must be dict"),
         ({"step_budget": 0}, "config key 'step_budget' must be >= 1"),
         ({"concurrency": -2}, "config key 'concurrency' must be >= 1"),
+        ({"backend": "oracel"}, "config key 'backend' must be one of oracle, model"),
+        ({"mode": "critic"}, "config key 'mode' must be one of direct, single_program"),
+        ({"profile": "visual"}, "config key 'profile' must be one of asr_mcq"),
+        ({"max_rounds": 0}, "config key 'max_rounds' must be >= 1"),
     ],
 )
 def test_load_config_file_checks_types(tmp_path, data, fragment):
@@ -164,6 +172,14 @@ def test_load_config_file_checks_types(tmp_path, data, fragment):
     path.write_text(json.dumps(data))
     with pytest.raises(DataError, match=fragment.replace("|", r"\|")):
         load_config_file(str(path))
+
+
+def test_load_config_file_accepts_named_values(tmp_path):
+    path = tmp_path / "config.json"
+    data = {"mode": "self_eval", "backend": "model", "profile": "asr_mcq", "max_rounds": 1}
+    path.write_text(json.dumps(data))
+    cfg = load_config_file(str(path))
+    assert (cfg.mode, cfg.backend, cfg.profile, cfg.max_rounds) == tuple(data.values())
 
 
 def test_load_config_file_accepts_optional_none(tmp_path):
@@ -433,6 +449,109 @@ def test_replay_names_diverging_tool_window(tmp_path, mode, tampered):
             fh.write(json.dumps(row) + "\n")
     with pytest.raises(ReplayDivergence, match=f"replay mismatch at tag '{tampered}'"):
         replay_run(items, cfg, cassette_path, cfg.traces_dir, report_path, str(tmp_path / "replayed"))
+
+
+class WindowedModel:
+    """Replies to a model-backed agent_critic run on a long asr_mcq clip.
+
+    Each call sleeps a few ms so windows overlap in flight; the peak in
+    flight is kept. Every reply depends only on the request's content.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.inflight = 0
+        self.peak = 0
+
+    def __call__(self, req):
+        with self.lock:
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+        try:
+            time.sleep(0.003)
+            return self.reply(req)
+        finally:
+            with self.lock:
+                self.inflight -= 1
+
+    @staticmethod
+    def reply(req):
+        tag, text = req.tag, req.parts[0].text
+        turns = {
+            "t1/A/0": "heard = asr_understanding('What is said?')",
+            "t1/C/0": "seen = retrieval_qa('What happens?')",
+            "t1/C/1": "spots = find_when('door')",
+        }
+        if tag in turns:
+            return f"```\n{turns[tag]}\n```"
+        if tag in ("t1/A/1", "t1/C/2"):
+            return "```\nfinish(final_answer='Final Answer: (2)')\n```"
+        if tag == "t1/critic":
+            return "Winner: C"
+        frames = [ref for part in req.parts if isinstance(part, FramesPart) for ref in part.frames]
+        if "/find_when/window/" in tag:
+            first, last = frames[0], frames[-1]
+            if first.index % 200 == 0:
+                return f'["{first.label()}", "{last.label()}"]: door at {first.index}'
+            return ""
+        if "/retrieval_qa/window/" in tag:
+            return "\n".join(str(ref.index) for ref in frames[::16])
+        if "/retrieval_qa/answer" in tag:
+            return f"(2), from frames {[ref.index for ref in frames[:12]]}"
+        if "/asr_understanding/chunk/" in tag:
+            return text.split("\n")[1][:40]
+        return "\n".join(line for line in text.split("\n") if line.startswith("(chunk"))
+
+
+def long_asr_item(tmp_path):
+    fixture = oracle_suite.base_fixture(
+        asr=[
+            {"t": oracle_suite.MM(t), "text": f"speaker talks about the door, line {t}"}
+            for t in range(0, 1200, 3)
+        ]
+    )
+    fixture["duration"] = oracle_suite.MM(1200)
+    fixture["frames"] = [{"t": oracle_suite.MM(t), "caption": f"scene {t}"} for t in range(1200)]
+    (tmp_path / "long.json").write_text(json.dumps(fixture))
+    row = {**GOOD_ROW, "video": "long.json", "allow_asr": True}
+    (tmp_path / "data.jsonl").write_text(json.dumps(row) + "\n")
+    return load_dataset(str(tmp_path / "data.jsonl"))
+
+
+def test_tool_windows_fan_out_to_serial_bytes(tmp_path):
+    """Recording through a cap-3 client writes what a cap-1 run writes."""
+    outputs = {}
+    for run_cap in (1, 3):
+        out = tmp_path / f"cap{run_cap}"
+        out.mkdir(exist_ok=True)
+        items = long_asr_item(out)
+        windowed = WindowedModel()
+        model = CassetteClient(
+            Cassette.open(str(out / "run.cassette.jsonl"), CassetteMode.RECORD),
+            ConcurrencyLimitedClient(CallableModel(windowed), run_cap),
+        )
+        cfg = RunConfig(mode="agent_critic", backend="model", traces_dir=str(out / "traces"))
+        report = evaluate(items, cfg, model)
+        del report["timing"]
+        report_path = out / "report.json"
+        report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        assert 1 <= windowed.peak <= run_cap
+        if run_cap > 1:
+            assert windowed.peak > 1
+        # the recording replays against its own report and traces
+        replay_run(items, cfg, str(out / "run.cassette.jsonl"), cfg.traces_dir,
+                   str(report_path), str(out / "replayed"))
+        outputs[run_cap] = {
+            name: (out / name).read_bytes()
+            for name in ["run.cassette.jsonl", "report.json"]
+            + [f"traces/{f}" for f in sorted(os.listdir(out / "traces"))]
+        }
+    tags = [json.loads(line)["tag"] for line in outputs[1]["run.cassette.jsonl"].splitlines()]
+    for fanned in ("t1/C/find_when/window/11", "t1/C/retrieval_qa/window/18",
+                   "t1/A/asr_understanding/chunk/3"):
+        assert fanned in tags
+    assert len(outputs[1]) == 5  # cassette, report, three traces
+    assert outputs[3] == outputs[1]
 
 
 # --- command line ---

@@ -1,6 +1,10 @@
 """Model abstraction: scripting, budgets, fingerprints, cassettes, retries."""
 
 import json
+import sys
+import threading
+import time
+import urllib.error
 
 import pytest
 
@@ -12,6 +16,7 @@ from clipcritic.modelclient import (
     Cassette,
     CassetteClient,
     CassetteMode,
+    ConcurrencyLimitedClient,
     FramesPart,
     HttpModelClient,
     ModelRequest,
@@ -189,6 +194,7 @@ def test_http_client_retries_with_backoff(monkeypatch):
         backoff_base=0.5,
         transport=failing_transport,
         sleep=sleeps.append,
+        jitter=lambda delay: delay,
     )
     with pytest.raises(ModelTransportError):
         client.complete(text_request("q", tag="t1/A/0"))
@@ -223,6 +229,227 @@ def test_http_client_requires_api_key(monkeypatch):
     client = HttpModelClient("http://localhost:9/v1", "m", sleep=lambda s: None)
     with pytest.raises(ModelTransportError, match="MODEL_API_KEY"):
         client.complete(text_request("q", tag="t"))
+
+
+def http_error(code):
+    return urllib.error.HTTPError("http://localhost:9/v1", code, "reply", {}, None)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        ModelTransportError("environment variable MODEL_API_KEY is not set"),
+        http_error(400),
+        http_error(401),
+        http_error(404),
+        ModelTransportError("malformed transport reply: {}"),
+        json.JSONDecodeError("Expecting value", "<html>", 0),
+    ],
+    ids=["no-key", "400", "401", "404", "no-text", "not-json"],
+)
+def test_http_client_fails_fast_on_fatal_faults(monkeypatch, fault):
+    monkeypatch.setenv("MODEL_API_KEY", "test-key")
+    attempts, sleeps = [], []
+
+    def transport(payload):
+        attempts.append(payload)
+        raise fault
+
+    client = HttpModelClient(
+        "http://localhost:9/v1", "m", transport=transport, sleep=sleeps.append
+    )
+    with pytest.raises(ModelTransportError):
+        client.complete(text_request("q", tag="t"))
+    assert (len(attempts), sleeps) == (1, [])
+
+
+def test_http_client_missing_key_is_not_retried(monkeypatch):
+    monkeypatch.delenv("MODEL_API_KEY", raising=False)
+    sleeps = []
+    client = HttpModelClient("http://localhost:9/v1", "m", sleep=sleeps.append)
+    with pytest.raises(ModelTransportError, match="MODEL_API_KEY"):
+        client.complete(text_request("q", tag="t"))
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [http_error(429), http_error(503), urllib.error.URLError("refused"), TimeoutError("slow")],
+    ids=["429", "503", "url-error", "timeout"],
+)
+def test_http_client_retries_transport_faults_with_jitter(monkeypatch, fault):
+    monkeypatch.setenv("MODEL_API_KEY", "test-key")
+    attempts, sleeps = [], []
+
+    def transport(payload):
+        attempts.append(payload)
+        raise fault
+
+    client = HttpModelClient(
+        "http://localhost:9/v1", "m", max_attempts=3, backoff_base=1.0,
+        transport=transport, sleep=sleeps.append,
+    )
+    with pytest.raises(ModelTransportError, match="after 3 attempts"):
+        client.complete(text_request("q", tag="t"))
+    assert len(attempts) == 3
+    assert len(sleeps) == 2
+    # equal jitter: half of each exponential step is fixed, half random
+    assert 0.5 <= sleeps[0] <= 1.0 and 1.0 <= sleeps[1] <= 2.0
+
+
+def test_http_payload_carries_frame_index(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f7.jpg").write_bytes(b"seven")
+    (tmp_path / "f9.jpg").write_bytes(b"nine")
+    req = ModelRequest(
+        parts=(
+            TextPart("Which frames show the door?"),
+            FramesPart((FrameRef(7, 7.0, path="f7.jpg"), FrameRef(9, 9.0, path="f9.jpg"))),
+        ),
+        tag="t1/C/retrieval_qa/window/0",
+    )
+    sent = []
+    client = HttpModelClient("http://localhost:9/v1", "m", transport=lambda p: sent.append(p) or "7")
+    assert client.complete(req) == "7"
+    images = [c for c in sent[0]["content"] if c["type"] == "image"]
+    assert [(c["index"], c["timestamp"]) for c in images] == [(7, "00:07"), (9, "00:09")]
+    # the index goes on the wire only; recorded cassettes still match
+    assert fingerprint(req) == "1af12b30c63464208c51dbff2fa53fc871427a28e33d011cacb28262376f18d0"
+
+
+class InflightModel(CallableModel):
+    """Sleeps a few ms per request and keeps the peak of requests in flight."""
+
+    def __init__(self, fail=None):
+        super().__init__(self._reply)
+        self.fail = fail or {}
+        self.lock = threading.Lock()
+        self.inflight = self.peak = 0
+        self.started = []
+        self.threads = set()
+
+    def _reply(self, req):
+        with self.lock:
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+            self.started.append(req.tag)
+            self.threads.add(threading.get_ident())
+        try:
+            delay, error = self.fail.get(req.tag, (0.004, None))
+            time.sleep(delay)
+            if error:
+                raise error
+            return f"reply to {req.tag}"
+        finally:
+            with self.lock:
+                self.inflight -= 1
+
+
+def window_requests(n):
+    return [text_request(f"window {i}", tag=f"t1/C/find_when/window/{i}") for i in range(n)]
+
+
+@pytest.mark.parametrize("cap, n", [(1, 6), (3, 12), (4, 2)])
+def test_complete_all_keeps_order_within_cap(cap, n):
+    model = InflightModel()
+    client = ConcurrencyLimitedClient(model, cap)
+    requests = window_requests(n)
+    assert client.width == cap
+    assert client.complete_all(requests) == [f"reply to {r.tag}" for r in requests]
+    assert len(model.threads) <= min(cap, n)
+    assert model.peak <= min(cap, n)
+    if min(cap, n) > 1:
+        assert model.peak > 1
+
+
+def test_complete_all_stress_more_workers_than_cores(tmp_path):
+    """Cap 8 over two concurrent recorders, with rapid thread switching."""
+    model = InflightModel(fail={f"t{j}/C/w/{i}": (0.0, None) for j in range(2) for i in range(64)})
+    capped = ConcurrencyLimitedClient(model, 8)
+    recorders = [
+        CassetteClient(Cassette.open(str(tmp_path / f"t{j}.jsonl"), CassetteMode.RECORD), capped)
+        for j in range(2)
+    ]
+    batches = [[text_request(f"w{i}", tag=f"t{j}/C/w/{i}") for i in range(64)] for j in range(2)]
+    results = {}
+
+    def run(j):
+        results[j] = recorders[j].complete_all(batches[j])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert model.peak <= 8
+    for j in range(2):
+        assert results[j] == [f"reply to {r.tag}" for r in batches[j]]
+        tags = [json.loads(line)["tag"] for line in open(tmp_path / f"t{j}.jsonl")]
+        assert tags == [r.tag for r in batches[j]]
+
+
+def test_complete_all_failure_raises_first_in_order_and_records_prefix(tmp_path):
+    k = 4
+    model = InflightModel(
+        fail={
+            # window k fails late, window k+1 early: window k's error wins
+            f"t1/C/find_when/window/{k}": (0.02, ValueError(f"window {k} failed")),
+            f"t1/C/find_when/window/{k + 1}": (0.0, ValueError(f"window {k + 1} failed")),
+            **{f"t1/C/find_when/window/{i}": (0.05, None) for i in range(k + 2, 40)},
+        }
+    )
+    path = str(tmp_path / "run.jsonl")
+    recorder = CassetteClient(
+        Cassette.open(path, CassetteMode.RECORD), ConcurrencyLimitedClient(model, 3)
+    )
+    assert recorder.width == 3
+    with pytest.raises(ValueError, match=f"window {k} failed"):
+        recorder.complete_all(window_requests(40))
+    # exactly what a serial run would have recorded before window k raised
+    tags = [json.loads(line)["tag"] for line in open(path)]
+    assert tags == [f"t1/C/find_when/window/{i}" for i in range(k)]
+    assert [e["tag"] for e in recorder.cassette.entries] == tags
+    # queued windows were cancelled instead of sent
+    assert len(model.started) < 40
+
+
+def test_recorded_batch_matches_serial_recording(tmp_path):
+    requests = window_requests(9)
+    # later windows answer sooner, so completion order is not request order
+    delays = {r.tag: (0.003 * (9 - i), None) for i, r in enumerate(requests)}
+    lines = {}
+    for cap in (1, 3):
+        path = tmp_path / f"cap{cap}.jsonl"
+        recorder = CassetteClient(
+            Cassette.open(str(path), CassetteMode.RECORD),
+            ConcurrencyLimitedClient(InflightModel(fail=delays), cap),
+        )
+        recorder.complete(text_request("turn", tag="t1/C/0"))
+        recorder.complete_all(requests)
+        lines[cap] = path.read_bytes()
+    assert lines[3] == lines[1]
+    replayer = CassetteClient(Cassette.open(str(tmp_path / "cap3.jsonl"), CassetteMode.REPLAY))
+    assert replayer.complete(text_request("turn", tag="t1/C/0")) == "reply to t1/C/0"
+    assert replayer.complete_all(requests) == [f"reply to {r.tag}" for r in requests]
+
+
+def test_width_comes_from_the_client_chain(tmp_path):
+    capped = ConcurrencyLimitedClient(InflightModel(), 5)
+    path = str(tmp_path / "run.jsonl")
+    recorder = CassetteClient(Cassette.open(path, CassetteMode.RECORD), capped)
+    recorder.complete(text_request("q", tag="t1/A/0"))
+    replayer = CassetteClient(Cassette.open(path, CassetteMode.REPLAY))
+    assert recorder.width == 5
+    assert replayer.width == 1
+    assert CassetteClient(Cassette.open(path, CassetteMode.RECORD), InflightModel()).width == 1
+    assert ScriptedModel.from_queue([]).width == 1
+    assert HttpModelClient("http://localhost:9/v1", "m").width == 1
 
 
 def test_frames_part_rejects_empty():
