@@ -37,15 +37,12 @@ from .dsl import (
 )
 from .toolkit import (
     PROFILES,
-    ModuleSpec,
     Profile,
     StrategySubset,
     ToolRegistry,
-    builtin_specs,
     enumerate_module_subsets,
     load_prompt_text,
     profile_for_task,
-    strategy_subsets,
 )
 from .fixtures import (
     AllFrames,

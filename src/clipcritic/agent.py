@@ -126,14 +126,6 @@ def render_step(step: Step) -> str:
     return f"{step.result}\n\n"
 
 
-def _pool_subset(label: str, registry: ToolRegistry) -> StrategySubset:
-    """Every registered video module under one non-direct label."""
-    modules = tuple(
-        name for name in registry.specs if name not in ("think", "finish")
-    )
-    return StrategySubset(label, modules)
-
-
 class _Transcript:
     """One agent transcript: the prompt so far, the DSL environment, the
     steps taken, and the turn counter that numbers request tags."""
@@ -246,10 +238,9 @@ def run_direct(
     if not subset.direct:
         raise ValueError("run_direct needs a direct subset")
     module = subset.modules[0]
-    spec = registry.specs.get(module)
-    if spec is None:
+    if module not in registry.backends:
         raise ValueError(f"unknown module '{module}'")
-    if not spec.answer_capable:
+    if module not in registry.answer_capable:
         raise ValueError(f"module '{module}' cannot answer this task directly")
     snapshot = registry.with_subset(subset)
     kwargs: dict = {}
@@ -271,18 +262,19 @@ def run_direct(
 
 def run_single_program(
     task: TaskQuery,
+    subset: StrategySubset,
     model: ModelClient,
     registry: ToolRegistry,
     tags: TagContext | None = None,
 ) -> Trace:
     """One model call, one program, no feedback loop."""
-    subset = _pool_subset("single", registry)
     transcript = _Transcript(task, subset, model, registry, "single_program.txt", tags)
     return transcript.trace(*transcript.take_turns(1, force=False), 1)
 
 
 def run_self_eval(
     task: TaskQuery,
+    subset: StrategySubset,
     model: ModelClient,
     registry: ToolRegistry,
     max_rounds: int = 3,
@@ -296,7 +288,6 @@ def run_self_eval(
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    subset = _pool_subset("self", registry)
     transcript = _Transcript(task, subset, model, registry, "agent_preamble.txt", tags)
     confidence_prompt = load_prompt_text("confidence.txt")
     retry_template = load_prompt_text("self_eval_retry.txt")

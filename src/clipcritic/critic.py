@@ -50,7 +50,6 @@ class CriticExample:
 class CriticVerdict:
     critique: str
     winners: tuple[str, ...]
-    fallback_used: bool = False
 
 
 @dataclass(frozen=True)
@@ -272,10 +271,6 @@ def run_critic(
     response = model.complete(request)
     labels = [t.strategy.label for t in traces]
     verdict = parse_verdict(response, labels)
-    if not verdict.winners:
-        verdict = CriticVerdict(
-            critique=verdict.critique, winners=(), fallback_used=True
-        )
     selection = select_answer(traces, verdict)
     return verdict, selection, response
 

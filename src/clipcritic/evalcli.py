@@ -341,11 +341,12 @@ def run_item(
         chosen = run_direct(task, direct, model, factory(direct))
     elif config.mode == "single_program":
         subset = StrategySubset("single", profile.pool)
-        chosen = run_single_program(task, model, factory(subset))
+        chosen = run_single_program(task, subset, model, factory(subset))
     elif config.mode == "self_eval":
         subset = StrategySubset("self", profile.pool)
         chosen = run_self_eval(
             task,
+            subset,
             model,
             factory(subset),
             max_rounds=config.max_rounds,

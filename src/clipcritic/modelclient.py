@@ -213,7 +213,6 @@ class CallableModel(ModelClient):
 class CassetteMode(Enum):
     RECORD = "record"
     REPLAY = "replay"
-    PASSTHROUGH = "passthrough"
 
 
 @dataclass
@@ -251,7 +250,7 @@ class Cassette:
 
 
 class CassetteClient(ModelClient):
-    """Record, replay, or pass through model calls against a cassette.
+    """Record or replay model calls against a cassette.
 
     Replay partitions the recorded entries by episode (task id + strategy
     label from the tag) so concurrent episodes each replay their own slice
@@ -265,9 +264,8 @@ class CassetteClient(ModelClient):
         self.cassette = cassette
         self.inner = inner
         self._lock = threading.Lock()
-        if cassette.mode in (CassetteMode.RECORD, CassetteMode.PASSTHROUGH):
-            if inner is None:
-                raise ValueError(f"{cassette.mode.value} mode needs an inner client")
+        if cassette.mode is CassetteMode.RECORD and inner is None:
+            raise ValueError("record mode needs an inner client")
         self._slices: dict[str, deque] = {}
         if cassette.mode is CassetteMode.REPLAY:
             for entry in cassette.entries:
@@ -306,8 +304,6 @@ class CassetteClient(ModelClient):
                 fh.write(lines)
 
     def _complete(self, req: ModelRequest) -> str:
-        if self.cassette.mode is CassetteMode.PASSTHROUGH:
-            return self.inner.complete(req)
         if self.cassette.mode is CassetteMode.RECORD:
             response = self.inner.complete(req)
             self._record([req], [response])

@@ -1,13 +1,15 @@
-"""Tool metadata, the episode tool registry, API-text rendering, and the
-per-profile strategy-subset configuration.
+"""The episode tool registry, API-text rendering, and the per-profile
+strategy-subset configuration.
 
-The API text shown to the agent is sliced from a stored listing so that the
-six built-in tools render byte-exactly. Custom tools registered at runtime
-render in the same header-plus-docstring shape.
+The stored API listing is the one description of the six built-in tools:
+the API text shown to the agent is sliced from it byte-exactly, and each
+tool's parameters are read from its `def` line.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
 import importlib.resources
 from dataclasses import dataclass, field, replace
 
@@ -16,28 +18,11 @@ from .dsl import DslExecutionError
 from .modelclient import ReplayMismatchError
 
 
+@functools.cache
 def load_prompt_text(name: str) -> str:
     """Load a stored prompt asset shipped with the package."""
     ref = importlib.resources.files("clipcritic") / "prompts" / name
     return ref.read_text(encoding="utf-8")
-
-
-@dataclass(frozen=True)
-class Param:
-    name: str
-    type_text: str
-    required: bool
-
-
-@dataclass(frozen=True)
-class ModuleSpec:
-    """Metadata for one callable tool."""
-
-    name: str
-    signature: tuple[Param, ...]
-    doc: str
-    answer_capable: bool = False
-    return_text: str = "str"
 
 
 @dataclass(frozen=True)
@@ -71,146 +56,66 @@ class StrategySubset:
         return f"Strategy {self.label} ({', '.join(self.modules)}):"
 
 
-# Signatures mirror the stored API listing.
-_BUILTIN_PARAMS: dict[str, tuple[Param, ...]] = {
-    "think": (Param("thought", "str", True),),
-    "get_segment": (Param("start", "str", True), Param("end", "str", True)),
-    "find_when": (
-        Param("query", "str", True),
-        Param("video_segment", "VideoSegment | None", False),
-    ),
-    "asr_understanding": (
-        Param("question", "str", True),
-        Param("answer_options", "list[str] | None", False),
-    ),
-    "retrieval_qa": (
-        Param("question", "str", True),
-        Param("answer_options", "list[str] | None", False),
-        Param("video_segment", "VideoSegment | None", False),
-    ),
-    "finish": (Param("final_answer", "str", True),),
-}
-
-BUILTIN_ORDER = (
-    "think",
-    "get_segment",
-    "find_when",
-    "asr_understanding",
-    "retrieval_qa",
-    "finish",
-)
-
-
 class _ApiListing:
-    """The stored API listing sliced into a class header and per-tool blocks."""
+    """The stored API listing sliced into a class header and per-tool blocks,
+    with each tool's parameters read from its `def` line."""
 
     def __init__(self, text: str):
-        self.text = text
         ends_with_newline = text.endswith("\n")
         lines = text.split("\n")
         if ends_with_newline:
             lines.pop()  # drop the empty element split leaves after a final newline
-        starts: list[tuple[str, int]] = []
-        for i, line in enumerate(lines):
-            if line.startswith("def ") and "(" in line:
-                starts.append((line[4 : line.index("(")], i))
-        if not starts:
+        defs = [
+            node for node in ast.parse(text).body if isinstance(node, ast.FunctionDef)
+        ]
+        if not defs:
             raise ValueError("API listing contains no function definitions")
-        self.header = "\n".join(lines[: starts[0][1]]) + "\n"
-        self.blocks: dict[str, str] = {}
-        for idx, (name, begin) in enumerate(starts):
-            end = starts[idx + 1][1] if idx + 1 < len(starts) else len(lines)
-            block = "\n".join(lines[begin:end])
-            if idx + 1 < len(starts) or ends_with_newline:
-                block += "\n"
-            self.blocks[name] = block
-
-    def doc_for(self, name: str) -> str:
-        block = self.blocks[name]
-        first = block.find('"""')
-        last = block.rfind('"""')
-        if first < 0 or last <= first:
-            raise ValueError(f"no docstring found for {name}")
-        return block[first + 3 : last]
-
-
-_api_listing: _ApiListing | None = None
-
-
-def api_listing() -> _ApiListing:
-    global _api_listing
-    if _api_listing is None:
-        _api_listing = _ApiListing(load_prompt_text("module_api.txt"))
-    return _api_listing
-
-
-def builtin_specs(answer_capable: frozenset[str] = frozenset({"retrieval_qa"})) -> list[ModuleSpec]:
-    listing = api_listing()
-    specs = []
-    for name in BUILTIN_ORDER:
-        specs.append(
-            ModuleSpec(
-                name=name,
-                signature=_BUILTIN_PARAMS[name],
-                doc=listing.doc_for(name),
-                answer_capable=name in answer_capable,
+        # (name, required) per parameter; optional exactly when annotated `| None`
+        self.params: dict[str, tuple[tuple[str, bool], ...]] = {
+            fn.name: tuple(
+                (arg.arg, not ast.unparse(arg.annotation).endswith("| None"))
+                for arg in fn.args.args
             )
-        )
-    return specs
+            for fn in defs
+        }
+        starts = [fn.lineno - 1 for fn in defs]
+        self.header = "\n".join(lines[: starts[0]]) + "\n"
+        self.blocks: dict[str, str] = {}
+        for fn, begin, end in zip(defs, starts, starts[1:] + [len(lines)]):
+            block = "\n".join(lines[begin:end])
+            if end < len(lines) or ends_with_newline:
+                block += "\n"
+            self.blocks[fn.name] = block
 
 
-@dataclass
+@functools.cache
+def api_listing() -> _ApiListing:
+    return _ApiListing(load_prompt_text("module_api.txt"))
+
+
+@dataclass(frozen=True)
 class ToolRegistry:
-    """Tool specs plus backends; an activated snapshot serves one episode."""
+    """Backends for the built-in tools, by name; a snapshot restricted to one
+    strategy's modules serves one episode. Snapshots share the backend
+    table, which nothing mutates."""
 
-    specs: dict[str, ModuleSpec] = field(default_factory=dict)
     backends: dict = field(default_factory=dict)
-    render_blocks: dict[str, str] = field(default_factory=dict)
+    answer_capable: frozenset[str] = frozenset()
     active_subset: StrategySubset | None = None
-    terminal_tools: frozenset[str] = frozenset({"finish"})
-
-    def register(self, spec: ModuleSpec, backend) -> None:
-        if spec.name in self.specs:
-            raise ValueError(f"tool '{spec.name}' is already registered")
-        if not spec.doc.strip():
-            raise ValueError(f"tool '{spec.name}' needs a docstring for prompt rendering")
-        self.specs[spec.name] = spec
-        self.backends[spec.name] = backend
-        listing = api_listing()
-        if spec.name in listing.blocks:
-            if spec.doc != listing.doc_for(spec.name):
-                raise ValueError(
-                    f"tool '{spec.name}' is a reserved built-in name; "
-                    "its docstring must match the stored listing"
-                )
-            self.render_blocks[spec.name] = listing.blocks[spec.name]
-        else:
-            self.render_blocks[spec.name] = _synthesize_block(spec)
+    terminal_tools = frozenset({"finish"})  # not a field: the DSL stops at these
 
     def with_subset(self, subset: StrategySubset) -> "ToolRegistry":
-        """Independent snapshot restricted to one strategy's modules."""
+        """Snapshot restricted to one strategy's modules."""
         for name in subset.effective_modules():
-            if name not in self.specs:
+            if name not in self.backends:
                 raise ValueError(f"subset names unregistered tool '{name}'")
-            if name not in self.backends or self.backends[name] is None:
-                raise ValueError(f"tool '{name}' has no backend")
-        return replace(
-            self,
-            specs=dict(self.specs),
-            backends=dict(self.backends),
-            render_blocks=dict(self.render_blocks),
-            active_subset=subset,
-        )
-
-    def is_active(self, name: str) -> bool:
-        if self.active_subset is None:
-            return name in self.specs
-        return name in self.active_subset.effective_modules()
+        return replace(self, active_subset=subset)
 
     def call(self, name: str, args: list, kwargs: dict):
-        if name not in self.specs:
+        if name not in self.backends:
             raise DslExecutionError(f"error: unknown tool '{name}'")
-        if not self.is_active(name):
+        subset = self.active_subset
+        if subset is not None and name not in subset.effective_modules():
             raise DslExecutionError(
                 f"error: tool '{name}' is not available in this strategy"
             )
@@ -224,16 +129,14 @@ class ToolRegistry:
             raise DslExecutionError(f"error: {name} failed: {exc}") from exc
 
     def _bind(self, name: str, args: list, kwargs: dict) -> dict:
-        params = self.specs[name].signature
+        params = api_listing().params[name]
         if len(args) > len(params):
             raise DslExecutionError(
                 f"error: {name}() takes {len(params)} arguments "
                 f"but {len(args)} were given"
             )
-        bound = {}
-        for param, value in zip(params, args):
-            bound[param.name] = value
-        names = {p.name for p in params}
+        bound = {param: value for (param, _), value in zip(params, args)}
+        names = {param for param, _ in params}
         for key, value in kwargs.items():
             if key not in names:
                 raise DslExecutionError(
@@ -244,42 +147,26 @@ class ToolRegistry:
                     f"error: {name}() got multiple values for argument '{key}'"
                 )
             bound[key] = value
-        for param in params:
-            if param.required and param.name not in bound:
+        for param, required in params:
+            if required and param not in bound:
                 raise DslExecutionError(
-                    f"error: {name}() missing required argument '{param.name}'"
+                    f"error: {name}() missing required argument '{param}'"
                 )
-            if param.name not in bound:
-                bound[param.name] = None
+            if param not in bound:
+                bound[param] = None
         return bound
 
     def render_api(self, subset: StrategySubset | None = None) -> str:
         subset = subset or self.active_subset
-        if subset is not None:
-            active = set(subset.effective_modules())
-            unknown = active - set(self.specs)
-            if unknown:
-                raise ValueError(f"unknown module name(s): {sorted(unknown)}")
-        else:
-            active = set(self.specs)
+        active = set(subset.effective_modules()) if subset else set(self.backends)
+        unknown = active - set(self.backends)
+        if unknown:
+            raise ValueError(f"unknown module name(s): {sorted(unknown)}")
         if not active:
             raise ValueError("cannot render an empty subset")
-        parts = [api_listing().header]
-        for name in self.specs:  # registration order; built-ins in listing order
-            if name not in active:
-                continue
-            block = self.render_blocks[name]
-            if not parts[-1].endswith("\n\n") and name not in api_listing().blocks:
-                parts.append("\n")
-            parts.append(block)
-        return "".join(parts)
-
-
-def _synthesize_block(spec: ModuleSpec) -> str:
-    args = ", ".join(f"{p.name}: {p.type_text}" for p in spec.signature)
-    ret = f" -> {spec.return_text}" if spec.return_text else ""
-    doc = spec.doc if spec.doc.endswith("\n") else spec.doc + "\n"
-    return f"def {spec.name}({args}){ret}:\n  \"\"\"{doc}  \"\"\"\n\n"
+        listing = api_listing()
+        blocks = (block for name, block in listing.blocks.items() if name in active)
+        return listing.header + "".join(blocks)
 
 
 # --- profiles ---
@@ -366,17 +253,6 @@ def profile_for_task(task: TaskQuery, name: str | None = None) -> Profile:
     if task.allow_asr:
         return PROFILES["asr_mcq"]
     return PROFILES["visual_mcq"]
-
-
-def strategy_subsets(task: TaskQuery, profile: Profile | str) -> list[StrategySubset]:
-    """The three labeled subsets the critic will compare for this task."""
-    if isinstance(profile, str):
-        profile = profile_for_task(task, profile)
-    if profile.task_kind is not task.kind:
-        raise ValueError(
-            f"profile '{profile.name}' expects {profile.task_kind.value} tasks"
-        )
-    return list(profile.strategies)
 
 
 def enumerate_module_subsets(profile: Profile) -> list[tuple[str, ...]]:

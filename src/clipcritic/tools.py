@@ -28,7 +28,7 @@ from .fixtures import (
     windows,
 )
 from .modelclient import FramesPart, ModelClient, ModelRequest, TextPart
-from .toolkit import ToolRegistry, builtin_specs, load_prompt_text
+from .toolkit import ToolRegistry, api_listing, load_prompt_text
 
 BACKENDS = ("oracle", "model")
 
@@ -408,15 +408,5 @@ def build_registry(
     suite = ToolSuite(
         task, video, backend=backend, model=model, config=config, tags=tags
     )
-    registry = ToolRegistry()
-    backends = {
-        "think": suite.think,
-        "get_segment": suite.get_segment,
-        "find_when": suite.find_when,
-        "asr_understanding": suite.asr_understanding,
-        "retrieval_qa": suite.retrieval_qa,
-        "finish": suite.finish,
-    }
-    for spec in builtin_specs(answer_capable):
-        registry.register(spec, backends[spec.name])
-    return registry
+    backends = {name: getattr(suite, name) for name in api_listing().blocks}
+    return ToolRegistry(backends, answer_capable)

@@ -45,7 +45,7 @@ from clipcritic.modelclient import (
     ScriptedModel,
     budget_frames,
 )
-from clipcritic.toolkit import PROFILES, enumerate_module_subsets
+from clipcritic.toolkit import PROFILES, StrategySubset, enumerate_module_subsets
 from clipcritic.tools import NO_RANGES_SENTENCE, TagContext, ToolSuite, build_registry
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -386,7 +386,8 @@ def _self_eval(confidences, answers, max_rounds):
     registry = build_registry(task, fixture, tags=tags)
     turns = [f"```\nfinish(final_answer='Final Answer: ({a})')\n```" for a in answers]
     model = ScriptedModel({"t1/self/confidence": list(confidences), "t1/self": turns})
-    trace = run_self_eval(task, model, registry, max_rounds=max_rounds, tags=tags)
+    subset = StrategySubset("self", PROFILES["visual_mcq"].pool)
+    trace = run_self_eval(task, subset, model, registry, max_rounds=max_rounds, tags=tags)
     rounds = sum(1 for c in model.calls if "/confidence/" in c.tag)
     return trace, rounds
 

@@ -218,7 +218,8 @@ def test_run_single_program_is_one_model_call():
     tags = TagContext("t1/single")
     registry = build_registry(task, make_fixture(), tags=tags)
     model = ScriptedModel({"t1/single": [program]})
-    trace = run_single_program(task, model, registry, tags=tags)
+    subset = StrategySubset("single", PROFILES["visual_mcq"].pool)
+    trace = run_single_program(task, subset, model, registry, tags=tags)
     assert len(model.calls) == 1
     assert trace.strategy.label == "single"
     assert len(trace.steps) == 1
@@ -232,7 +233,8 @@ def test_run_single_program_without_code_is_unparsed():
     tags = TagContext("t1/single")
     registry = build_registry(task, make_fixture(), tags=tags)
     model = ScriptedModel({"t1/single": ["no code at all"]})
-    trace = run_single_program(task, model, registry, tags=tags)
+    subset = StrategySubset("single", PROFILES["visual_mcq"].pool)
+    trace = run_single_program(task, subset, model, registry, tags=tags)
     assert trace.final == Unparsed("no code at all")
 
 
@@ -249,7 +251,8 @@ def run_self_eval_with(confidences, answers=None, max_rounds=3):
     model = ScriptedModel(
         {"t1/self/confidence": list(confidences), "t1/self": episode_turns}
     )
-    trace = run_self_eval(task, model, registry, max_rounds=max_rounds, tags=tags)
+    subset = StrategySubset("self", PROFILES["visual_mcq"].pool)
+    trace = run_self_eval(task, subset, model, registry, max_rounds=max_rounds, tags=tags)
     asked = sum(1 for c in model.calls if "/confidence/" in c.tag)
     return trace, asked
 

@@ -19,6 +19,7 @@ from clipcritic.evalcli import (
     load_dataset,
     main,
     replay_run,
+    run_item,
 )
 from clipcritic.modelclient import (
     CallableModel,
@@ -29,7 +30,7 @@ from clipcritic.modelclient import (
     FramesPart,
     ScriptedModel,
 )
-from clipcritic.toolkit import StrategySubset
+from clipcritic.toolkit import PROFILES, StrategySubset
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +323,18 @@ def test_direct_mode_never_consults_model(tmp_path, all_items):
     report = evaluate(all_items, config("direct", tmp_path), ScriptedModel({}), persist=False)
     assert not any(r.get("error") for r in report["items"])
     assert report["aggregate"]["accuracy"] == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("mode,label", [("single_program", "single"), ("self_eval", "self")])
+def test_pool_modes_offer_only_the_profile_pool(tmp_path, all_items, mode, label):
+    item = next(i for i in all_items if i.task.id == "v01")  # visual_mcq, no ASR
+    program = "```\nasr_understanding('What is said?')\n```"
+    model = ScriptedModel({f"v01/{label}": [program, "Final Answer: (2)"]})
+    cfg = config(mode, tmp_path, step_budget=1, max_rounds=1)
+    _, traces = run_item(item, cfg, model)
+    assert "def asr_understanding(" not in model.calls[0].parts[0].text
+    assert traces[0].to_dict()["modules"] == list(PROFILES["visual_mcq"].pool)
+    assert "not available in this strategy" in traces[0].steps[0].result
 
 
 # --- ablation sweep ---

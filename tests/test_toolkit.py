@@ -1,30 +1,25 @@
 """Module registry, docstring-driven API rendering, and strategy profiles."""
 
+import ast
+
 import pytest
 
 from clipcritic.core import TaskKind, TaskQuery, VideoRef, VideoSource
 from clipcritic.dsl import DslExecutionError
 from clipcritic.toolkit import (
-    BUILTIN_ORDER,
     PROFILES,
-    ModuleSpec,
-    Param,
     StrategySubset,
     ToolRegistry,
     api_listing,
-    builtin_specs,
     enumerate_module_subsets,
     load_prompt_text,
     profile_for_task,
-    strategy_subsets,
 )
 
 
 def make_registry(answer_capable=frozenset({"retrieval_qa"})):
-    registry = ToolRegistry()
-    for spec in builtin_specs(answer_capable):
-        registry.register(spec, backend=lambda *a, **k: None)
-    return registry
+    backends = {name: lambda *a, **k: None for name in api_listing().blocks}
+    return ToolRegistry(backends, answer_capable)
 
 
 def test_full_api_render_matches_stored_listing():
@@ -35,7 +30,8 @@ def test_full_api_render_matches_stored_listing():
 
 
 def test_builtin_order_and_docs():
-    assert BUILTIN_ORDER == (
+    listing = api_listing()
+    assert tuple(listing.blocks) == (
         "think",
         "get_segment",
         "find_when",
@@ -43,8 +39,24 @@ def test_builtin_order_and_docs():
         "retrieval_qa",
         "finish",
     )
-    for spec in builtin_specs():
-        assert spec.doc.strip(), spec.name
+    for name, block in listing.blocks.items():
+        assert ast.get_docstring(ast.parse(block).body[0]).strip(), name
+
+
+def test_parameters_parse_from_the_listing():
+    # (name, required) per parameter, as the signatures were kept by hand
+    assert api_listing().params == {
+        "think": (("thought", True),),
+        "get_segment": (("start", True), ("end", True)),
+        "find_when": (("query", True), ("video_segment", False)),
+        "asr_understanding": (("question", True), ("answer_options", False)),
+        "retrieval_qa": (
+            ("question", True),
+            ("answer_options", False),
+            ("video_segment", False),
+        ),
+        "finish": (("final_answer", True),),
+    }
 
 
 def test_subset_render_includes_only_active_tools():
@@ -65,18 +77,6 @@ def test_render_api_rejects_empty_subset():
         registry.render_api()
 
 
-def test_register_rejects_duplicates_and_empty_docs():
-    registry = make_registry()
-    spec = ModuleSpec(
-        name="think", signature=(Param("thought", "str", True),), doc="x\n", answer_capable=False
-    )
-    with pytest.raises(ValueError):
-        registry.register(spec, backend=lambda **k: None)
-    empty = ModuleSpec(name="custom", signature=(), doc="", answer_capable=False)
-    with pytest.raises(ValueError):
-        registry.register(empty, backend=lambda: None)
-
-
 def test_call_validates_arity_and_names():
     registry = make_registry()
     subset = registry.with_subset(PROFILES["visual_mcq"].strategies[0])
@@ -95,13 +95,10 @@ def test_call_validates_arity_and_names():
 
 
 def test_backend_exceptions_become_tool_errors():
-    registry = ToolRegistry()
-    spec = builtin_specs()[0]  # think
-
     def boom(thought):
         raise ValueError("internal detail")
 
-    registry.register(spec, backend=boom)
+    registry = ToolRegistry({"think": boom})
     with pytest.raises(DslExecutionError, match="think failed: internal detail"):
         registry.call("think", [], {"thought": "x"})
 
@@ -179,11 +176,3 @@ def test_profile_for_task_dispatch():
     assert profile_for_task(make_task(), name="asr_mcq") is PROFILES["asr_mcq"]
     with pytest.raises(ValueError):
         profile_for_task(make_task(), name="missing_profile")
-
-
-def test_strategy_subsets_accepts_profile_or_name():
-    task = make_task()
-    by_object = strategy_subsets(task, PROFILES["visual_mcq"])
-    by_name = strategy_subsets(task, "visual_mcq")
-    assert [s.label for s in by_object] == ["A", "B", "C"]
-    assert by_object == by_name

@@ -265,7 +265,7 @@ def test_oracle_backend_requires_fixture():
 
 def test_build_registry_exposes_all_tools():
     registry = build_registry(make_task(), SUIT_FIXTURE)
-    assert sorted(registry.specs) == sorted(
+    assert sorted(registry.backends) == sorted(
         ["think", "get_segment", "find_when", "asr_understanding", "retrieval_qa", "finish"]
     )
     got = registry.call("retrieval_qa", [], {"question": "What color is the man's suit?"})
