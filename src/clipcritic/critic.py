@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .agent import Trace, render_step, run_direct, run_episode, task_statement
-from .core import FinalAnswer, TaskQuery, answer_key, answers_equal
+from .core import FinalAnswer, TaskQuery, Unparsed, answer_key, answers_equal
 from .modelclient import ModelClient, ModelRequest, TextPart
 from .toolkit import PROFILES, Profile, load_prompt_text
 from .tools import TagContext
@@ -193,8 +193,8 @@ def select_answer(traces: list[Trace], verdict: CriticVerdict) -> Selection:
     """Turn a verdict into one presented trace's final answer.
 
     Winners with conflicting finals keep only the first in label order.
-    An empty verdict falls back to a majority vote over the traces' finals,
-    ties broken by label order.
+    An empty verdict falls back to a majority vote over the parsed finals,
+    ties broken by label order; with no parsed final, the first trace wins.
     """
     by_label = {t.strategy.label: t for t in traces}
     winners = [l for l in sorted(verdict.winners) if l in by_label]
@@ -216,18 +216,21 @@ def select_answer(traces: list[Trace], verdict: CriticVerdict) -> Selection:
             fallback_used=False,
             conflict=conflict,
         )
-    keys = [answer_key(t.final) for t in traces]
-    counts = Counter(keys)
-    best = max(counts.values())
-    for trace, key in zip(traces, keys):
-        if counts[key] == best:
-            return Selection(
-                trace=trace,
-                final=trace.final,
-                label=trace.strategy.label,
-                fallback_used=True,
-            )
-    raise AssertionError("unreachable: traces nonempty")
+    ordered = [by_label[label] for label in sorted(by_label)]
+    # an Unparsed final can never score, so it gets no vote
+    counts = Counter(
+        answer_key(t.final) for t in ordered if not isinstance(t.final, Unparsed)
+    )
+    chosen = ordered[0]
+    if counts:
+        best = max(counts.values())
+        chosen = next(t for t in ordered if counts[answer_key(t.final)] == best)
+    return Selection(
+        trace=chosen,
+        final=chosen.final,
+        label=chosen.strategy.label,
+        fallback_used=True,
+    )
 
 
 def sample_strategies(

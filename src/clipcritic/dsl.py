@@ -10,14 +10,18 @@ closed allowlist induced from observed traces:
   - integer literals, None, list literals
   - a single-level if with an == or != comparison and an indented block
 
-Anything else is a parse error carrying line, column, and the offending
-lexeme. Errors are values: execution wraps every failure into the step
+Anything else is a parse error carrying the physical line and column of
+the offending lexeme. One lexer pass splits the source into statements
+before any is parsed, so a program's first lexical error (bad character,
+unterminated string, nesting too deep) is reported before any syntax
+error. Errors are values: execution wraps every failure into the step
 result text shown back to the agent, never an uncaught exception.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Union
 
 from .core import VideoSegment
@@ -119,7 +123,6 @@ Statement = Union[Assign, ExprStmt, If]
 @dataclass(frozen=True)
 class Program:
     statements: tuple[Statement, ...]
-    source_text: str
 
 
 @dataclass
@@ -127,7 +130,6 @@ class StepResult:
     """Outcome of executing one program against one episode environment."""
 
     rendered: str
-    values: dict = field(default_factory=dict)
     terminal: bool = False
     error: str | None = None
     answer: object = None  # the value the terminal call returned
@@ -155,98 +157,29 @@ def extract_code_block(model_text: str) -> str | None:
     return None
 
 
-# --- logical line scanning ---
+# --- lexer ---
 
-
-@dataclass
-class _LogicalLine:
-    text: str
-    line: int  # 1-based physical line of the first character
-    indent: int
-
-
-def _scan_logical_lines(source: str) -> list[_LogicalLine]:
-    """Split source into logical lines, stripping comments and joining
-    physical lines while inside brackets. String-aware throughout."""
-    lines: list[_LogicalLine] = []
-    buf: list[str] = []
-    depth = 0
-    line_no = 1
-    start_line = 1
-    i = 0
-    n = len(source)
-    pending = True  # buffer currently empty (no non-space content yet)
-    while i < n:
-        ch = source[i]
-        if ch in "'\"":
-            quote = ch
-            j = i + 1
-            while j < n:
-                if source[j] == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if source[j] == quote:
-                    break
-                if source[j] == "\n":
-                    raise DslParseError(
-                        "unterminated string literal", line_no, 1, quote
-                    )
-                j += 1
-            if j >= n:
-                raise DslParseError("unterminated string literal", line_no, 1, quote)
-            if pending:
-                start_line = line_no
-                pending = False
-            buf.append(source[i : j + 1])
-            i = j + 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            line_no += 1
-            if depth > 0:
-                buf.append(" ")
-            elif "".join(buf).strip():
-                lines.append(_flush(buf, start_line))
-                buf = []
-                pending = True
-            else:
-                buf = []
-                pending = True
-            i += 1
-            continue
-        if ch in "([":
-            depth += 1
-            if depth > NESTING_CAP:
-                raise DslParseError("brackets nested too deeply", line_no, 1, ch)
-        elif ch in ")]":
-            depth = max(0, depth - 1)
-        if pending and not ch.isspace():
-            pending = False
-            start_line = line_no
-        buf.append(ch)
-        i += 1
-    if "".join(buf).strip():
-        lines.append(_flush(buf, start_line))
-    return lines
-
-
-def _flush(buf: list[str], start_line: int) -> _LogicalLine:
-    text = "".join(buf)
-    stripped = text.rstrip()
-    indent = len(text) - len(text.lstrip(" "))
-    return _LogicalLine(stripped[indent:], start_line, indent)
-
-
-# --- tokenizer for one logical line ---
 
 @dataclass(frozen=True)
 class _Token:
     kind: str  # IDENT NONE IF STRING FSTRING INT punctuation kinds
     value: object
+    line: int  # physical line and column of the first character, 1-based
     column: int
+    start: int  # source offsets of the token's text
+    end: int
+
+
+@dataclass(frozen=True)
+class _Line:
+    """One logical line: a statement's tokens, joined across brackets."""
+
+    tokens: list[_Token]
+    indent: int  # spaces leading its first physical line
+
+    @property
+    def line(self) -> int:
+        return self.tokens[0].line
 
 
 def _is_ident_start(ch: str) -> bool:
@@ -260,93 +193,98 @@ def _is_ident(ch: str) -> bool:
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
 
 
-def _unescape(raw: str, line: int, col: int) -> str:
-    out = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch == "\\" and i + 1 < len(raw):
-            nxt = raw[i + 1]
-            out.append(_ESCAPES.get(nxt, "\\" + nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+def _unescape(raw: str) -> str:
+    return re.sub(r"\\(.)", lambda m: _ESCAPES.get(m[1], m[0]), raw, flags=re.S)
 
 
-def _tokenize(ll: _LogicalLine) -> list[_Token]:
-    text = ll.text
+def _lex(source: str) -> list[_Line]:
+    """Split source into logical lines of tokens in one pass.
+
+    A newline ends the statement unless brackets are open; comments are
+    dropped. The first lexical error in source order is raised.
+    """
+    lines: list[_Line] = []
     tokens: list[_Token] = []
+    depth = indent = 0
+    line, line_start = 1, 0
     i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        col = ll.indent + i + 1
+    while i < len(source):
+        ch = source[i]
+        if ch == "\n":
+            if depth == 0 and tokens:
+                lines.append(_Line(tokens, indent))
+                tokens = []
+            line, line_start = line + 1, i + 1
+            i += 1
+            continue
         if ch.isspace():
             i += 1
             continue
-        if ch in "'\"" or (
-            ch in "fF" and i + 1 < n and text[i + 1] in "'\""
-        ):
-            is_f = ch in "fF"
-            if is_f:
-                i += 1
-            quote = text[i]
-            j = i + 1
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == quote:
-                    break
-                j += 1
-            if j >= n:
-                raise DslParseError("unterminated string literal", ll.line, col, quote)
-            raw = text[i + 1 : j]
-            if is_f:
-                tokens.append(_Token("FSTRING", _fstring_parts(raw, ll.line, col), col))
-            else:
-                tokens.append(_Token("STRING", _unescape(raw, ll.line, col), col))
-            i = j + 1
+        if ch == "#":
+            end = source.find("\n", i)
+            i = len(source) if end < 0 else end
             continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and _is_ident_start(text[j]):
-                raise DslParseError("malformed number", ll.line, col, text[i : j + 1])
-            try:
-                value = int(text[i:j])
-            except ValueError:  # more digits than the interpreter converts
-                raise DslParseError("integer literal too long", ll.line, col) from None
-            tokens.append(_Token("INT", value, col))
-            i = j
-            continue
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident(text[j]):
-                j += 1
-            word = text[i:j]
-            if word == "None":
-                tokens.append(_Token("NONE", None, col))
-            elif word == "if":
-                tokens.append(_Token("IF", word, col))
-            else:
-                tokens.append(_Token("IDENT", word, col))
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in ("==", "!="):
-            tokens.append(_Token(two, two, col))
-            i += 2
-            continue
-        if ch in "()[],=:":
-            tokens.append(_Token(ch, ch, col))
-            i += 1
-            continue
-        raise DslParseError("unexpected character", ll.line, col, ch)
-    return tokens
+        if not tokens:
+            lead = source[line_start:i]
+            indent = len(lead) - len(lead.lstrip(" "))
+        column = i - line_start + 1
+        kind, value, end = _read_token(source, i, line, column)
+        if kind in ("(", "["):
+            depth += 1
+            if depth > NESTING_CAP:
+                raise DslParseError("brackets nested too deeply", line, column, kind)
+        elif kind in (")", "]"):
+            depth = max(0, depth - 1)
+        tokens.append(_Token(kind, value, line, column, i, end))
+        newlines = source.count("\n", i, end)  # a string's escaped newlines
+        if newlines:
+            line, line_start = line + newlines, source.rindex("\n", i, end) + 1
+        i = end
+    if tokens:
+        lines.append(_Line(tokens, indent))
+    return lines
+
+
+def _read_token(source: str, i: int, line: int, column: int) -> tuple[str, object, int]:
+    """Kind, value and end offset of the token that starts at source[i]."""
+    ch = source[i]
+    n = len(source)
+    if ch in "'\"" or (ch in "fF" and source[i + 1 : i + 2] in ("'", '"')):
+        quote_at = i + (ch in "fF")
+        quote = source[quote_at]
+        j = quote_at + 1
+        while j < n and source[j] not in (quote, "\n"):
+            j += 2 if source[j] == "\\" else 1
+        if j >= n or source[j] != quote:
+            raise DslParseError(
+                "unterminated string literal", line, column + quote_at - i, quote
+            )
+        raw = source[quote_at + 1 : j]
+        if ch in "fF":
+            return "FSTRING", _fstring_parts(raw, line, column), j + 1
+        return "STRING", _unescape(raw), j + 1
+    if ch.isdigit():
+        j = i
+        while j < n and source[j].isdigit():
+            j += 1
+        if j < n and _is_ident_start(source[j]):
+            raise DslParseError("malformed number", line, column, source[i : j + 1])
+        try:
+            return "INT", int(source[i:j]), j
+        except ValueError:  # more digits than the interpreter converts
+            raise DslParseError("integer literal too long", line, column) from None
+    if _is_ident_start(ch):
+        j = i
+        while j < n and _is_ident(source[j]):
+            j += 1
+        word = source[i:j]
+        return {"None": "NONE", "if": "IF"}.get(word, "IDENT"), word, j
+    two = source[i : i + 2]
+    if two in ("==", "!="):
+        return two, two, i + 2
+    if ch in "()[],=:":
+        return ch, ch, i + 1
+    raise DslParseError("unexpected character", line, column, ch)
 
 
 def _fstring_parts(raw: str, line: int, col: int) -> tuple:
@@ -407,6 +345,10 @@ class _ExprParser:
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
+    def at(self, tok: _Token | None) -> tuple[int, int]:
+        """Where an error at tok is reported; column 0 at the statement's end."""
+        return (tok.line, tok.column) if tok else (self.line, 0)
+
     def next(self) -> _Token:
         tok = self.peek()
         if tok is None:
@@ -420,11 +362,17 @@ class _ExprParser:
             found = "end of statement" if tok is None else repr(str(tok.value))
             raise DslParseError(
                 f"expected {kind!r}, found {found}",
-                self.line,
-                tok.column if tok else 0,
+                *self.at(tok),
                 str(tok.value) if tok else "",
             )
         return self.next()
+
+    def expect_end(self) -> None:
+        tok = self.peek()
+        if tok is not None:
+            raise DslParseError(
+                "trailing tokens after expression", tok.line, tok.column, str(tok.value)
+            )
 
     def parse_expr(self) -> Expr:
         tok = self.next()
@@ -457,10 +405,7 @@ class _ExprParser:
                 return self.parse_call(tok.value)
             return Var(tok.value)
         raise DslParseError(
-            "expected an expression",
-            self.line,
-            tok.column,
-            str(tok.value),
+            "expected an expression", tok.line, tok.column, str(tok.value)
         )
 
     def parse_call(self, callee: str) -> Call:
@@ -484,9 +429,7 @@ class _ExprParser:
             else:
                 if kwargs:
                     raise DslParseError(
-                        "positional argument after keyword argument",
-                        self.line,
-                        nxt.column if nxt else 0,
+                        "positional argument after keyword argument", *self.at(nxt)
                     )
                 args.append(self.parse_expr())
             nxt = self.peek()
@@ -500,108 +443,84 @@ class _ExprParser:
 
 def parse_program(text: str) -> Program:
     """Parse a program or raise DslParseError for anything off-grammar."""
-    logical = _scan_logical_lines(text)
-    if not logical:
+    lines = _lex(text)
+    if not lines:
         raise DslParseError("empty program", 1, 1)
-    statements, rest = _parse_block(logical, 0, logical[0].indent)
-    if rest != len(logical):
-        ll = logical[rest]
-        raise DslParseError("unexpected indentation", ll.line, ll.indent + 1, ll.text[:20])
-    return Program(tuple(statements), text)
-
-
-def _parse_block(
-    logical: list[_LogicalLine], start: int, indent: int
-) -> tuple[list[Statement], int]:
     statements: list[Statement] = []
-    i = start
-    while i < len(logical):
-        ll = logical[i]
-        if ll.indent != indent:
-            break
-        statements.append(_parse_statement_at(logical, i))
-        if isinstance(statements[-1], If):
-            # the if consumed its block; skip past it
-            i = _block_end(logical, i, indent)
-        else:
-            i += 1
-    return statements, i
+    i = 0
+    while i < len(lines) and lines[i].indent == lines[0].indent:
+        statement, i = _parse_statement(lines, i)
+        statements.append(statement)
+    if i < len(lines):
+        ll = lines[i]
+        raise DslParseError(
+            "unexpected indentation", ll.line, ll.indent + 1, _line_text(text, ll)[:20]
+        )
+    return Program(tuple(statements))
 
 
-def _block_end(logical: list[_LogicalLine], if_index: int, indent: int) -> int:
-    j = if_index + 1
-    while j < len(logical) and logical[j].indent > indent:
-        j += 1
-    return j
+def _line_text(source: str, ll: _Line) -> str:
+    """The logical line's text from its indent: comments dropped, and
+    newlines between tokens read as spaces."""
+    first = ll.tokens[0]
+    pos = first.start - first.column + 1 + ll.indent
+    out = []
+    for tok in ll.tokens:
+        gap = source[pos : tok.start].split("\n")
+        out.append(" ".join(part.split("#", 1)[0] for part in gap))
+        out.append(source[tok.start : tok.end])
+        pos = tok.end
+    return "".join(out)
 
 
-def _parse_statement_at(logical: list[_LogicalLine], i: int) -> Statement:
-    ll = logical[i]
-    tokens = _tokenize(ll)
-    if tokens and tokens[0].kind == "IF":
-        return _parse_if(logical, i, tokens)
+def _parse_statement(lines: list[_Line], i: int) -> tuple[Statement, int]:
+    """Parse the statement on logical line i; return it and the next line's index."""
+    ll = lines[i]
+    tokens = ll.tokens
+    if tokens[0].kind == "IF":
+        return _parse_if(lines, i)
     # assignment: IDENT '=' (not '==')
-    if (
-        len(tokens) >= 2
-        and tokens[0].kind == "IDENT"
-        and tokens[1].kind == "="
-    ):
-        parser = _ExprParser(tokens[2:], ll.line)
-        expr = parser.parse_expr()
-        _expect_exhausted(parser, ll)
-        return Assign(tokens[0].value, expr, ll.line)
-    parser = _ExprParser(tokens, ll.line)
+    assign = len(tokens) >= 2 and tokens[0].kind == "IDENT" and tokens[1].kind == "="
+    parser = _ExprParser(tokens[2:] if assign else tokens, ll.line)
     expr = parser.parse_expr()
-    _expect_exhausted(parser, ll)
+    parser.expect_end()
+    if assign:
+        return Assign(tokens[0].value, expr, ll.line), i + 1
     if isinstance(expr, Var):
         raise DslParseError(
             "a bare name is not a statement", ll.line, tokens[0].column, expr.name
         )
-    return ExprStmt(expr, ll.line)
+    return ExprStmt(expr, ll.line), i + 1
 
 
-def _expect_exhausted(parser: _ExprParser, ll: _LogicalLine) -> None:
-    tok = parser.peek()
-    if tok is not None:
-        raise DslParseError(
-            "trailing tokens after expression", ll.line, tok.column, str(tok.value)
-        )
-
-
-def _parse_if(logical: list[_LogicalLine], i: int, tokens: list[_Token]) -> If:
-    ll = logical[i]
+def _parse_if(lines: list[_Line], i: int) -> tuple[If, int]:
+    ll = lines[i]
+    tokens = ll.tokens
     if tokens[-1].kind != ":":
         raise DslParseError("if header must end with ':'", ll.line, ll.indent + 1)
     parser = _ExprParser(tokens[1:-1], ll.line)
     left = parser.parse_expr()
     op_tok = parser.peek()
     if op_tok is None or op_tok.kind not in ("==", "!="):
-        raise DslParseError(
-            "if condition must compare with == or !=",
-            ll.line,
-            op_tok.column if op_tok else 0,
-        )
+        raise DslParseError("if condition must compare with == or !=", *parser.at(op_tok))
     parser.next()
     right = parser.parse_expr()
-    _expect_exhausted(parser, ll)
-    if i + 1 >= len(logical) or logical[i + 1].indent <= ll.indent:
-        raise DslParseError("if statement needs an indented block", ll.line, ll.indent + 1)
-    block_indent = logical[i + 1].indent
-    end = _block_end(logical, i, ll.indent)
-    body: list[Statement] = []
+    parser.expect_end()
     j = i + 1
-    while j < end:
-        inner = logical[j]
-        if inner.indent != block_indent:
+    if j >= len(lines) or lines[j].indent <= ll.indent:
+        raise DslParseError("if statement needs an indented block", ll.line, ll.indent + 1)
+    body: list[Statement] = []
+    while j < len(lines) and lines[j].indent > ll.indent:
+        inner = lines[j]
+        if inner.indent != lines[i + 1].indent:
             raise DslParseError(
                 "inconsistent indentation in if block", inner.line, inner.indent + 1
             )
-        stmt = _parse_statement_at(logical, j)
-        if isinstance(stmt, If):
+        statement, j = _parse_statement(lines, j)
+        if isinstance(statement, If):
             raise DslParseError("nested if is not supported", inner.line, inner.indent + 1)
-        body.append(stmt)
-        j += 1
-    return If(Comparison(left, op_tok.value, right), tuple(body), ll.line)
+        body.append(statement)
+    return If(Comparison(left, op_tok.value, right), tuple(body), ll.line), j
 
 
 # --- execution ---
@@ -609,17 +528,11 @@ def _parse_if(logical: list[_LogicalLine], i: int, tokens: list[_Token]) -> If:
 
 def render_value(value: object) -> str:
     """Render a runtime value the way results are shown to the agent."""
-    if value is None:
-        return "None"
     if isinstance(value, str):
         return value
     if isinstance(value, VideoSegment):
         start, end = value.as_strings()
         return f"['{start}', '{end}']"
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, list):
         return "[" + ", ".join(render_value(item) for item in value) + "]"
     return str(value)
@@ -643,14 +556,12 @@ def execute_program(program: Program, env: dict, registry) -> StepResult:
         message = str(exc)
         return StepResult(
             rendered=message,
-            values=state.delta,
             terminal=state.terminal,
             error=message,
             answer=state.answer,
         )
     return StepResult(
         rendered=render_value(last_value),
-        values=state.delta,
         terminal=state.terminal,
         answer=state.answer,
     )
@@ -670,7 +581,6 @@ class _ExecState:
     def __init__(self, env: dict, registry):
         self.env = env
         self.registry = registry
-        self.delta: dict = {}
         self.calls = 0
         self.terminal = False
         self.answer: object = None
@@ -679,7 +589,6 @@ class _ExecState:
         if isinstance(stmt, Assign):
             value = self.eval_expr(stmt.value)
             self.env[stmt.name] = value
-            self.delta[stmt.name] = value
             return value
         if isinstance(stmt, ExprStmt):
             return self.eval_expr(stmt.value)

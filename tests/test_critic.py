@@ -140,6 +140,22 @@ def test_select_answer_majority_tie_takes_trace_order():
     assert selection.fallback_used
 
 
+def test_fallback_vote_counts_only_parsed_finals():
+    traces = [fake_trace("A", Unparsed("x")), fake_trace("B", Choice(2)), fake_trace("C", Unparsed("y"))]
+    selection = select_answer(traces, parse_verdict("no verdict", ["A", "B", "C"]))
+    assert selection.label == "B"
+    assert selection.final == Choice(2)
+    assert selection.fallback_used
+
+
+def test_fallback_without_parsed_finals_takes_first_label():
+    traces = [fake_trace("B", Unparsed("y")), fake_trace("A", Unparsed("x")), fake_trace("C", Unparsed("y"))]
+    selection = select_answer(traces, parse_verdict("no verdict", ["A", "B", "C"]))
+    assert selection.label == "A"
+    assert selection.final == Unparsed("x")
+    assert selection.fallback_used
+
+
 def test_selected_answer_is_always_a_presented_final():
     traces = [fake_trace("A", Choice(1)), fake_trace("B", Unparsed("free"))]
     verdict = parse_verdict("Winning Strategies:\nB\n", ["A", "B"])

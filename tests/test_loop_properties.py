@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clipcritic.agent import StopReason, run_episode
-from clipcritic.dsl import StepResult, run_source
+from clipcritic.dsl import DslParseError, StepResult, parse_program, run_source
 from clipcritic.modelclient import CallableModel
 from clipcritic.toolkit import PROFILES
 from clipcritic.tools import TagContext, build_registry
@@ -53,7 +53,7 @@ def test_episode_loop_invariants(kinds, budget):
             assert step.result in seen[i + 1].parts[0].text
 
 
-DSL_ALPHABET = "abfxy_()[]'\"=,:{}!\n #\\0123456789 "
+DSL_ALPHABET = "abfxy_()[]'\"=,:{}!\n\t #\\0123456789 "
 REGISTRY = build_registry(make_task(), make_fixture())
 
 
@@ -66,3 +66,21 @@ def test_run_source_never_raises(source):
     result = run_source(source, {}, REGISTRY)
     assert isinstance(result, StepResult)
     assert isinstance(result.rendered, str)
+
+
+# errors whose lexeme is the source text at the reported line and column
+LOCATED = ("unexpected character", "malformed number", "brackets nested too deeply")
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=st.one_of(st.text(), st.text(alphabet=DSL_ALPHABET, max_size=80)))
+@example("x = find_when(\n    query='a',\n    video_segment=seg + 1,\n)")
+@example("x = 'a\\\nb'\ny = 12ab")
+@example("y = [\n  " + "(" * 101)
+def test_lexical_errors_point_at_their_lexeme(source):
+    try:
+        parse_program(source)
+    except DslParseError as err:
+        if err.message in LOCATED:
+            line = source.split("\n")[err.line - 1]
+            assert line[err.column - 1 :].startswith(err.lexeme), (err, source)

@@ -40,3 +40,5 @@ def test_tracer_sees_every_layer_of_an_agent_critic_item(tmp_path):
     assert calls["toolkit.render_api"] == 2
     assert calls["toolkit.call"] == 8
     assert calls["dsl.run_source"] == 7
+    assert calls["dsl.parse"] == 7
+    assert calls["dsl.execute"] == 7
