@@ -29,7 +29,6 @@ from .core import (
 from .dsl import DslExecutionError, extract_code_block, run_source
 from .modelclient import ModelClient, ModelTransportError, text_request
 from .toolkit import StrategySubset, ToolRegistry, load_prompt_text
-from .tools import TagContext
 
 DEFAULT_STEP_BUDGET = 10
 
@@ -137,13 +136,12 @@ class _Transcript:
         model: ModelClient,
         registry: ToolRegistry,
         preamble: str,
-        tags: TagContext | None,
     ):
         self.task = task
         self.subset = subset
         self.model = model
         self.snapshot = registry.with_subset(subset)
-        self.base = tags.base if tags else f"{task.id}/{subset.label}"
+        self.base = f"{task.id}/{subset.label}"
         self.env: dict = {}
         self.steps: list[Step] = []
         self.turn = 0
@@ -205,12 +203,11 @@ def run_episode(
     model: ModelClient,
     registry: ToolRegistry,
     step_budget: int = DEFAULT_STEP_BUDGET,
-    tags: TagContext | None = None,
 ) -> Trace:
     """One iterative episode under one non-direct strategy subset."""
     if subset.direct:
         raise ValueError("run_episode needs a non-direct subset; use run_direct")
-    transcript = _Transcript(task, subset, model, registry, "agent_preamble.txt", tags)
+    transcript = _Transcript(task, subset, model, registry, "agent_preamble.txt")
     try:
         return transcript.trace(*transcript.take_turns(step_budget), step_budget)
     except ModelTransportError as exc:
@@ -232,7 +229,6 @@ def run_direct(
     subset: StrategySubset,
     model: ModelClient,
     registry: ToolRegistry,
-    tags: TagContext | None = None,
 ) -> Trace:
     """Apply one answer-capable module to the whole task in a single step."""
     if not subset.direct:
@@ -265,10 +261,9 @@ def run_single_program(
     subset: StrategySubset,
     model: ModelClient,
     registry: ToolRegistry,
-    tags: TagContext | None = None,
 ) -> Trace:
     """One model call, one program, no feedback loop."""
-    transcript = _Transcript(task, subset, model, registry, "single_program.txt", tags)
+    transcript = _Transcript(task, subset, model, registry, "single_program.txt")
     return transcript.trace(*transcript.take_turns(1, force=False), 1)
 
 
@@ -279,7 +274,6 @@ def run_self_eval(
     registry: ToolRegistry,
     max_rounds: int = 3,
     step_budget: int = DEFAULT_STEP_BUDGET,
-    tags: TagContext | None = None,
 ) -> Trace:
     """Agent answers, rates its own confidence 1-3, and retries below 3.
 
@@ -288,7 +282,7 @@ def run_self_eval(
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    transcript = _Transcript(task, subset, model, registry, "agent_preamble.txt", tags)
+    transcript = _Transcript(task, subset, model, registry, "agent_preamble.txt")
     confidence_prompt = load_prompt_text("confidence.txt")
     retry_template = load_prompt_text("self_eval_retry.txt")
     for round_no in range(1, max_rounds + 1):

@@ -19,7 +19,6 @@ from .agent import Trace, render_step, run_direct, run_episode, task_statement
 from .core import FinalAnswer, TaskQuery, Unparsed, answer_key, answers_equal
 from .modelclient import ModelClient, ModelRequest, TextPart
 from .toolkit import PROFILES, Profile, load_prompt_text
-from .tools import TagContext
 
 logger = logging.getLogger(__name__)
 
@@ -245,18 +244,10 @@ def sample_strategies(
     for subset in profile.strategies:
         registry = registry_factory(subset)
         if subset.direct:
-            traces.append(run_direct(task, subset, model, registry))
+            trace = run_direct(task, subset, model, registry)
         else:
-            traces.append(
-                run_episode(
-                    task,
-                    subset,
-                    model,
-                    registry,
-                    step_budget=step_budget,
-                    tags=TagContext(f"{task.id}/{subset.label}"),
-                )
-            )
+            trace = run_episode(task, subset, model, registry, step_budget=step_budget)
+        traces.append(trace)
     return traces
 
 

@@ -175,11 +175,15 @@ class _Line:
     """One logical line: a statement's tokens, joined across brackets."""
 
     tokens: list[_Token]
-    indent: int  # spaces leading its first physical line
+    lead: str  # the spaces and tabs leading its first physical line
 
     @property
     def line(self) -> int:
         return self.tokens[0].line
+
+    @property
+    def indent(self) -> int:
+        return len(self.lead)
 
 
 def _is_ident_start(ch: str) -> bool:
@@ -190,6 +194,7 @@ def _is_ident(ch: str) -> bool:
     return ch.isalnum() or ch == "_"
 
 
+_DIGITS = "0123456789"  # str.isdigit also takes other scripts' digits and "²"
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
 
 
@@ -205,14 +210,15 @@ def _lex(source: str) -> list[_Line]:
     """
     lines: list[_Line] = []
     tokens: list[_Token] = []
-    depth = indent = 0
+    depth = 0
+    lead = ""
     line, line_start = 1, 0
     i = 0
     while i < len(source):
         ch = source[i]
         if ch == "\n":
             if depth == 0 and tokens:
-                lines.append(_Line(tokens, indent))
+                lines.append(_Line(tokens, lead))
                 tokens = []
             line, line_start = line + 1, i + 1
             i += 1
@@ -225,8 +231,8 @@ def _lex(source: str) -> list[_Line]:
             i = len(source) if end < 0 else end
             continue
         if not tokens:
-            lead = source[line_start:i]
-            indent = len(lead) - len(lead.lstrip(" "))
+            blank = source[line_start:i]
+            lead = blank[: len(blank) - len(blank.lstrip(" \t"))]
         column = i - line_start + 1
         kind, value, end = _read_token(source, i, line, column)
         if kind in ("(", "["):
@@ -241,7 +247,7 @@ def _lex(source: str) -> list[_Line]:
             line, line_start = line + newlines, source.rindex("\n", i, end) + 1
         i = end
     if tokens:
-        lines.append(_Line(tokens, indent))
+        lines.append(_Line(tokens, lead))
     return lines
 
 
@@ -259,13 +265,13 @@ def _read_token(source: str, i: int, line: int, column: int) -> tuple[str, objec
             raise DslParseError(
                 "unterminated string literal", line, column + quote_at - i, quote
             )
-        raw = source[quote_at + 1 : j]
         if ch in "fF":
-            return "FSTRING", _fstring_parts(raw, line, column), j + 1
-        return "STRING", _unescape(raw), j + 1
-    if ch.isdigit():
+            parts = _fstring_parts(source, quote_at + 1, j, line, i - column + 1)
+            return "FSTRING", parts, j + 1
+        return "STRING", _unescape(source[quote_at + 1 : j]), j + 1
+    if ch in _DIGITS:
         j = i
-        while j < n and source[j].isdigit():
+        while j < n and source[j] in _DIGITS:
             j += 1
         if j < n and _is_ident_start(source[j]):
             raise DslParseError("malformed number", line, column, source[i : j + 1])
@@ -287,43 +293,47 @@ def _read_token(source: str, i: int, line: int, column: int) -> tuple[str, objec
     raise DslParseError("unexpected character", line, column, ch)
 
 
-def _fstring_parts(raw: str, line: int, col: int) -> tuple:
-    """Split f-string body into literal text and bare-variable parts."""
+def _fstring_parts(source: str, i: int, end: int, line: int, line_start: int) -> tuple:
+    """Split the f-string body source[i:end] into literal text and
+    bare-variable parts; `line_start` is the offset of `line`'s start."""
+
+    def fault(message: str, at: int, lexeme: str) -> DslParseError:
+        """The error at source[at], on its physical line and column."""
+        newlines = source.count("\n", line_start, at)
+        start = source.rindex("\n", line_start, at) + 1 if newlines else line_start
+        return DslParseError(message, line + newlines, at - start + 1, lexeme)
+
     parts: list[Union[str, Var]] = []
     text: list[str] = []
-    i = 0
-    n = len(raw)
-    while i < n:
-        ch = raw[i]
+    while i < end:
+        ch = source[i]
         if ch == "{":
-            if i + 1 < n and raw[i + 1] == "{":
+            if i + 1 < end and source[i + 1] == "{":
                 text.append("{")
                 i += 2
                 continue
-            j = raw.find("}", i + 1)
+            j = source.find("}", i + 1, end)
             if j < 0:
-                raise DslParseError("unclosed brace in f-string", line, col, "{")
-            inner = raw[i + 1 : j].strip()
-            if not inner or not all(
-                _is_ident(c) for c in inner
-            ) or not _is_ident_start(inner[0]):
-                raise DslParseError(
-                    "only bare variable names may be interpolated", line, col, inner
-                )
+                raise fault("unclosed brace in f-string", i, "{")
+            inner = source[i + 1 : j]
+            name = inner.strip()
+            if not (name and _is_ident_start(name[0]) and all(map(_is_ident, name))):
+                at = i + 1 + len(inner) - len(inner.lstrip())
+                raise fault("only bare variable names may be interpolated", at, name)
             if text:
                 parts.append("".join(text))
                 text = []
-            parts.append(Var(inner))
+            parts.append(Var(name))
             i = j + 1
             continue
         if ch == "}":
-            if i + 1 < n and raw[i + 1] == "}":
+            if i + 1 < end and source[i + 1] == "}":
                 text.append("}")
                 i += 2
                 continue
-            raise DslParseError("single '}' in f-string", line, col, "}")
-        if ch == "\\" and i + 1 < n:
-            text.append(_ESCAPES.get(raw[i + 1], "\\" + raw[i + 1]))
+            raise fault("single '}' in f-string", i, "}")
+        if ch == "\\" and i + 1 < end:
+            text.append(_ESCAPES.get(source[i + 1], "\\" + source[i + 1]))
             i += 2
             continue
         text.append(ch)
@@ -448,7 +458,7 @@ def parse_program(text: str) -> Program:
         raise DslParseError("empty program", 1, 1)
     statements: list[Statement] = []
     i = 0
-    while i < len(lines) and lines[i].indent == lines[0].indent:
+    while i < len(lines) and lines[i].lead == lines[0].lead:
         statement, i = _parse_statement(lines, i)
         statements.append(statement)
     if i < len(lines):
@@ -512,7 +522,7 @@ def _parse_if(lines: list[_Line], i: int) -> tuple[If, int]:
     body: list[Statement] = []
     while j < len(lines) and lines[j].indent > ll.indent:
         inner = lines[j]
-        if inner.indent != lines[i + 1].indent:
+        if inner.lead != lines[i + 1].lead:
             raise DslParseError(
                 "inconsistent indentation in if block", inner.line, inner.indent + 1
             )

@@ -49,21 +49,13 @@ from .modelclient import (
     ModelClient,
     ReplayMismatchError,
 )
-from .toolkit import (
-    PROFILES,
-    Profile,
-    StrategySubset,
-    enumerate_module_subsets,
-    profile_for_task,
-)
+from .toolkit import PROFILES, StrategySubset, enumerate_module_subsets, profile_for_task
 from .tools import BACKENDS, TagContext, ToolConfig, build_registry
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_REPLAY_DIVERGENCE = 3
-
-MODES = ("direct", "single_program", "agent", "agent_critic", "self_eval")
 
 
 class UsageError(Exception):
@@ -119,6 +111,77 @@ class RunConfig:
             "window_stride": self.window_stride,
         }
 
+
+# --- modes ---
+#
+# Each runner returns (chosen trace, traces to persist, extra record fields).
+# Runners name the agent and critic entry points at call time, so a wrapper
+# installed on this module's attribute (as the benchmark tracer does) sees
+# every call.
+
+
+def _direct(task, profile, factory, model, config, fixed_subset):
+    subset = next(s for s in profile.strategies if s.direct)
+    trace = run_direct(task, subset, model, factory(subset))
+    return trace, [trace], {}
+
+
+def _single_program(task, profile, factory, model, config, fixed_subset):
+    subset = StrategySubset("single", profile.pool)
+    trace = run_single_program(task, subset, model, factory(subset))
+    return trace, [trace], {}
+
+
+def _agent(task, profile, factory, model, config, fixed_subset):
+    """The given subset, or the profile's all-module non-direct subset."""
+    subset = fixed_subset or next(
+        s
+        for s in reversed(profile.strategies)
+        if not s.direct and set(s.modules) == set(profile.pool)
+    )
+    trace = run_episode(
+        task, subset, model, factory(subset), step_budget=config.step_budget
+    )
+    return trace, [trace], {}
+
+
+def _agent_critic(task, profile, factory, model, config, fixed_subset):
+    path = config.examples_files.get(profile.name)
+    selection, traces, verdict = run_agent_critic(
+        task,
+        model,
+        factory,
+        profile,
+        examples=load_examples_file(path) if path else load_examples(profile),
+        step_budget=config.step_budget,
+        example_count=config.example_count,
+        elide_over=config.elide_over,
+    )
+    extra = {"winners": list(verdict.winners), "fallback_used": selection.fallback_used}
+    return selection.trace, traces, extra
+
+
+def _self_eval(task, profile, factory, model, config, fixed_subset):
+    subset = StrategySubset("self", profile.pool)
+    trace = run_self_eval(
+        task,
+        subset,
+        model,
+        factory(subset),
+        max_rounds=config.max_rounds,
+        step_budget=config.step_budget,
+    )
+    return trace, [trace], {}
+
+
+_RUNNERS = {
+    "direct": _direct,
+    "single_program": _single_program,
+    "agent": _agent,
+    "agent_critic": _agent_critic,
+    "self_eval": _self_eval,
+}
+MODES = tuple(_RUNNERS)
 
 # keys whose values name one of a closed set
 _CONFIG_CHOICES = {"mode": MODES, "backend": BACKENDS, "profile": tuple(sorted(PROFILES))}
@@ -266,38 +329,6 @@ def _score(item: DatasetItem, final: FinalAnswer) -> tuple[bool | None, float | 
     return None, interval_union_iou(pred, item.truth.segments)
 
 
-def _examples_for(profile: Profile, config: RunConfig):
-    path = config.examples_files.get(profile.name)
-    if path:
-        return load_examples_file(path)
-    return load_examples(profile)
-
-
-def _registry_factory(item: DatasetItem, config: RunConfig, model: ModelClient):
-    def factory(subset: StrategySubset):
-        profile = profile_for_task(item.task, config.profile)
-        return build_registry(
-            item.task,
-            item.source,
-            backend=config.backend,
-            model=model,
-            config=ToolConfig(window_stride=config.window_stride),
-            tags=TagContext(f"{item.task.id}/{subset.label}"),
-            answer_capable=profile.answer_capable,
-        )
-
-    return factory
-
-
-def _agent_subset(profile: Profile) -> StrategySubset:
-    """The all-module non-direct subset used for agent-only evaluation."""
-    return next(
-        s
-        for s in reversed(profile.strategies)
-        if not s.direct and set(s.modules) == set(profile.pool)
-    )
-
-
 def run_item(
     item: DatasetItem,
     config: RunConfig,
@@ -305,56 +336,24 @@ def run_item(
     fixed_subset: StrategySubset | None = None,
 ) -> tuple[dict, list[Trace]]:
     """Evaluate one dataset item; returns (report record, traces to persist)."""
+    runner = _RUNNERS.get(config.mode)
+    if runner is None:
+        raise UsageError(f"unknown mode '{config.mode}'")
     task = item.task
     profile = profile_for_task(task, config.profile)
-    factory = _registry_factory(item, config, model)
-    traces: list[Trace] = []
-    extra: dict = {}
-    if config.mode == "agent_critic":
-        selection, traces, verdict = run_agent_critic(
+
+    def factory(subset: StrategySubset):
+        return build_registry(
             task,
-            model,
-            factory,
-            profile,
-            examples=_examples_for(profile, config),
-            step_budget=config.step_budget,
-            example_count=config.example_count,
-            elide_over=config.elide_over,
-        )
-        chosen = selection.trace
-        extra = {
-            "winners": list(verdict.winners),
-            "fallback_used": selection.fallback_used,
-        }
-    elif config.mode == "agent":
-        subset = fixed_subset or _agent_subset(profile)
-        chosen = run_episode(
-            task,
-            subset,
-            model,
-            factory(subset),
-            step_budget=config.step_budget,
+            item.source,
+            backend=config.backend,
+            model=model,
+            config=ToolConfig(window_stride=config.window_stride),
             tags=TagContext(f"{task.id}/{subset.label}"),
+            answer_capable=profile.answer_capable,
         )
-    elif config.mode == "direct":
-        direct = next(s for s in profile.strategies if s.direct)
-        chosen = run_direct(task, direct, model, factory(direct))
-    elif config.mode == "single_program":
-        subset = StrategySubset("single", profile.pool)
-        chosen = run_single_program(task, subset, model, factory(subset))
-    elif config.mode == "self_eval":
-        subset = StrategySubset("self", profile.pool)
-        chosen = run_self_eval(
-            task,
-            subset,
-            model,
-            factory(subset),
-            max_rounds=config.max_rounds,
-            step_budget=config.step_budget,
-        )
-    else:
-        raise UsageError(f"unknown mode '{config.mode}'")
-    traces = traces or [chosen]
+
+    chosen, traces, extra = runner(task, profile, factory, model, config, fixed_subset)
     final = chosen.final
     record: dict = {
         "id": task.id,
@@ -368,9 +367,7 @@ def run_item(
         record["correct"] = correct
     if iou is not None:
         record["iou"] = iou
-    record["trace_files"] = [
-        f"{task.id}.{t.strategy.label}.json" for t in traces
-    ]
+    record["trace_files"] = [f"{task.id}.{t.strategy.label}.json" for t in traces]
     return record, traces
 
 
@@ -448,13 +445,18 @@ def ablate_fixed_subsets(
     """Agent-mode sweep over every valid fixed module subset of the pool."""
     if not items:
         raise DataError("refusing to report on an empty dataset")
-    profile_name = config.profile
-    if profile_name is None:
-        profile = profile_for_task(items[0].task)
-    else:
-        profile = PROFILES[profile_name] if profile_name in PROFILES else None
-        if profile is None:
-            raise DataError(f"unknown profile '{profile_name}'")
+    try:
+        profile = profile_for_task(items[0].task, config.profile)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
+    if config.profile is None:
+        for item in items:
+            own = profile_for_task(item.task)
+            if own is not profile:
+                raise DataError(
+                    f"item '{item.task.id}' has profile '{own.name}', "
+                    f"not the sweep's profile '{profile.name}'"
+                )
     subsets = enumerate_module_subsets(profile)
     sweep_config = RunConfig(**{**config.__dict__, "mode": "agent"})
     per_subset = []
@@ -644,16 +646,28 @@ def main(argv: list[str] | None = None) -> int:
         if not args.command:
             raise UsageError("a subcommand is required (run, eval, ablate, replay)")
         config = _merge_config(args)
+        replaying = args.command == "replay"
+        if replaying and not (config.cassette or "").startswith("replay:"):
+            raise UsageError("replay requires --cassette replay:<path>")
+        items = load_dataset(args.dataset, config.profile)
+        if replaying:
+            out_dir = args.out_dir or config.traces_dir.rstrip("/\\") + ".replay"
+            replay_run(
+                items,
+                config,
+                config.cassette.partition(":")[2],
+                baseline_traces_dir=config.traces_dir,
+                baseline_report_path=args.report,
+                out_dir=out_dir,
+            )
+            print("replay matched: traces and report are identical")
+            return EXIT_OK
+        model = build_model(config)
         if args.command == "run":
-            items = load_dataset(args.dataset, config.profile)
             if args.task:
-                matching = [i for i in items if i.task.id == args.task]
-                if not matching:
+                items = [i for i in items if i.task.id == args.task]
+                if not items:
                     raise DataError(f"no task with id '{args.task}'")
-                items = matching[:1]
-            else:
-                items = items[:1]
-            model = build_model(config)
             record, traces = run_item(items[0], config, model)
             persist_traces(traces, config.traces_dir)
             for trace in traces:
@@ -661,52 +675,24 @@ def main(argv: list[str] | None = None) -> int:
             print(json.dumps({"result": record}, indent=2, sort_keys=True))
             return EXIT_OK
         if args.command == "eval":
-            items = load_dataset(args.dataset, config.profile)
-            model = build_model(config)
             report = evaluate(items, config, model)
-            report_path = args.report or os.path.join(
-                config.traces_dir, "report.json"
-            )
+            report_path = args.report or os.path.join(config.traces_dir, "report.json")
             os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)
+            shown = report["aggregate"]
+        else:
+            report = ablate_fixed_subsets(items, config, model)
+            report_path = args.report
+            shown = report
+        if report_path:
             with open(report_path, "w", encoding="utf-8") as fh:
                 json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-            print(json.dumps(report["aggregate"], indent=2, sort_keys=True))
-            return EXIT_OK
-        if args.command == "ablate":
-            items = load_dataset(args.dataset, config.profile)
-            model = build_model(config)
-            report = ablate_fixed_subsets(items, config, model)
-            if args.report:
-                with open(args.report, "w", encoding="utf-8") as fh:
-                    json.dump(report, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            print(json.dumps(report, indent=2, sort_keys=True))
-            return EXIT_OK
-        if args.command == "replay":
-            if not config.cassette or not config.cassette.startswith("replay:"):
-                raise UsageError("replay requires --cassette replay:<path>")
-            cassette_path = config.cassette.partition(":")[2]
-            items = load_dataset(args.dataset, config.profile)
-            out_dir = args.out_dir or config.traces_dir.rstrip("/\\") + ".replay"
-            replay_run(
-                items,
-                config,
-                cassette_path,
-                baseline_traces_dir=config.traces_dir,
-                baseline_report_path=args.report,
-                out_dir=out_dir,
-            )
-            print("replay matched: traces and report are identical")
-            return EXIT_OK
-        raise UsageError(f"unknown command '{args.command}'")
+        print(json.dumps(shown, indent=2, sort_keys=True))
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ReplayDivergence as exc:
-        print(f"replay divergence: {exc}", file=sys.stderr)
-        return EXIT_REPLAY_DIVERGENCE
-    except ReplayMismatchError as exc:
+    except (ReplayDivergence, ReplayMismatchError) as exc:
         print(f"replay divergence: {exc}", file=sys.stderr)
         return EXIT_REPLAY_DIVERGENCE
     except (DataError, FixtureError, FileNotFoundError) as exc:

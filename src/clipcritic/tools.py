@@ -91,22 +91,14 @@ class ToolConfig:
     asr_chunk_chars: int = 4000
 
 
+@dataclass(frozen=True)
 class TagContext:
-    """Mutable tag prefix the episode runner updates; tools append to it."""
+    """The request-tag prefix of one episode's tools: `<task>/<label>`."""
 
-    def __init__(self, base: str = ""):
-        self.base = base
+    base: str = ""
 
     def tag(self, suffix: str) -> str:
         return f"{self.base}/{suffix}" if self.base else suffix
-
-
-def _duration(video: FrameSource) -> int:
-    return video.duration
-
-
-def _template(name: str) -> str:
-    return load_prompt_text(name)
 
 
 def _options_block(answer_options) -> str:
@@ -154,7 +146,7 @@ class ToolSuite:
     def get_segment(self, start, end) -> VideoSegment:
         s = parse_timestamp(start)
         e = parse_timestamp(end)
-        duration = _duration(self.video)
+        duration = self.video.duration
         cs = min(max(s, 0), duration)
         ce = min(max(e, 0), duration)
         if cs > ce or (cs == ce and s != e):
@@ -170,7 +162,7 @@ class ToolSuite:
     def find_when(self, query, video_segment=None) -> str:
         if not isinstance(query, str) or not query.strip():
             raise ValueError("query must be a non-empty string")
-        segment = video_segment or VideoSegment(0, _duration(self.video))
+        segment = video_segment or VideoSegment(0, self.video.duration)
         if self.backend == "oracle":
             return self._find_when_oracle(query, segment)
         return self._find_when_model(query, segment)
@@ -188,7 +180,7 @@ class ToolSuite:
         return format_findings(findings)
 
     def _find_when_model(self, query: str, segment: VideoSegment) -> str:
-        template = _template("find_when_window.txt")
+        template = load_prompt_text("find_when_window.txt")
         stride = self.config.window_stride
         requests = [
             ModelRequest(
@@ -223,7 +215,7 @@ class ToolSuite:
     def retrieval_qa(self, question, answer_options=None, video_segment=None) -> str:
         if not isinstance(question, str) or not question.strip():
             raise ValueError("question must be a non-empty string")
-        segment = video_segment or VideoSegment(0, _duration(self.video))
+        segment = video_segment or VideoSegment(0, self.video.duration)
         if self.backend == "oracle":
             return self._retrieval_oracle(question, segment)
         return self._retrieval_model(question, answer_options, segment)
@@ -238,7 +230,7 @@ class ToolSuite:
         return NOT_VISIBLE_SENTENCE
 
     def _retrieval_model(self, question, answer_options, segment: VideoSegment) -> str:
-        phase1 = _template("retrieval_phase1.txt")
+        phase1 = load_prompt_text("retrieval_phase1.txt")
         stride = self.config.window_stride
         grid = windows(self.video, segment, self.config.retrieval_window, stride)
         prompt = phase1.format(question=question)
@@ -276,7 +268,7 @@ class ToolSuite:
         context = self._context_frames(segment)
         parts: list = [
             TextPart(
-                _template("retrieval_phase2.txt").format(
+                load_prompt_text("retrieval_phase2.txt").format(
                     question=question,
                     options_block=_options_block(answer_options),
                 )
@@ -297,7 +289,7 @@ class ToolSuite:
         candidates = [
             r
             for r in sample_frames(
-                self.video, VideoSegment(0, _duration(self.video)), AllFrames()
+                self.video, VideoSegment(0, self.video.duration), AllFrames()
             )
             if r.t < target.start or r.t > target.end
         ]
@@ -359,7 +351,7 @@ class ToolSuite:
         if current:
             chunks.append("\n".join(current))
         options_block = _options_block(answer_options)
-        chunk_template = _template("asr_chunk.txt")
+        chunk_template = load_prompt_text("asr_chunk.txt")
         responses = self.model.complete_all(
             [
                 ModelRequest(
@@ -382,7 +374,7 @@ class ToolSuite:
             for i, response in enumerate(responses)
             if response.strip()
         ]
-        consolidation = _template("asr_consolidate.txt").format(
+        consolidation = load_prompt_text("asr_consolidate.txt").format(
             findings="\n".join(findings) if findings else "(none)",
             question=question,
             options_block=options_block,

@@ -387,7 +387,7 @@ def _self_eval(confidences, answers, max_rounds):
     turns = [f"```\nfinish(final_answer='Final Answer: ({a})')\n```" for a in answers]
     model = ScriptedModel({"t1/self/confidence": list(confidences), "t1/self": turns})
     subset = StrategySubset("self", PROFILES["visual_mcq"].pool)
-    trace = run_self_eval(task, subset, model, registry, max_rounds=max_rounds, tags=tags)
+    trace = run_self_eval(task, subset, model, registry, max_rounds=max_rounds)
     rounds = sum(1 for c in model.calls if "/confidence/" in c.tag)
     return trace, rounds
 

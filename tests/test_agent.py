@@ -71,7 +71,7 @@ def test_three_turn_episode():
         ]
     }
     task, subset, model, registry, tags = episode_setup(scripts=scripts)
-    trace = run_episode(task, subset, model, registry, tags=tags)
+    trace = run_episode(task, subset, model, registry)
     assert trace.stop_reason is StopReason.FINISHED
     assert trace.final == Choice(2)
     assert [s.terminal for s in trace.steps] == [False, False, True]
@@ -88,7 +88,7 @@ def test_transcript_accumulates_programs_and_results():
         ]
     }
     task, subset, model, registry, tags = episode_setup(scripts=scripts)
-    run_episode(task, subset, model, registry, tags=tags)
+    run_episode(task, subset, model, registry)
     last_prompt = model.calls[-1].parts[0].text
     # every earlier program and its rendered result appear verbatim, in order
     needles = [
@@ -109,7 +109,7 @@ def test_transcript_accumulates_programs_and_results():
 def test_first_prompt_lists_only_subset_tools():
     scripts = {"t1/A": ["Final Answer: (1)"]}
     task, subset, model, registry, tags = episode_setup(scripts=scripts)
-    run_episode(task, subset, model, registry, tags=tags)
+    run_episode(task, subset, model, registry)
     prompt = model.calls[0].parts[0].text
     assert "def get_segment(" in prompt
     assert "def retrieval_qa(" in prompt
@@ -120,7 +120,7 @@ def test_first_prompt_lists_only_subset_tools():
 def test_budget_exhaustion_forces_answer():
     scripts = {"t1/A": ["```\nthink(thought='still looking')\n```"] * 10 + ["Final Answer: (2)"]}
     task, subset, model, registry, tags = episode_setup(scripts=scripts)
-    trace = run_episode(task, subset, model, registry, tags=tags)
+    trace = run_episode(task, subset, model, registry)
     assert trace.stop_reason is StopReason.FORCED_ANSWER
     # the forced-answer exchange is not a step
     assert len(trace.steps) == 10
@@ -131,7 +131,7 @@ def test_budget_exhaustion_forces_answer():
 def test_code_free_reply_with_final_answer_terminates():
     scripts = {"t1/A": ["Looking at the door, Final Answer: (1)"]}
     task, subset, model, registry, tags = episode_setup(scripts=scripts)
-    trace = run_episode(task, subset, model, registry, tags=tags)
+    trace = run_episode(task, subset, model, registry)
     assert trace.stop_reason is StopReason.FINISHED
     assert len(trace.steps) == 1
     assert trace.steps[0].terminal
@@ -146,7 +146,7 @@ def test_code_free_reply_without_answer_gets_corrective_turn():
         ]
     }
     task, subset, model, registry, tags = episode_setup(scripts=scripts)
-    trace = run_episode(task, subset, model, registry, tags=tags)
+    trace = run_episode(task, subset, model, registry)
     assert trace.stop_reason is StopReason.FINISHED
     # the corrective exchange consumed a step
     assert len(trace.steps) == 2
@@ -162,7 +162,7 @@ def test_parse_errors_are_fed_back_as_results():
         ]
     }
     task, subset, model, registry, tags = episode_setup(scripts=scripts)
-    trace = run_episode(task, subset, model, registry, tags=tags)
+    trace = run_episode(task, subset, model, registry)
     assert trace.steps[0].result.startswith("error: parse error at line 1")
     assert trace.steps[0].result in model.calls[-1].parts[0].text
     assert trace.final == Choice(2)
@@ -176,7 +176,7 @@ def test_transport_failure_ends_episode():
     tags = TagContext("t1/A")
     registry = build_registry(task, make_fixture(), tags=tags)
     trace = run_episode(
-        task, PROFILES["visual_mcq"].strategies[0], CallableModel(explode), registry, tags=tags
+        task, PROFILES["visual_mcq"].strategies[0], CallableModel(explode), registry
     )
     assert trace.stop_reason is StopReason.FINISHED
     assert trace.steps[-1].result.startswith("error: model transport failed")
@@ -188,7 +188,7 @@ def test_run_direct_uses_tool_not_model():
     tags = TagContext("t1/B")
     registry = build_registry(task, make_fixture(), tags=tags)
     model = ScriptedModel({})  # never consulted with the oracle backend
-    trace = run_direct(task, PROFILES["visual_mcq"].strategies[1], model, registry, tags=tags)
+    trace = run_direct(task, PROFILES["visual_mcq"].strategies[1], model, registry)
     assert trace.stop_reason is StopReason.FINISHED
     assert len(trace.steps) == 1
     assert trace.steps[0].result == "a red door"
@@ -219,7 +219,7 @@ def test_run_single_program_is_one_model_call():
     registry = build_registry(task, make_fixture(), tags=tags)
     model = ScriptedModel({"t1/single": [program]})
     subset = StrategySubset("single", PROFILES["visual_mcq"].pool)
-    trace = run_single_program(task, subset, model, registry, tags=tags)
+    trace = run_single_program(task, subset, model, registry)
     assert len(model.calls) == 1
     assert trace.strategy.label == "single"
     assert len(trace.steps) == 1
@@ -234,7 +234,7 @@ def test_run_single_program_without_code_is_unparsed():
     registry = build_registry(task, make_fixture(), tags=tags)
     model = ScriptedModel({"t1/single": ["no code at all"]})
     subset = StrategySubset("single", PROFILES["visual_mcq"].pool)
-    trace = run_single_program(task, subset, model, registry, tags=tags)
+    trace = run_single_program(task, subset, model, registry)
     assert trace.final == Unparsed("no code at all")
 
 
@@ -252,7 +252,7 @@ def run_self_eval_with(confidences, answers=None, max_rounds=3):
         {"t1/self/confidence": list(confidences), "t1/self": episode_turns}
     )
     subset = StrategySubset("self", PROFILES["visual_mcq"].pool)
-    trace = run_self_eval(task, subset, model, registry, max_rounds=max_rounds, tags=tags)
+    trace = run_self_eval(task, subset, model, registry, max_rounds=max_rounds)
     asked = sum(1 for c in model.calls if "/confidence/" in c.tag)
     return trace, asked
 
@@ -286,7 +286,7 @@ def test_self_eval_unscorable_confidence_counts_as_low():
 def test_trace_round_trips_through_dict():
     scripts = {"t1/A": [finish_turn(2)]}
     task, subset, model, registry, tags = episode_setup(scripts=scripts)
-    trace = run_episode(task, subset, model, registry, tags=tags)
+    trace = run_episode(task, subset, model, registry)
     data = trace.to_dict()
     assert data["task_id"] == "t1"
     assert data["strategy_label"] == "A"

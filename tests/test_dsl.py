@@ -177,6 +177,29 @@ def test_lines_after_an_escaped_newline_in_a_string_keep_their_number():
     assert parse_error("x = 'a\\\nb'\ny = $") == ("unexpected character", 3, 5, "$")
 
 
+def test_tabs_indent_as_spaces_do():
+    program = parse_program("if a == b:\n\tx = 1")
+    assert [type(s).__name__ for s in program.statements] == ["If"]
+    assert len(program.statements[0].then_block) == 1
+    assert parse_error("x = 1\n\ty = 2") == ("unexpected indentation", 2, 2, "y = 2")
+    for block in ("\tx = 1\n    y = 2", "\tx = 1\n y = 2", "  x = 1\n\t\ty = 2"):
+        message, line, _, _ = parse_error("if a == b:\n" + block)
+        assert (message, line) == ("inconsistent indentation in if block", 3)
+
+
+@pytest.mark.parametrize("digit", ["\u0663", "\u00b2"])  # Arabic-Indic three, superscript two
+def test_only_ascii_digits_make_numbers(digit):
+    assert parse_error(f"x = {digit}") == ("unexpected character", 1, 5, digit)
+
+
+def test_fstring_errors_point_at_the_fault():
+    assert parse_error('x = f"a {1+2}"') == (
+        "only bare variable names may be interpolated", 1, 10, "1+2"
+    )
+    assert parse_error('x = f"a }"') == ("single '}' in f-string", 1, 9, "}")
+    assert parse_error('x = f"a \\\n {b"') == ("unclosed brace in f-string", 2, 2, "{")
+
+
 def test_multiline_call_arguments_join():
     source = "x = find_when(\n    query='door opens',\n    video_segment=seg,\n)"
     program = parse_program(source)

@@ -364,6 +364,13 @@ def test_ablate_unknown_profile(tmp_path, temporal_items):
         ablate_fixed_subsets(temporal_items, cfg, ScriptedModel({}))
 
 
+def test_ablate_rejects_items_of_another_profile(tmp_path, suite_paths, all_items):
+    # the first item is visual_mcq; a01 is the first that is not
+    with pytest.raises(DataError, match="'a01' has profile 'asr_mcq'.*'visual_mcq'"):
+        ablate_fixed_subsets(all_items, config("agent", tmp_path), ScriptedModel({}))
+    assert main(["--traces-dir", str(tmp_path / "t"), "ablate", suite_paths["all"]]) == 2
+
+
 # --- record and replay ---
 
 

@@ -39,8 +39,7 @@ def test_episode_loop_invariants(kinds, budget):
     registry = build_registry(task, make_fixture(), tags=TagContext("t1/A"))
     subset = PROFILES["visual_mcq"].strategies[0]
     trace = run_episode(
-        task, subset, CallableModel(respond), registry, step_budget=budget,
-        tags=TagContext("t1/A"),
+        task, subset, CallableModel(respond), registry, step_budget=budget
     )
 
     assert len(seen) <= budget + 1
@@ -69,18 +68,38 @@ def test_run_source_never_raises(source):
 
 
 # errors whose lexeme is the source text at the reported line and column
-LOCATED = ("unexpected character", "malformed number", "brackets nested too deeply")
+LOCATED = (
+    "unexpected character",
+    "malformed number",
+    "brackets nested too deeply",
+    "unclosed brace in f-string",
+    "only bare variable names may be interpolated",
+    "single '}' in f-string",
+)
+# f-string literals, some spanning an escaped newline, after a first line
+FSTRINGS = st.builds(
+    lambda head, body: f'{head}x = f"{body}"',
+    st.sampled_from(["", "y = 1\n", "z = [\n"]),
+    st.text(alphabet="ab_ {}+1\\\n", max_size=20),
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(source=st.one_of(st.text(), st.text(alphabet=DSL_ALPHABET, max_size=80)))
+@given(
+    source=st.one_of(
+        st.text(), st.text(alphabet=DSL_ALPHABET, max_size=80), FSTRINGS
+    )
+)
 @example("x = find_when(\n    query='a',\n    video_segment=seg + 1,\n)")
 @example("x = 'a\\\nb'\ny = 12ab")
 @example("y = [\n  " + "(" * 101)
+@example('x = f"a {1+2}"')
+@example('x = f"a \\\n{b + 1}"')
 def test_lexical_errors_point_at_their_lexeme(source):
     try:
         parse_program(source)
     except DslParseError as err:
         if err.message in LOCATED:
-            line = source.split("\n")[err.line - 1]
-            assert line[err.column - 1 :].startswith(err.lexeme), (err, source)
+            # the source from the error's line on: a lexeme may span lines
+            rest = "\n".join(source.split("\n")[err.line - 1 :])
+            assert rest[err.column - 1 :].startswith(err.lexeme), (err, source)

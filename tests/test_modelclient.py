@@ -318,12 +318,17 @@ def test_http_payload_carries_frame_index(tmp_path, monkeypatch):
 
 
 class InflightModel(CallableModel):
-    """Sleeps a few ms per request and keeps the peak of requests in flight."""
+    """Sleeps a few ms per request and keeps the peak of requests in flight.
 
-    def __init__(self, fail=None):
+    With `overlap` > 1, a request first waits (up to 1 s) until that many
+    have been in flight at once, so a late thread start cannot hide a fan-out.
+    """
+
+    def __init__(self, fail=None, overlap=1):
         super().__init__(self._reply)
         self.fail = fail or {}
-        self.lock = threading.Lock()
+        self.overlap = overlap
+        self.lock = threading.Condition()
         self.inflight = self.peak = 0
         self.started = []
         self.threads = set()
@@ -334,6 +339,8 @@ class InflightModel(CallableModel):
             self.peak = max(self.peak, self.inflight)
             self.started.append(req.tag)
             self.threads.add(threading.get_ident())
+            self.lock.notify_all()
+            self.lock.wait_for(lambda: self.peak >= self.overlap, timeout=1.0)
         try:
             delay, error = self.fail.get(req.tag, (0.004, None))
             time.sleep(delay)
@@ -351,7 +358,7 @@ def window_requests(n):
 
 @pytest.mark.parametrize("cap, n", [(1, 6), (3, 12), (4, 2)])
 def test_complete_all_keeps_order_within_cap(cap, n):
-    model = InflightModel()
+    model = InflightModel(overlap=min(cap, n))
     client = ConcurrencyLimitedClient(model, cap)
     requests = window_requests(n)
     assert client.width == cap

@@ -9,6 +9,8 @@ oracle item under the tracer and checks the span counts.
 import importlib.util
 import os
 
+import pytest
+
 import oracle_suite
 from clipcritic.evalcli import RunConfig, evaluate, load_dataset
 
@@ -22,10 +24,12 @@ def load_spans():
     return module
 
 
-def test_tracer_sees_every_layer_of_an_agent_critic_item(tmp_path):
+def traced_calls(tmp_path, mode):
+    """Span counts of oracle item v01 evaluated in `mode` under the tracer."""
     spans = load_spans()
     item = load_dataset(oracle_suite.write_suite(str(tmp_path / "suite"))["all"])[0]
-    config = RunConfig(mode="agent_critic", traces_dir=str(tmp_path / "traces"))
+    assert item.task.id == "v01"
+    config = RunConfig(mode=mode, traces_dir=str(tmp_path / "traces"))
     tracer = spans.Tracer()
     undo = spans.install(tracer)
     try:
@@ -35,6 +39,11 @@ def test_tracer_sees_every_layer_of_an_agent_critic_item(tmp_path):
     finally:
         undo()
     assert "error" not in report["items"][0]
+    return calls
+
+
+def test_tracer_sees_every_layer_of_an_agent_critic_item(tmp_path):
+    calls = traced_calls(tmp_path, "agent_critic")
     assert calls["agent.episode"] == 3
     assert calls["tools.build_registry"] == 3
     assert calls["toolkit.render_api"] == 2
@@ -42,3 +51,20 @@ def test_tracer_sees_every_layer_of_an_agent_critic_item(tmp_path):
     assert calls["dsl.run_source"] == 7
     assert calls["dsl.parse"] == 7
     assert calls["dsl.execute"] == 7
+
+
+# mode -> (toolkit.call, dsl.run_source) for item v01
+BASELINE_COUNTS = {
+    "direct": (1, 0),
+    "single_program": (3, 1),
+    "agent": (4, 4),
+    "self_eval": (1, 1),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(BASELINE_COUNTS))
+def test_tracer_sees_the_episode_of_every_baseline_mode(tmp_path, mode):
+    calls = traced_calls(tmp_path, mode)
+    assert calls["agent.episode"] == 1
+    assert calls["tools.build_registry"] == 1
+    assert (calls["toolkit.call"], calls["dsl.run_source"]) == BASELINE_COUNTS[mode]
