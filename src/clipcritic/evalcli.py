@@ -340,7 +340,10 @@ def run_item(
     if runner is None:
         raise UsageError(f"unknown mode '{config.mode}'")
     task = item.task
-    profile = profile_for_task(task, config.profile)
+    try:
+        profile = profile_for_task(task, config.profile)
+    except ValueError as exc:
+        raise DataError(f"item '{task.id}': {exc}") from exc
 
     def factory(subset: StrategySubset):
         return build_registry(

@@ -12,8 +12,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Union
+from operator import attrgetter
+from typing import Sequence, Union
 
 from .core import (
     TimestampError,
@@ -62,6 +65,19 @@ class QaFact:
     answer: str
 
 
+def _check_frame_table(frames: Sequence[FrameRef], duration: int) -> None:
+    """Frame access bisects on `t`, so times must strictly increase; and
+    the frames outside a segment are two slices of the table, so every
+    frame must lie within the video."""
+    prev_t = -math.inf
+    for i, ref in enumerate(frames):
+        if ref.t <= prev_t:
+            raise FixtureError(f"frames[{i}]: frame times must be strictly increasing")
+        if not 0 <= ref.t <= duration:
+            raise FixtureError(f"frames[{i}]: t {ref.t:g} outside the video [0, {duration}]")
+        prev_t = ref.t
+
+
 @dataclass(frozen=True)
 class VideoFixture:
     duration: int
@@ -71,6 +87,9 @@ class VideoFixture:
     asr: tuple[AsrLine, ...] = ()
     qa_facts: tuple[QaFact, ...] = ()
 
+    def __post_init__(self):
+        _check_frame_table(self.frames, self.duration)
+
     def full_segment(self) -> VideoSegment:
         return VideoSegment(0, self.duration)
 
@@ -79,7 +98,10 @@ class VideoFixture:
 class FramesDirectory:
     duration: int
     fps: float
-    paths: tuple[str, ...]
+    frames: tuple[FrameRef, ...]
+
+    def __post_init__(self):
+        _check_frame_table(self.frames, self.duration)
 
     def full_segment(self) -> VideoSegment:
         return VideoSegment(0, self.duration)
@@ -217,7 +239,12 @@ def load_fixture(path: str) -> VideoFixture:
 
 
 def load_frames_directory(path: str, metadata_name: str = "metadata.json") -> FramesDirectory:
-    """Directory of image files named by zero-padded index, plus metadata."""
+    """Directory of image files named by integer index, plus metadata.
+
+    A file `<index>.<ext>` holds the frame at t = index / fps; zero padding
+    is allowed, but two files may not share an index and no frame may lie
+    past the duration.
+    """
     if not os.path.isdir(path):
         raise FixtureError(f"frames directory not found: {path}")
     meta_path = os.path.join(path, metadata_name)
@@ -232,17 +259,33 @@ def load_frames_directory(path: str, metadata_name: str = "metadata.json") -> Fr
     fps = meta.get("fps", 1)
     if not isinstance(fps, (int, float)) or fps <= 0:
         raise FixtureError(f"{meta_path}: fps must be a positive number")
-    names = sorted(
-        n
-        for n in os.listdir(path)
-        if n != metadata_name and os.path.splitext(n)[0].isdigit()
-    )
-    if not names:
+    fps = float(fps)
+    name_by_index: dict[int, str] = {}
+    for name in sorted(os.listdir(path)):
+        stem = os.path.splitext(name)[0]
+        if name == metadata_name or not re.fullmatch(r"[0-9]+", stem):
+            continue
+        index = int(stem)
+        if index in name_by_index:
+            raise FixtureError(
+                f"{path}: frames {name_by_index[index]} and {name} "
+                f"share the index {index}"
+            )
+        if index / fps > duration:
+            raise FixtureError(
+                f"{path}: frame {name} at t={index / fps:g}s lies past "
+                f"the duration {format_timestamp(duration)}"
+            )
+        name_by_index[index] = name
+    if not name_by_index:
         raise FixtureError(f"{path}: no frame image files")
     return FramesDirectory(
         duration=duration,
-        fps=float(fps),
-        paths=tuple(os.path.join(path, n) for n in names),
+        fps=fps,
+        frames=tuple(
+            FrameRef(index=i, t=i / fps, path=os.path.join(path, name_by_index[i]))
+            for i in sorted(name_by_index)
+        ),
     )
 
 
@@ -270,16 +313,23 @@ def video_ref_for(path: str) -> tuple[VideoRef, FrameSource]:
 # --- frame access ---
 
 
-def _all_refs(video: FrameSource) -> list[FrameRef]:
-    if isinstance(video, VideoFixture):
-        return list(video.frames)
-    if isinstance(video, FramesDirectory):
-        return [
-            FrameRef(index=i, t=i / video.fps, path=p)
-            for i, p in enumerate(video.paths)
-        ]
-    count = int(round(video.duration * video.fps))
-    return [FrameRef(index=i, t=i / video.fps) for i in range(count)]
+_TIME = attrgetter("t")
+
+
+def _all_refs(video: FrameSource) -> Sequence[FrameRef]:
+    """The source's frame table, in strictly increasing time."""
+    if isinstance(video, VideoRef):
+        count = int(round(video.duration * video.fps))
+        return [FrameRef(index=i, t=i / video.fps) for i in range(count)]
+    return video.frames
+
+
+def _bounds(frames: Sequence[FrameRef], segment: VideoSegment) -> tuple[int, int]:
+    """Slice bounds of the frames with segment.start <= t <= segment.end."""
+    return (
+        bisect_left(frames, segment.start, key=_TIME),
+        bisect_right(frames, segment.end, key=_TIME),
+    )
 
 
 @dataclass(frozen=True)
@@ -308,13 +358,27 @@ class Stride:
 SamplePolicy = Union[Uniform, AllFrames, Stride]
 
 
-def _refs_in_segment(video: FrameSource, segment: VideoSegment) -> list[FrameRef]:
-    return [r for r in _all_refs(video) if segment.start <= r.t <= segment.end]
+def frames_outside(video: FrameSource, segment: VideoSegment) -> list[FrameRef]:
+    """The source's frames before and after the segment, in time order."""
+    frames = _all_refs(video)
+    lo, hi = _bounds(frames, segment)
+    return [*frames[:lo], *frames[hi:]]
 
 
-def _nearest(refs: list[FrameRef], target: float) -> FrameRef:
-    # ties break toward the earlier frame
-    return min(refs, key=lambda r: (abs(r.t - target), r.t))
+def _nearest(refs: Sequence[FrameRef], target: float) -> FrameRef:
+    # the frame minimising (|t - target|, t): ties break toward the earlier frame
+    i = bisect_left(refs, target, key=_TIME)
+    if i < len(refs) and (
+        i == 0 or abs(refs[i].t - target) < abs(refs[i - 1].t - target)
+    ):
+        return refs[i]
+    # refs[i - 1] is nearest; frames further back tie with it only through
+    # rounding, and then the earliest of them wins
+    i -= 1
+    gap = abs(refs[i].t - target)
+    while i and abs(refs[i - 1].t - target) == gap:
+        i -= 1
+    return refs[i]
 
 
 def sample_frames(
@@ -326,18 +390,17 @@ def sample_frames(
     included for k >= 2) and snaps each to the nearest available frame,
     deduplicating; a degenerate segment yields the single nearest frame.
     """
-    candidates = _refs_in_segment(video, segment)
-    if not candidates:
+    frames = _all_refs(video)
+    lo, hi = _bounds(frames, segment)
+    if lo == hi:
         # segment between frames, or degenerate beyond the last frame time:
         # fall back to the nearest frame in the whole video
-        everything = _all_refs(video)
-        if not everything:
-            return []
-        return [_nearest(everything, segment.start)]
+        return [_nearest(frames, segment.start)] if frames else []
+    candidates = frames[lo:hi]
     if isinstance(policy, AllFrames):
-        return candidates
+        return list(candidates)
     if isinstance(policy, Stride):
-        return candidates[:: policy.s]
+        return list(candidates[:: policy.s])
     k = policy.k
     if segment.duration == 0 or k == 1:
         return [_nearest(candidates, segment.start)]
@@ -367,7 +430,9 @@ def windows(
     step = size if stride is None else stride
     if step < 1:
         raise ValueError("window stride must be >= 1")
-    refs = _refs_in_segment(video, segment)
+    frames = _all_refs(video)
+    lo, hi = _bounds(frames, segment)
+    refs = frames[lo:hi]
     out: list[FrameWindow] = []
     i = 0
     while i < len(refs):

@@ -19,11 +19,11 @@ from .core import (
     parse_timestamp,
 )
 from .fixtures import (
-    AllFrames,
     FrameRef,
     FrameSource,
     Uniform,
     VideoFixture,
+    frames_outside,
     sample_frames,
     windows,
 )
@@ -265,6 +265,8 @@ class ToolSuite:
             chosen = sample_frames(
                 self.video, segment, Uniform(self.config.retrieval_cap)
             )
+            if not chosen:  # the video has no frames at all
+                return NOT_VISIBLE_SENTENCE
         context = self._context_frames(segment)
         parts: list = [
             TextPart(
@@ -286,13 +288,7 @@ class ToolSuite:
         return answer
 
     def _context_frames(self, target: VideoSegment) -> list[FrameRef]:
-        candidates = [
-            r
-            for r in sample_frames(
-                self.video, VideoSegment(0, self.video.duration), AllFrames()
-            )
-            if r.t < target.start or r.t > target.end
-        ]
+        candidates = frames_outside(self.video, target)
         k = self.config.context_frames
         if len(candidates) <= k:
             return candidates

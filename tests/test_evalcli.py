@@ -371,6 +371,17 @@ def test_ablate_rejects_items_of_another_profile(tmp_path, suite_paths, all_item
     assert main(["--traces-dir", str(tmp_path / "t"), "ablate", suite_paths["all"]]) == 2
 
 
+def test_explicit_profile_mismatch_is_a_data_error(tmp_path, all_items):
+    # visual_mcq takes multiple-choice tasks only; the `all` file has temporal ones
+    temporal = next(i for i in all_items if i.task.kind is TaskKind.TEMPORAL_RANGE)
+    cfg = config("agent", tmp_path, profile="visual_mcq")
+    match = f"item '{temporal.task.id}'.*profile 'visual_mcq' expects multiple_choice"
+    with pytest.raises(DataError, match=match):
+        evaluate([temporal], cfg, ScriptedModel({}))
+    with pytest.raises(DataError, match=match):
+        ablate_fixed_subsets(all_items, cfg, ScriptedModel({}))
+
+
 # --- record and replay ---
 
 

@@ -1,6 +1,7 @@
 """Fixture loading, frame sampling policies, and frame windowing."""
 
 import json
+import os
 
 import pytest
 
@@ -177,14 +178,56 @@ def test_frames_directory_adapter(tmp_path):
     (frame_dir / "metadata.json").write_text(json.dumps({"duration": "00:05", "fps": 1}))
     source = load_frames_directory(str(frame_dir))
     assert source.duration == 5
-    assert len(source.paths) == 5
-    assert source.paths[0].endswith("0000.jpg")
+    assert len(source.frames) == 5
+    assert source.frames[0].path.endswith("0000.jpg")
 
     ref, loaded = video_ref_for(str(frame_dir))
     assert ref.source is VideoSource.FRAMES_DIRECTORY
     assert ref.duration == 5
     got = sample_frames(loaded, VideoSegment(0, 5), Uniform(2))
-    assert [f.path for f in got] == [source.paths[0], source.paths[-1]]
+    assert [f.path for f in got] == [source.frames[0].path, source.frames[-1].path]
+
+
+def frames_dir(tmp_path, names, duration="00:11", fps=1):
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    for name in names:
+        (frame_dir / name).write_bytes(b"\xff\xd8\xff")
+    (frame_dir / "metadata.json").write_text(json.dumps({"duration": duration, "fps": fps}))
+    return str(frame_dir)
+
+
+def test_frames_directory_numbers_frames_by_file_stem(tmp_path):
+    names = ["0.jpg", "1.jpg", "2.jpg", "3.jpg", "5.jpg", "10.jpg"]
+    source = load_frames_directory(frames_dir(tmp_path, names, fps=2))
+    every = sample_frames(source, source.full_segment(), AllFrames())
+    assert [(f.index, f.t) for f in every] == [
+        (0, 0.0), (1, 0.5), (2, 1.0), (3, 1.5), (5, 2.5), (10, 5.0)
+    ]
+    assert [os.path.basename(f.path) for f in every] == names
+    got = sample_frames(source, VideoSegment(2, 5), AllFrames())
+    assert [f.index for f in got] == [5, 10]
+
+
+def test_frames_directory_rejects_duplicate_index(tmp_path):
+    path = frames_dir(tmp_path, ["0.jpg", "01.jpg", "1.jpg"])
+    with pytest.raises(FixtureError, match=r"01\.jpg and 1\.jpg share the index 1"):
+        load_frames_directory(path)
+
+
+def test_frames_directory_rejects_frame_past_duration(tmp_path):
+    path = frames_dir(tmp_path, ["0.jpg", "11.jpg", "30.jpg"])
+    with pytest.raises(FixtureError, match=r"frame 30\.jpg .* past the duration 00:11"):
+        load_frames_directory(path)
+
+
+def test_video_fixture_rejects_unsorted_frames():
+    with pytest.raises(FixtureError, match=r"frames\[2\]: frame times must be strictly increasing"):
+        VideoFixture(10, 1.0, (FrameRef(0, 0.0), FrameRef(1, 5.0), FrameRef(2, 5.0)))
+    with pytest.raises(FixtureError, match=r"frames\[1\]"):
+        VideoFixture(10, 1.0, (FrameRef(0, 3.0), FrameRef(1, 2.0)))
+    with pytest.raises(FixtureError, match=r"frames\[0\]: t 11 outside the video"):
+        VideoFixture(10, 1.0, (FrameRef(0, 11.0),))
 
 
 def test_frames_directory_requires_metadata(tmp_path):

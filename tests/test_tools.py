@@ -250,6 +250,17 @@ def test_asr_model_chunks_and_consolidates():
     assert len(chunk_tags) == pytest.approx(transcript_chars / 4000, abs=2)
 
 
+def test_model_retrieval_on_a_video_without_frames_is_not_visible():
+    calls = []
+    suite = ToolSuite(
+        make_task(30), VideoFixture(duration=30, fps=1.0, frames=()), backend="model",
+        model=CallableModel(lambda req: calls.append(req) or "1"),
+    )
+    assert suite.retrieval_qa("What is shown?", ["a", "b"]) == NOT_VISIBLE_SENTENCE
+    assert suite.find_when("the door") == NO_RANGES_SENTENCE
+    assert calls == []
+
+
 def test_model_backend_requires_client():
     with pytest.raises(ValueError):
         ToolSuite(make_task(300), plain_fixture(300), backend="model", model=None)
@@ -258,7 +269,9 @@ def test_model_backend_requires_client():
 def test_oracle_backend_requires_fixture():
     from clipcritic.fixtures import FramesDirectory
 
-    frames_only = FramesDirectory(duration=10, fps=1.0, paths=("a.jpg",))
+    frames_only = FramesDirectory(
+        duration=10, fps=1.0, frames=(FrameRef(0, 0.0, path="a.jpg"),)
+    )
     with pytest.raises(ValueError):
         ToolSuite(make_task(10), frames_only, backend="oracle")
 
