@@ -22,8 +22,7 @@ from .toolkit import PROFILES, Profile, load_prompt_text
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_EXAMPLE_COUNT = 4
-DEFAULT_ELIDE_OVER = 4000
+ELIDE_OVER = 4000  # tool outputs longer than this are elided in the middle
 ELISION_MARKER = "[... output elided ...]"
 
 _VERDICT_MARKERS = ("Winning Strategies:", "Winning Strategy:")
@@ -125,14 +124,14 @@ def render_example(example: CriticExample) -> str:
     return out
 
 
-def render_trace_block(trace: Trace, elide_over: int = DEFAULT_ELIDE_OVER) -> str:
+def render_trace_block(trace: Trace) -> str:
     parts = [trace.strategy.header(), "\n"]
     for step in trace.steps:
         shown = step
-        if elide_over and len(step.result) > elide_over:
+        if len(step.result) > ELIDE_OVER:
             shown = type(step)(
                 program=step.program,
-                result=elide_middle(step.result, elide_over),
+                result=elide_middle(step.result, ELIDE_OVER),
                 terminal=step.terminal,
             )
         parts.append(render_step(shown))
@@ -143,17 +142,10 @@ def build_critique_prompt(
     task: TaskQuery,
     traces: list[Trace],
     examples: list[CriticExample],
-    example_count: int = DEFAULT_EXAMPLE_COUNT,
-    elide_over: int = DEFAULT_ELIDE_OVER,
-    tag: str = "",
 ) -> ModelRequest:
     """Preamble, in-context examples, then the live task ending "Critique:"."""
     if len(traces) < 2:
         raise ValueError("the critic compares traces; provide at least 2")
-    if len(examples) != example_count:
-        raise ValueError(
-            f"expected {example_count} in-context examples, got {len(examples)}"
-        )
     labels = [t.strategy.label for t in traces]
     if len(set(labels)) != len(labels):
         raise ValueError("trace strategy labels must be unique")
@@ -161,9 +153,9 @@ def build_critique_prompt(
     text += "\n".join(render_example(ex) for ex in examples) + "\n"
     text += "Input:\n" + task_statement(task) + "\n"
     for trace in traces:
-        text += render_trace_block(trace, elide_over)
+        text += render_trace_block(trace)
     text += "Critique:"
-    return ModelRequest(parts=(TextPart(text),), tag=tag or f"{task.id}/critic")
+    return ModelRequest(parts=(TextPart(text),), tag=f"{task.id}/critic")
 
 
 def parse_verdict(response: str, presented: list[str]) -> CriticVerdict:
@@ -256,12 +248,8 @@ def run_critic(
     traces: list[Trace],
     model: ModelClient,
     examples: list[CriticExample],
-    example_count: int = DEFAULT_EXAMPLE_COUNT,
-    elide_over: int = DEFAULT_ELIDE_OVER,
 ) -> tuple[CriticVerdict, Selection, str]:
-    request = build_critique_prompt(
-        task, traces, examples, example_count=example_count, elide_over=elide_over
-    )
+    request = build_critique_prompt(task, traces, examples)
     response = model.complete(request)
     labels = [t.strategy.label for t in traces]
     verdict = parse_verdict(response, labels)
@@ -276,13 +264,9 @@ def run_agent_critic(
     profile: Profile,
     examples: list[CriticExample] | None = None,
     step_budget: int = 10,
-    example_count: int = DEFAULT_EXAMPLE_COUNT,
-    elide_over: int = DEFAULT_ELIDE_OVER,
 ) -> tuple[Selection, list[Trace], CriticVerdict]:
     if examples is None:
         examples = load_examples(profile)
     traces = sample_strategies(task, model, registry_factory, profile, step_budget)
-    verdict, selection, _ = run_critic(
-        task, traces, model, examples, example_count=example_count, elide_over=elide_over
-    )
+    verdict, selection, _ = run_critic(task, traces, model, examples)
     return selection, traces, verdict

@@ -15,7 +15,7 @@ import sys
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .agent import (
     DEFAULT_STEP_BUDGET,
@@ -50,7 +50,7 @@ from .modelclient import (
     ReplayMismatchError,
 )
 from .toolkit import PROFILES, StrategySubset, enumerate_module_subsets, profile_for_task
-from .tools import BACKENDS, TagContext, ToolConfig, build_registry
+from .tools import BACKENDS, TagContext, build_registry
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -77,6 +77,10 @@ class DatasetItem:
     source: FrameSource
 
 
+# RunConfig fields that say where things live, not how the run behaves
+_DEPLOYMENT_FIELDS = frozenset({"examples_files", "transport", "traces_dir", "cassette"})
+
+
 @dataclass
 class RunConfig:
     mode: str = "agent_critic"
@@ -84,10 +88,7 @@ class RunConfig:
     backend: str = "oracle"
     step_budget: int = DEFAULT_STEP_BUDGET
     concurrency: int = 1
-    elide_over: int = 4000
-    example_count: int = 4
     max_rounds: int = 3
-    window_stride: int | None = None
     examples_files: dict = field(default_factory=dict)
     transport: dict = field(default_factory=dict)
     traces_dir: str = "traces"
@@ -96,19 +97,14 @@ class RunConfig:
     def snapshot(self) -> dict:
         """The reproducible part of the configuration for reports.
 
-        Transport, cassette, and filesystem paths are excluded so a replay
-        regenerates a byte-identical report.
+        The deployment fields (examples files, transport, traces directory
+        and cassette) are excluded, so a replay on any machine regenerates
+        a byte-identical report.
         """
         return {
-            "mode": self.mode,
-            "profile": self.profile,
-            "backend": self.backend,
-            "step_budget": self.step_budget,
-            "concurrency": self.concurrency,
-            "elide_over": self.elide_over,
-            "example_count": self.example_count,
-            "max_rounds": self.max_rounds,
-            "window_stride": self.window_stride,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in _DEPLOYMENT_FIELDS
         }
 
 
@@ -154,8 +150,6 @@ def _agent_critic(task, profile, factory, model, config, fixed_subset):
         profile,
         examples=load_examples_file(path) if path else load_examples(profile),
         step_budget=config.step_budget,
-        example_count=config.example_count,
-        elide_over=config.elide_over,
     )
     extra = {"winners": list(verdict.winners), "fallback_used": selection.fallback_used}
     return selection.trace, traces, extra
@@ -351,7 +345,6 @@ def run_item(
             item.source,
             backend=config.backend,
             model=model,
-            config=ToolConfig(window_stride=config.window_stride),
             tags=TagContext(f"{task.id}/{subset.label}"),
             answer_capable=profile.answer_capable,
         )
@@ -537,12 +530,17 @@ def replay_run(
 # --- model construction ---
 
 
+_NO_MODEL = (
+    "no model is configured for this run; use --cassette replay:<path> "
+    "or set a transport in the config file"
+)
+
+
 class _UnconfiguredModel(ModelClient):
+    """Stands in for the model on oracle runs that may never call one."""
+
     def _complete(self, req):
-        raise RuntimeError(
-            "no model is configured for this run; use --cassette replay:<path> "
-            "or set a transport in the config file"
-        )
+        raise UsageError(_NO_MODEL)
 
 
 def build_model(config: RunConfig) -> ModelClient:
@@ -571,7 +569,11 @@ def build_model(config: RunConfig) -> ModelClient:
                 raise DataError(f"cassette not found: {path}")
             return CassetteClient(Cassette.open(path, CassetteMode.REPLAY))
         raise UsageError(f"unknown cassette mode '{mode_name}'")
-    return inner if inner is not None else _UnconfiguredModel()
+    if inner is not None:
+        return inner
+    if config.backend == "model":
+        raise UsageError(_NO_MODEL)
+    return _UnconfiguredModel()
 
 
 # --- CLI ---

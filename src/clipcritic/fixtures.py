@@ -16,7 +16,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Sequence, Union
+from typing import Sequence
 
 from .core import (
     TimestampError,
@@ -107,7 +107,7 @@ class FramesDirectory:
         return VideoSegment(0, self.duration)
 
 
-FrameSource = Union[VideoFixture, FramesDirectory, VideoRef]
+FrameSource = VideoFixture | FramesDirectory
 
 
 @dataclass(frozen=True)
@@ -238,8 +238,8 @@ def load_fixture(path: str) -> VideoFixture:
     )
 
 
-def load_frames_directory(path: str, metadata_name: str = "metadata.json") -> FramesDirectory:
-    """Directory of image files named by integer index, plus metadata.
+def load_frames_directory(path: str) -> FramesDirectory:
+    """Directory of image files named by integer index, plus metadata.json.
 
     A file `<index>.<ext>` holds the frame at t = index / fps; zero padding
     is allowed, but two files may not share an index and no frame may lie
@@ -247,9 +247,9 @@ def load_frames_directory(path: str, metadata_name: str = "metadata.json") -> Fr
     """
     if not os.path.isdir(path):
         raise FixtureError(f"frames directory not found: {path}")
-    meta_path = os.path.join(path, metadata_name)
+    meta_path = os.path.join(path, "metadata.json")
     if not os.path.exists(meta_path):
-        raise FixtureError(f"{path}: missing sidecar {metadata_name}")
+        raise FixtureError(f"{path}: missing sidecar metadata.json")
     with open(meta_path, encoding="utf-8") as fh:
         try:
             meta = json.load(fh)
@@ -263,7 +263,7 @@ def load_frames_directory(path: str, metadata_name: str = "metadata.json") -> Fr
     name_by_index: dict[int, str] = {}
     for name in sorted(os.listdir(path)):
         stem = os.path.splitext(name)[0]
-        if name == metadata_name or not re.fullmatch(r"[0-9]+", stem):
+        if not re.fullmatch(r"[0-9]+", stem):
             continue
         index = int(stem)
         if index in name_by_index:
@@ -316,14 +316,6 @@ def video_ref_for(path: str) -> tuple[VideoRef, FrameSource]:
 _TIME = attrgetter("t")
 
 
-def _all_refs(video: FrameSource) -> Sequence[FrameRef]:
-    """The source's frame table, in strictly increasing time."""
-    if isinstance(video, VideoRef):
-        count = int(round(video.duration * video.fps))
-        return [FrameRef(index=i, t=i / video.fps) for i in range(count)]
-    return video.frames
-
-
 def _bounds(frames: Sequence[FrameRef], segment: VideoSegment) -> tuple[int, int]:
     """Slice bounds of the frames with segment.start <= t <= segment.end."""
     return (
@@ -332,35 +324,9 @@ def _bounds(frames: Sequence[FrameRef], segment: VideoSegment) -> tuple[int, int
     )
 
 
-@dataclass(frozen=True)
-class Uniform:
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("uniform sampling needs k >= 1")
-
-
-@dataclass(frozen=True)
-class AllFrames:
-    pass
-
-
-@dataclass(frozen=True)
-class Stride:
-    s: int
-
-    def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("stride must be >= 1")
-
-
-SamplePolicy = Union[Uniform, AllFrames, Stride]
-
-
 def frames_outside(video: FrameSource, segment: VideoSegment) -> list[FrameRef]:
     """The source's frames before and after the segment, in time order."""
-    frames = _all_refs(video)
+    frames = video.frames
     lo, hi = _bounds(frames, segment)
     return [*frames[:lo], *frames[hi:]]
 
@@ -381,27 +347,23 @@ def _nearest(refs: Sequence[FrameRef], target: float) -> FrameRef:
     return refs[i]
 
 
-def sample_frames(
-    video: FrameSource, segment: VideoSegment, policy: SamplePolicy
-) -> list[FrameRef]:
-    """Deterministic frame selection within a segment.
+def sample_frames(video: FrameSource, segment: VideoSegment, k: int) -> list[FrameRef]:
+    """Up to k frames spread uniformly over a segment, in time order.
 
-    uniform(k) spaces k target times evenly across the segment (endpoints
-    included for k >= 2) and snaps each to the nearest available frame,
-    deduplicating; a degenerate segment yields the single nearest frame.
+    Spaces k target times evenly across the segment (endpoints included
+    for k >= 2) and snaps each to the nearest frame in it, deduplicating;
+    a degenerate segment yields the single nearest frame, and a segment
+    holding no frame yields the nearest frame of the whole video.
     """
-    frames = _all_refs(video)
+    if k < 1:
+        raise ValueError("uniform sampling needs k >= 1")
+    frames = video.frames
     lo, hi = _bounds(frames, segment)
     if lo == hi:
         # segment between frames, or degenerate beyond the last frame time:
         # fall back to the nearest frame in the whole video
         return [_nearest(frames, segment.start)] if frames else []
     candidates = frames[lo:hi]
-    if isinstance(policy, AllFrames):
-        return list(candidates)
-    if isinstance(policy, Stride):
-        return list(candidates[:: policy.s])
-    k = policy.k
     if segment.duration == 0 or k == 1:
         return [_nearest(candidates, segment.start)]
     picked: list[FrameRef] = []
@@ -414,29 +376,19 @@ def sample_frames(
     return picked
 
 
-def windows(
-    video: FrameSource,
-    segment: VideoSegment,
-    size: int,
-    stride: int | None = None,
-) -> list[FrameWindow]:
-    """Chunk the segment's frames into consecutive windows.
+def windows(video: FrameSource, segment: VideoSegment, size: int) -> list[FrameWindow]:
+    """Partition the segment's frames into consecutive windows of `size`.
 
-    With the default stride (equal to size) the windows partition the
-    segment's frames exactly; ceil(N / size) windows, last possibly short.
+    Every frame in the segment lands in exactly one window, in time order:
+    ceil(N / size) windows, the last possibly short.
     """
     if size < 1:
         raise ValueError("window size must be >= 1")
-    step = size if stride is None else stride
-    if step < 1:
-        raise ValueError("window stride must be >= 1")
-    frames = _all_refs(video)
+    frames = video.frames
     lo, hi = _bounds(frames, segment)
-    refs = frames[lo:hi]
     out: list[FrameWindow] = []
-    i = 0
-    while i < len(refs):
-        chunk = refs[i : i + size]
+    for i in range(lo, hi, size):
+        chunk = frames[i : min(i + size, hi)]
         out.append(
             FrameWindow(
                 indices=tuple(r.index for r in chunk),
@@ -446,7 +398,4 @@ def windows(
                 ),
             )
         )
-        if i + size >= len(refs):
-            break
-        i += step
     return out

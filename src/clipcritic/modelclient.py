@@ -103,8 +103,8 @@ def fingerprint(req: ModelRequest) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def text_request(text: str, tag: str = "", max_output: int = 1024) -> ModelRequest:
-    return ModelRequest(parts=(TextPart(text),), tag=tag, max_output=max_output)
+def text_request(text: str, tag: str = "") -> ModelRequest:
+    return ModelRequest(parts=(TextPart(text),), tag=tag)
 
 
 def episode_key(tag: str) -> str:
@@ -140,14 +140,13 @@ def _in_order(call, requests: list, width: int) -> tuple[list, Exception | None]
 class ModelClient:
     """Base client: enforces the frame budget then delegates."""
 
-    frame_budget = FRAME_BUDGET
     width = 1  # requests complete_all keeps in flight at once
 
     def complete(self, req: ModelRequest) -> str:
         used = budget_frames(req.parts)
-        if used > self.frame_budget:
+        if used > FRAME_BUDGET:
             raise BudgetExceededError(
-                f"request uses {used} frames, budget is {self.frame_budget}"
+                f"request uses {used} frames, budget is {FRAME_BUDGET}"
             )
         return self._complete(req)
 

@@ -1,10 +1,11 @@
 """The six built-in tools, each with two interchangeable backends.
 
-Model backends construct prompts and window the video per the configured
-sizes. Oracle backends answer deterministically from fixture annotations,
-which lets every pipeline layer run in tests without a model. Fallback
-sentences are fixed module constants so tests and scripted policies can
-rely on them byte-for-byte.
+Model backends construct prompts and cut the video into windows of the
+fixed sizes below, each within the per-request frame budget. Oracle
+backends answer deterministically from fixture annotations, which lets
+every pipeline layer run in tests without a model. Fallback sentences are
+fixed module constants so tests and scripted policies can rely on them
+byte-for-byte.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .core import (
 from .fixtures import (
     FrameRef,
     FrameSource,
-    Uniform,
     VideoFixture,
     frames_outside,
     sample_frames,
@@ -37,6 +37,15 @@ NOT_VISIBLE_SENTENCE = "not visible in this segment"
 NO_SPEECH_SENTENCE = "no speech available"
 NO_RELEVANT_SPEECH_SENTENCE = "no relevant speech found"
 FALLBACK_NOTE = "[no relevant frames retrieved; fell back to uniform sampling]"
+
+FIND_WHEN_WINDOW = 100  # frames per find_when window request
+RETRIEVAL_WINDOW = 64  # frames per retrieval_qa phase-1 window request
+# The retrieval_qa answer request carries up to RETRIEVAL_CAP retrieved
+# frames plus CONTEXT_FRAMES from the rest of the video; 64 + 56 = 120 is
+# modelclient.FRAME_BUDGET, so the answer request always fits.
+RETRIEVAL_CAP = 64
+CONTEXT_FRAMES = 56
+ASR_CHUNK_CHARS = 4000  # transcript characters per asr_understanding chunk
 
 # articles, pronouns, and bare interrogatives never count as content
 STOPWORDS = frozenset(
@@ -81,16 +90,6 @@ def format_findings(findings: list[LocalizationFinding]) -> str:
     return "\n".join(lines)
 
 
-@dataclass
-class ToolConfig:
-    find_when_window: int = 100
-    retrieval_window: int = 64
-    retrieval_cap: int = 64
-    context_frames: int = 56
-    window_stride: int | None = None  # None means stride equals window size
-    asr_chunk_chars: int = 4000
-
-
 @dataclass(frozen=True)
 class TagContext:
     """The request-tag prefix of one episode's tools: `<task>/<label>`."""
@@ -117,7 +116,6 @@ class ToolSuite:
         video: FrameSource,
         backend: str = "oracle",
         model: ModelClient | None = None,
-        config: ToolConfig | None = None,
         tags: TagContext | None = None,
     ):
         if backend not in BACKENDS:
@@ -130,7 +128,6 @@ class ToolSuite:
         self.video = video
         self.backend = backend
         self.model = model
-        self.config = config or ToolConfig()
         self.tags = tags or TagContext()
 
     # --- think / finish ---
@@ -181,7 +178,6 @@ class ToolSuite:
 
     def _find_when_model(self, query: str, segment: VideoSegment) -> str:
         template = load_prompt_text("find_when_window.txt")
-        stride = self.config.window_stride
         requests = [
             ModelRequest(
                 parts=(
@@ -196,9 +192,7 @@ class ToolSuite:
                 ),
                 tag=self.tags.tag(f"find_when/window/{i}"),
             )
-            for i, window in enumerate(
-                windows(self.video, segment, self.config.find_when_window, stride)
-            )
+            for i, window in enumerate(windows(self.video, segment, FIND_WHEN_WINDOW))
         ]
         parts_out = [
             line.rstrip()
@@ -231,8 +225,7 @@ class ToolSuite:
 
     def _retrieval_model(self, question, answer_options, segment: VideoSegment) -> str:
         phase1 = load_prompt_text("retrieval_phase1.txt")
-        stride = self.config.window_stride
-        grid = windows(self.video, segment, self.config.retrieval_window, stride)
+        grid = windows(self.video, segment, RETRIEVAL_WINDOW)
         prompt = phase1.format(question=question)
         responses = self.model.complete_all(
             [
@@ -257,14 +250,10 @@ class ToolSuite:
                     if idx in allowed:
                         retrieved.add(idx)
         if retrieved:
-            chosen = [
-                ref_by_index[i] for i in sorted(retrieved)[: self.config.retrieval_cap]
-            ]
+            chosen = [ref_by_index[i] for i in sorted(retrieved)[:RETRIEVAL_CAP]]
         else:
             fell_back = True
-            chosen = sample_frames(
-                self.video, segment, Uniform(self.config.retrieval_cap)
-            )
+            chosen = sample_frames(self.video, segment, RETRIEVAL_CAP)
             if not chosen:  # the video has no frames at all
                 return NOT_VISIBLE_SENTENCE
         context = self._context_frames(segment)
@@ -289,12 +278,11 @@ class ToolSuite:
 
     def _context_frames(self, target: VideoSegment) -> list[FrameRef]:
         candidates = frames_outside(self.video, target)
-        k = self.config.context_frames
-        if len(candidates) <= k:
+        if len(candidates) <= CONTEXT_FRAMES:
             return candidates
         picked = []
-        for i in range(k):
-            j = round(i * (len(candidates) - 1) / (k - 1))
+        for i in range(CONTEXT_FRAMES):
+            j = round(i * (len(candidates) - 1) / (CONTEXT_FRAMES - 1))
             ref = candidates[j]
             if not picked or ref.index > picked[-1].index:
                 picked.append(ref)
@@ -338,7 +326,7 @@ class ToolSuite:
         current: list[str] = []
         size = 0
         for line in rendered:
-            if current and size + len(line) + 1 > self.config.asr_chunk_chars:
+            if current and size + len(line) + 1 > ASR_CHUNK_CHARS:
                 chunks.append("\n".join(current))
                 current = []
                 size = 0
@@ -388,13 +376,10 @@ def build_registry(
     video: FrameSource,
     backend: str = "oracle",
     model: ModelClient | None = None,
-    config: ToolConfig | None = None,
     tags: TagContext | None = None,
     answer_capable: frozenset[str] = frozenset({"retrieval_qa"}),
 ) -> ToolRegistry:
     """A registry with all six built-ins bound to one task and video."""
-    suite = ToolSuite(
-        task, video, backend=backend, model=model, config=config, tags=tags
-    )
+    suite = ToolSuite(task, video, backend=backend, model=model, tags=tags)
     backends = {name: getattr(suite, name) for name in api_listing().blocks}
     return ToolRegistry(backends, answer_capable)

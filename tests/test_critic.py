@@ -16,7 +16,7 @@ from clipcritic.core import (
     VideoSource,
 )
 from clipcritic.critic import (
-    DEFAULT_ELIDE_OVER,
+    ELIDE_OVER,
     ELISION_MARKER,
     build_critique_prompt,
     elide_middle,
@@ -187,7 +187,7 @@ def test_parse_examples_json_validates_labels():
 
 def test_elide_middle():
     short = "short text"
-    assert elide_middle(short, DEFAULT_ELIDE_OVER) == short
+    assert elide_middle(short, ELIDE_OVER) == short
     long = "x" * 10000
     got = elide_middle(long, 4000)
     assert ELISION_MARKER in got
@@ -246,15 +246,13 @@ def test_build_critique_prompt_validations():
     with pytest.raises(ValueError):
         build_critique_prompt(task, traces[:1], examples)
     with pytest.raises(ValueError):
-        build_critique_prompt(task, traces, examples[:2])
-    with pytest.raises(ValueError):
         build_critique_prompt(task, [traces[0], traces[0]], examples)
 
 
 def test_render_trace_block_elides_long_results():
     trace = fake_trace("A", Choice(1))
     trace.steps[0] = Step(program="x = think(thought='t')", result="y" * 9000, terminal=False)
-    block = render_trace_block(trace, elide_over=4000)
+    block = render_trace_block(trace)
     assert ELISION_MARKER in block
     assert block.startswith("Strategy A (")
 

@@ -166,6 +166,9 @@ def test_load_config_file(tmp_path):
         ({"mode": "critic"}, "config key 'mode' must be one of direct, single_program"),
         ({"profile": "visual"}, "config key 'profile' must be one of asr_mcq"),
         ({"max_rounds": 0}, "config key 'max_rounds' must be >= 1"),
+        ({"elide_over": 4000}, "unknown config key 'elide_over'"),
+        ({"example_count": 4}, "unknown config key 'example_count'"),
+        ({"window_stride": 2}, "unknown config key 'window_stride'"),
     ],
 )
 def test_load_config_file_checks_types(tmp_path, data, fragment):
@@ -185,9 +188,9 @@ def test_load_config_file_accepts_named_values(tmp_path):
 
 def test_load_config_file_accepts_optional_none(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"profile": None, "window_stride": None, "concurrency": 2}))
+    path.write_text(json.dumps({"profile": None, "cassette": None, "concurrency": 2}))
     cfg = load_config_file(str(path))
-    assert cfg.profile is None and cfg.window_stride is None
+    assert cfg.profile is None and cfg.cassette is None
     assert cfg.concurrency == 2
 
 
@@ -264,13 +267,10 @@ def test_report_config_snapshot_is_machine_independent(tmp_path, all_items):
     assert sorted(report["config"]) == [
         "backend",
         "concurrency",
-        "elide_over",
-        "example_count",
         "max_rounds",
         "mode",
         "profile",
         "step_budget",
-        "window_stride",
     ]
 
 
@@ -634,6 +634,31 @@ def test_cli_run_prints_trace(tmp_path, suite_paths, capsys):
 def test_cli_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, backend, command, code",
+    [
+        ("agent", "oracle", "run", 1),
+        ("agent", "oracle", "eval", 1),
+        ("direct", "model", "eval", 1),
+        ("direct", "oracle", "eval", 0),  # oracle tools answer without a model
+    ],
+)
+def test_cli_without_a_model(tmp_path, suite_paths, capsys, mode, backend, command, code):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"backend": backend}))
+    argv = [
+        "--config", str(config_path),
+        "--mode", mode,
+        "--traces-dir", str(tmp_path / "traces"),
+        command, suite_paths["all"],
+    ]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ") and "no model is configured" in err
 
 
 def test_cli_data_errors_exit_2(tmp_path, suite_paths, capsys):

@@ -1,4 +1,4 @@
-"""Fixture loading, frame sampling policies, and frame windowing."""
+"""Fixture loading, uniform frame sampling, and frame windowing."""
 
 import json
 import os
@@ -7,11 +7,8 @@ import pytest
 
 from clipcritic.core import VideoSegment, VideoSource
 from clipcritic.fixtures import (
-    AllFrames,
     FixtureError,
     FrameRef,
-    Stride,
-    Uniform,
     VideoFixture,
     load_fixture,
     load_frames_directory,
@@ -48,32 +45,32 @@ def write_fixture(tmp_path, doc, name="clip.json"):
 
 def test_uniform_sampling_snaps_to_available_frames():
     video = clip(60)
-    got = sample_frames(video, VideoSegment(0, 60), Uniform(6))
+    got = sample_frames(video, VideoSegment(0, 60), 6)
     assert [f.index for f in got] == [0, 12, 24, 36, 48, 59]
 
 
 def test_uniform_sampling_degenerate_segment():
     video = clip(60)
-    got = sample_frames(video, VideoSegment(10, 10), Uniform(3))
+    got = sample_frames(video, VideoSegment(10, 10), 3)
     assert [f.index for f in got] == [10]
-    got = sample_frames(video, VideoSegment(0, 60), Uniform(1))
+    got = sample_frames(video, VideoSegment(0, 60), 1)
     assert [f.index for f in got] == [0]
 
 
 def test_uniform_sampling_never_duplicates():
     video = clip(10)
-    got = sample_frames(video, VideoSegment(0, 10), Uniform(30))
+    got = sample_frames(video, VideoSegment(0, 10), 30)
     indices = [f.index for f in got]
     assert indices == sorted(set(indices))
     assert len(indices) <= 10
 
 
-def test_all_frames_and_stride_policies():
-    video = clip(20)
-    everything = sample_frames(video, VideoSegment(5, 10), AllFrames())
-    assert [f.index for f in everything] == [5, 6, 7, 8, 9, 10]
-    strided = sample_frames(video, VideoSegment(0, 19), Stride(5))
-    assert [f.index for f in strided] == [0, 5, 10, 15]
+def test_frame_access_rejects_counts_below_one():
+    video = clip(10)
+    with pytest.raises(ValueError, match="k >= 1"):
+        sample_frames(video, VideoSegment(0, 10), 0)
+    with pytest.raises(ValueError, match="window size must be >= 1"):
+        windows(video, VideoSegment(0, 10), 0)
 
 
 def test_windows_chunking():
@@ -88,16 +85,6 @@ def test_windows_chunking():
 
     over = windows(clip(65), VideoSegment(0, 65), 64)
     assert [len(c.refs) for c in over] == [64, 1]
-
-
-def test_windows_on_video_ref_uses_implicit_frames():
-    # a bare VideoRef yields frames at its fps without fixture content
-    ref, _ = None, None
-    from clipcritic.core import VideoRef
-
-    ref = VideoRef(VideoSource.FIXTURE_PATH, "v.json", 130, 1.0)
-    chunks = windows(ref, VideoSegment(0, 130), 64)
-    assert [len(c.refs) for c in chunks] == [64, 64, 2]
 
 
 def test_windows_cover_segment_in_order():
@@ -184,7 +171,7 @@ def test_frames_directory_adapter(tmp_path):
     ref, loaded = video_ref_for(str(frame_dir))
     assert ref.source is VideoSource.FRAMES_DIRECTORY
     assert ref.duration == 5
-    got = sample_frames(loaded, VideoSegment(0, 5), Uniform(2))
+    got = sample_frames(loaded, VideoSegment(0, 5), 2)
     assert [f.path for f in got] == [source.frames[0].path, source.frames[-1].path]
 
 
@@ -200,13 +187,13 @@ def frames_dir(tmp_path, names, duration="00:11", fps=1):
 def test_frames_directory_numbers_frames_by_file_stem(tmp_path):
     names = ["0.jpg", "1.jpg", "2.jpg", "3.jpg", "5.jpg", "10.jpg"]
     source = load_frames_directory(frames_dir(tmp_path, names, fps=2))
-    every = sample_frames(source, source.full_segment(), AllFrames())
+    every = source.frames
     assert [(f.index, f.t) for f in every] == [
         (0, 0.0), (1, 0.5), (2, 1.0), (3, 1.5), (5, 2.5), (10, 5.0)
     ]
     assert [os.path.basename(f.path) for f in every] == names
-    got = sample_frames(source, VideoSegment(2, 5), AllFrames())
-    assert [f.index for f in got] == [5, 10]
+    (got,) = windows(source, VideoSegment(2, 5), len(names))
+    assert [f.index for f in got.refs] == [5, 10]
 
 
 def test_frames_directory_rejects_duplicate_index(tmp_path):
@@ -248,7 +235,7 @@ def test_video_ref_for_fixture_file(tmp_path):
 
 def test_sampling_is_pure():
     video = clip(40)
-    first = sample_frames(video, VideoSegment(0, 40), Uniform(4))
-    second = sample_frames(video, VideoSegment(0, 40), Uniform(4))
+    first = sample_frames(video, VideoSegment(0, 40), 4)
+    second = sample_frames(video, VideoSegment(0, 40), 4)
     assert first == second
     assert video.frames == clip(40).frames

@@ -4,35 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clipcritic.core import TaskKind, TaskQuery, VideoRef, VideoSegment, VideoSource
-from clipcritic.fixtures import (
-    AllFrames,
-    FrameRef,
-    Stride,
-    Uniform,
-    VideoFixture,
-    sample_frames,
-    windows,
-)
+from clipcritic.fixtures import FrameRef, VideoFixture, sample_frames, windows
 from clipcritic.modelclient import FRAME_BUDGET, CallableModel, FramesPart, budget_frames
-from clipcritic.tools import ToolConfig, ToolSuite
+from clipcritic.tools import ToolSuite
 
 FPS = (0.3, 0.5, 1.0, 2.0, 3.0, 29.97)
 
 
-def implicit_frames(video: VideoRef) -> list[FrameRef]:
-    count = int(round(video.duration * video.fps))
-    return [FrameRef(index=i, t=i / video.fps) for i in range(count)]
-
-
 @st.composite
 def sources(draw):
-    """A source and its frames: a VideoRef, a dense fixture or a sparse one."""
+    """A source and its frames: a dense fixture or a sparse one."""
     duration = draw(st.integers(1, 600))
     fps = draw(st.sampled_from(FPS))
-    kind = draw(st.sampled_from(("ref", "dense", "sparse", "sparse_float")))
-    if kind == "ref":
-        video = VideoRef(VideoSource.FIXTURE_PATH, "v.json", duration, fps)
-        return video, implicit_frames(video)
+    kind = draw(st.sampled_from(("dense", "sparse", "sparse_float")))
     if kind == "dense":
         times = [i / fps for i in range(int(duration * fps) + 1) if i / fps <= duration]
     else:
@@ -53,14 +37,10 @@ def segments(draw, duration):
     return VideoSegment(min(a, b), max(a, b))
 
 
-POLICIES = st.one_of(
-    st.builds(Uniform, st.sampled_from((1, 2, 3, 8, 64, 200))),
-    st.just(AllFrames()),
-    st.builds(Stride, st.integers(1, 5)),
-)
+COUNTS = st.sampled_from((1, 2, 3, 8, 64, 200))
 
 
-def reference_sample(frames, segment, policy):
+def reference_sample(frames, segment, k):
     """Frame sampling by a linear scan and min() over every frame."""
 
     def nearest(refs, target):
@@ -69,11 +49,6 @@ def reference_sample(frames, segment, policy):
     candidates = [r for r in frames if segment.start <= r.t <= segment.end]
     if not candidates:
         return [nearest(frames, segment.start)] if frames else []
-    if isinstance(policy, AllFrames):
-        return candidates
-    if isinstance(policy, Stride):
-        return candidates[:: policy.s]
-    k = policy.k
     if segment.duration == 0 or k == 1:
         return [nearest(candidates, segment.start)]
     picked = []
@@ -86,13 +61,11 @@ def reference_sample(frames, segment, policy):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), source=sources(), policy=POLICIES)
-def test_sample_frames_matches_linear_scan(data, source, policy):
+@given(data=st.data(), source=sources(), k=COUNTS)
+def test_sample_frames_matches_linear_scan(data, source, k):
     video, frames = source
     segment = data.draw(segments(video.duration))
-    assert sample_frames(video, segment, policy) == reference_sample(
-        frames, segment, policy
-    )
+    assert sample_frames(video, segment, k) == reference_sample(frames, segment, k)
 
 
 @settings(max_examples=200, deadline=None)
@@ -109,13 +82,8 @@ def test_default_stride_windows_partition_segment_frames(data, source, size):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    data=st.data(),
-    source=sources(),
-    stride=st.one_of(st.none(), st.integers(16, 128)),
-    retrieve_all=st.booleans(),
-)
-def test_model_tool_requests_stay_within_frame_budget(data, source, stride, retrieve_all):
+@given(data=st.data(), source=sources(), retrieve_all=st.booleans())
+def test_model_tool_requests_stay_within_frame_budget(data, source, retrieve_all):
     video, _ = source
     segment = data.draw(segments(video.duration))
     used = []
@@ -132,10 +100,7 @@ def test_model_tool_requests_stay_within_frame_budget(data, source, stride, retr
         VideoRef(VideoSource.FIXTURE_PATH, "v.json", video.duration, video.fps),
         ("a", "b"), False,
     )
-    suite = ToolSuite(
-        task, video, backend="model", model=CallableModel(respond),
-        config=ToolConfig(window_stride=stride),
-    )
+    suite = ToolSuite(task, video, backend="model", model=CallableModel(respond))
     suite.find_when("the door", segment)
     suite.retrieval_qa("What is shown?", ["a", "b"], segment)
     assert all(n <= FRAME_BUDGET for n in used)

@@ -21,7 +21,6 @@ from clipcritic.tools import (
     NOT_VISIBLE_SENTENCE,
     STOPWORDS,
     TagContext,
-    ToolConfig,
     ToolSuite,
     build_registry,
     content_tokens,
@@ -288,20 +287,3 @@ def test_build_registry_exposes_all_tools():
 def test_tag_context_builds_hierarchical_tags():
     tags = TagContext("t1/A")
     assert tags.tag("find_when/window/0") == "t1/A/find_when/window/0"
-
-
-def test_config_overrides_window_sizes():
-    fixture = plain_fixture(300)
-    log = []
-
-    def respond(req):
-        log.append(req)
-        return NO_RANGES_SENTENCE
-
-    config = ToolConfig(find_when_window=50)
-    suite = ToolSuite(
-        make_task(300), fixture, backend="model", model=CallableModel(respond),
-        config=config, tags=TagContext("t1/A"),
-    )
-    suite.find_when("q")
-    assert len(log) == 6
