@@ -472,7 +472,7 @@ def ablate_fixed_subsets(
         )
     best = max(per_subset, key=lambda s: s["score"])
     return {
-        "config": config.snapshot(),
+        "config": sweep_config.snapshot(),
         "metric": metric,
         "subsets": per_subset,
         "max": {"label": best["label"], "modules": best["modules"], "score": best["score"]},

@@ -14,7 +14,7 @@ import math
 import os
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Sequence
 
@@ -32,7 +32,7 @@ class FixtureError(ValueError):
     """A fixture file that violates the schema, with a field-level message."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameRef:
     """One addressable frame: ordinal within the video, time, and payload."""
 
@@ -40,6 +40,17 @@ class FrameRef:
     t: float
     caption: str | None = None
     path: str | None = None
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def key(self) -> str:
+        """The frame's id in request fingerprints: its path, or `index@t`
+        without one. Memoised on first read; racing threads store the same."""
+        key = self._key
+        if key is None:
+            key = self.path or f"{self.index}@{self.t:g}"
+            object.__setattr__(self, "_key", key)
+        return key
 
     def label(self) -> str:
         return format_timestamp(int(round(self.t)))
@@ -112,7 +123,6 @@ FrameSource = VideoFixture | FramesDirectory
 
 @dataclass(frozen=True)
 class FrameWindow:
-    indices: tuple[int, ...]
     refs: tuple[FrameRef, ...]
     segment: VideoSegment
 
@@ -391,8 +401,7 @@ def windows(video: FrameSource, segment: VideoSegment, size: int) -> list[FrameW
         chunk = frames[i : min(i + size, hi)]
         out.append(
             FrameWindow(
-                indices=tuple(r.index for r in chunk),
-                refs=tuple(chunk),
+                refs=chunk,
                 segment=VideoSegment(
                     int(math.floor(chunk[0].t)), int(math.ceil(chunk[-1].t))
                 ),

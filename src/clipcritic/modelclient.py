@@ -85,12 +85,6 @@ def budget_frames(parts) -> int:
     return total
 
 
-def _frame_id(ref: FrameRef) -> str:
-    if ref.path:
-        return ref.path
-    return f"{ref.index}@{ref.t:g}"
-
-
 def fingerprint(req: ModelRequest) -> str:
     """Stable digest of a request's content; the tag is bookkeeping only."""
     normalized = []
@@ -98,7 +92,7 @@ def fingerprint(req: ModelRequest) -> str:
         if isinstance(part, TextPart):
             normalized.append({"text": part.text})
         else:
-            normalized.append({"frames": [_frame_id(r) for r in part.frames]})
+            normalized.append({"frames": [r.key for r in part.frames]})
     payload = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

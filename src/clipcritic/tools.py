@@ -242,7 +242,7 @@ class ToolSuite:
         for window, response in zip(grid, responses):
             for ref in window.refs:
                 ref_by_index[ref.index] = ref
-            allowed = set(window.indices)
+            allowed = {ref.index for ref in window.refs}
             for line in response.split("\n"):
                 line = line.strip()
                 if re.fullmatch(r"\d+", line):

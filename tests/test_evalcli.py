@@ -358,6 +358,14 @@ def test_ablate_enumerates_temporal_pool(tmp_path, temporal_items):
     assert all(report["max"]["score"] >= s["score"] for s in report["subsets"])
 
 
+def test_ablate_report_names_the_mode_it_ran(tmp_path, temporal_items):
+    cfg = RunConfig(traces_dir=str(tmp_path / "traces"))
+    assert cfg.mode == "agent_critic"
+    report = ablate_fixed_subsets(temporal_items, cfg, oracle_suite.scripted_model())
+    # every subset runs in agent mode; the rest of the caller's config stands
+    assert report["config"] == {**cfg.snapshot(), "mode": "agent"}
+
+
 def test_ablate_unknown_profile(tmp_path, temporal_items):
     cfg = config("agent", tmp_path, profile="mystery")
     with pytest.raises(DataError, match="unknown profile"):

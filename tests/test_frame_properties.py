@@ -78,7 +78,6 @@ def test_default_stride_windows_partition_segment_frames(data, source, size):
     assert [r for w in grid for r in w.refs] == inside
     assert all(len(w.refs) == size for w in grid[:-1])
     assert all(1 <= len(w.refs) <= size for w in grid)
-    assert all(w.indices == tuple(r.index for r in w.refs) for w in grid)
 
 
 @settings(max_examples=60, deadline=None)

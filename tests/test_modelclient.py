@@ -1,5 +1,7 @@
 """Model abstraction: scripting, budgets, fingerprints, cassettes, retries."""
 
+import dataclasses
+import hashlib
 import json
 import sys
 import threading
@@ -7,6 +9,8 @@ import time
 import urllib.error
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clipcritic.fixtures import FrameRef
 from clipcritic.modelclient import (
@@ -93,6 +97,114 @@ def test_fingerprint_ignores_tag_and_tuning():
     assert fingerprint(base) == fingerprint(
         ModelRequest(parts=(TextPart("q"), frames(3)))
     )
+
+
+def test_fingerprint_pins_frames_without_a_path():
+    # recorded cassettes are keyed by these bytes; frames without a path
+    # (and with an empty one) are named `index@t` in `:g` format
+    req = ModelRequest(
+        parts=(
+            TextPart('café "q"\n'),
+            FramesPart(
+                (
+                    FrameRef(0, 0.0),
+                    FrameRef(1, 0.5),
+                    FrameRef(3, 1e-05),
+                    FrameRef(7, 12345678.0),
+                    FrameRef(8, 9.0, path=""),
+                )
+            ),
+        )
+    )
+    assert fingerprint(req) == "4b47c4f55e85eca1a90594f6cf6b6fe8772ea313a4cff684aecf0d83c48b476b"
+
+
+def reference_frame_id(ref):
+    return ref.path if ref.path else f"{ref.index}@{ref.t:g}"
+
+
+def reference_fingerprint(req):
+    """Fingerprint as computed before frames memoised their keys."""
+    normalized = []
+    for part in req.parts:
+        if isinstance(part, TextPart):
+            normalized.append({"text": part.text})
+        else:
+            normalized.append({"frames": [reference_frame_id(r) for r in part.frames]})
+    payload = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+FRAME_FIELDS = st.tuples(
+    st.integers(-5, 10**9),
+    st.floats(allow_nan=False),
+    st.none() | st.text(max_size=8),
+    st.none() | st.just("") | st.text(max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    layout=st.lists(st.none() | st.text(max_size=20), min_size=1, max_size=5),
+)
+def test_fingerprint_matches_reference(data, layout):
+    parts, refs = [], []
+    for text in layout:  # None stands for a frames part
+        if text is not None:
+            parts.append(TextPart(text))
+            continue
+        fields = data.draw(st.lists(FRAME_FIELDS, min_size=1, max_size=6))
+        part = tuple(FrameRef(i, t, caption=c, path=p) for i, t, c, p in fields)
+        parts.append(FramesPart(part))
+        refs.extend(part)
+    read = data.draw(st.lists(st.booleans(), min_size=len(refs), max_size=len(refs)))
+    for ref, was_read in zip(refs, read):
+        if was_read:
+            assert ref.key == reference_frame_id(ref)
+    req = ModelRequest(parts=tuple(parts))
+    assert fingerprint(req) == reference_fingerprint(req)
+    # again, now that every key is memoised
+    assert fingerprint(req) == reference_fingerprint(req)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields=FRAME_FIELDS, new_path=st.none() | st.text(max_size=12))
+def test_frame_key_memo_is_invisible(fields, new_path):
+    index, t, caption, path = fields
+    read, unread = (FrameRef(index, t, caption=caption, path=path) for _ in range(2))
+    assert read.key == reference_frame_id(read)
+    assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+    moved = dataclasses.replace(read, path=new_path)
+    assert moved.key == reference_frame_id(moved)
+    assert moved == FrameRef(index, t, caption=caption, path=new_path)
+
+
+def test_frame_keys_race_to_the_same_fingerprint():
+    """Eight threads fingerprint one request whose frame keys are unread."""
+    refs = tuple(FrameRef(i, i / 3, path=f"f{i}.jpg" if i % 2 else None) for i in range(500))
+    req = ModelRequest(parts=(TextPart("q"), FramesPart(refs)))
+    expected = reference_fingerprint(req)
+    digests = []
+    barrier = threading.Barrier(8, timeout=30)
+
+    def run():
+        barrier.wait()
+        digests.append(fingerprint(req))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert digests == [expected] * 8
+    assert [r.key for r in refs] == [reference_frame_id(r) for r in refs]
 
 
 def test_episode_key_takes_first_two_components():
