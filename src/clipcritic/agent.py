@@ -65,7 +65,6 @@ class Trace:
     final: FinalAnswer
     raw_final: str
     stop_reason: StopReason
-    step_budget: int
 
     def to_dict(self) -> dict:
         return {
@@ -192,9 +191,9 @@ class _Transcript:
         self.prompt += f"{reply}\n\n"
         return reply, StopReason.FORCED_ANSWER
 
-    def trace(self, raw: str, stop: StopReason, budget: int) -> Trace:
+    def trace(self, raw: str, stop: StopReason) -> Trace:
         final = parse_final_answer(raw, self.task.kind)
-        return Trace(self.task, self.subset, self.steps, final, raw, stop, budget)
+        return Trace(self.task, self.subset, self.steps, final, raw, stop)
 
 
 def run_episode(
@@ -209,7 +208,7 @@ def run_episode(
         raise ValueError("run_episode needs a non-direct subset; use run_direct")
     transcript = _Transcript(task, subset, model, registry, "agent_preamble.txt")
     try:
-        return transcript.trace(*transcript.take_turns(step_budget), step_budget)
+        return transcript.trace(*transcript.take_turns(step_budget))
     except ModelTransportError as exc:
         message = f"error: model transport failed: {exc}"
         transcript.steps.append(Step(program="", result=message, terminal=True))
@@ -220,7 +219,6 @@ def run_episode(
             Unparsed(message),
             message,
             StopReason.FINISHED,
-            step_budget,
         )
 
 
@@ -253,7 +251,7 @@ def run_direct(
     text = response if isinstance(response, str) else str(response)
     final = parse_final_answer(text, task.kind)
     steps = [Step(program="", result=text, terminal=True)]
-    return Trace(task, subset, steps, final, text, StopReason.FINISHED, 1)
+    return Trace(task, subset, steps, final, text, StopReason.FINISHED)
 
 
 def run_single_program(
@@ -264,7 +262,7 @@ def run_single_program(
 ) -> Trace:
     """One model call, one program, no feedback loop."""
     transcript = _Transcript(task, subset, model, registry, "single_program.txt")
-    return transcript.trace(*transcript.take_turns(1, force=False), 1)
+    return transcript.trace(*transcript.take_turns(1, force=False))
 
 
 def run_self_eval(
@@ -296,7 +294,7 @@ def run_self_eval(
         if confidence >= 3 or round_no == max_rounds:
             break
         transcript.prompt += retry_template.format(confidence=confidence) + "\n\n"
-    return transcript.trace(raw, stop, step_budget * max_rounds)
+    return transcript.trace(raw, stop)
 
 
 # A confidence digit standing alone, not an end of a range such as "1-3".

@@ -93,9 +93,6 @@ class VideoRef:
         if self.fps <= 0:
             raise ValueError("fps must be positive")
 
-    def full_segment(self) -> VideoSegment:
-        return VideoSegment(0, self.duration)
-
 
 @dataclass(frozen=True)
 class TaskQuery:

@@ -8,12 +8,14 @@ selected answer is always the final answer of one presented trace.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import logging
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 from .agent import Trace, render_step, run_direct, run_episode, task_statement
 from .core import FinalAnswer, TaskQuery, Unparsed, answer_key, answers_equal
@@ -59,13 +61,19 @@ class Selection:
     conflict: bool = False
 
 
-def load_examples(profile: Profile | str) -> list[CriticExample]:
+def load_examples(profile: Profile | str) -> tuple[CriticExample, ...]:
     """Default in-context examples for a profile, from the packaged files."""
     if isinstance(profile, str) and profile in PROFILES:
         profile = PROFILES[profile]
     resource = profile.examples_resource if isinstance(profile, Profile) else profile
+    return _packaged_examples(resource)
+
+
+@functools.cache
+def _packaged_examples(resource: str) -> tuple[CriticExample, ...]:
+    """Each packaged file is read and parsed once per process."""
     ref = importlib.resources.files("clipcritic") / "critic_examples" / resource
-    return parse_examples_json(ref.read_text(encoding="utf-8"), resource)
+    return tuple(parse_examples_json(ref.read_text(encoding="utf-8"), resource))
 
 
 def load_examples_file(path: str) -> list[CriticExample]:
@@ -141,7 +149,7 @@ def render_trace_block(trace: Trace) -> str:
 def build_critique_prompt(
     task: TaskQuery,
     traces: list[Trace],
-    examples: list[CriticExample],
+    examples: Sequence[CriticExample],
 ) -> ModelRequest:
     """Preamble, in-context examples, then the live task ending "Critique:"."""
     if len(traces) < 2:
@@ -247,7 +255,7 @@ def run_critic(
     task: TaskQuery,
     traces: list[Trace],
     model: ModelClient,
-    examples: list[CriticExample],
+    examples: Sequence[CriticExample],
 ) -> tuple[CriticVerdict, Selection, str]:
     request = build_critique_prompt(task, traces, examples)
     response = model.complete(request)
@@ -262,7 +270,7 @@ def run_agent_critic(
     model: ModelClient,
     registry_factory,
     profile: Profile,
-    examples: list[CriticExample] | None = None,
+    examples: Sequence[CriticExample] | None = None,
     step_budget: int = 10,
 ) -> tuple[Selection, list[Trace], CriticVerdict]:
     if examples is None:

@@ -39,7 +39,7 @@ from .core import (
     parse_timestamp,
 )
 from .critic import load_examples, load_examples_file, run_agent_critic
-from .fixtures import FixtureError, FrameSource, video_ref_for
+from .fixtures import FixtureError, VideoFixture, video_ref_for
 from .modelclient import (
     Cassette,
     CassetteClient,
@@ -74,7 +74,7 @@ class ReplayDivergence(Exception):
 class DatasetItem:
     task: TaskQuery
     truth: FinalAnswer
-    source: FrameSource
+    source: VideoFixture
 
 
 # RunConfig fields that say where things live, not how the run behaves

@@ -1,10 +1,12 @@
-"""Synthetic annotated videos and frame access for tools and tests.
+"""Videos as frame tables, their loaders, and frame access for tools.
 
-A fixture is a JSON description of a video: captioned frames, labeled
-events, an optional transcript, and question-answering facts. Tools backed
-by fixtures behave deterministically, which makes the whole pipeline
-testable without pixels or models. A frames directory plus sidecar
-metadata serves the same role for live runs.
+Every video is a `VideoFixture`: its duration, fps, and a frame table
+whose times strictly increase within the video. A fixture file is a JSON
+description of a video: captioned frames, labeled events, an optional
+transcript, and question-answering facts, so oracle tools answer from it
+deterministically and the whole pipeline runs without pixels or models. A
+frames directory (image files plus a sidecar metadata.json) loads as a
+`VideoFixture` with no annotations, for model-backed tools on live runs.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ import json
 import math
 import os
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Sequence
 
 from .core import (
-    TimestampError,
     VideoRef,
     VideoSegment,
     VideoSource,
@@ -76,21 +78,11 @@ class QaFact:
     answer: str
 
 
-def _check_frame_table(frames: Sequence[FrameRef], duration: int) -> None:
-    """Frame access bisects on `t`, so times must strictly increase; and
-    the frames outside a segment are two slices of the table, so every
-    frame must lie within the video."""
-    prev_t = -math.inf
-    for i, ref in enumerate(frames):
-        if ref.t <= prev_t:
-            raise FixtureError(f"frames[{i}]: frame times must be strictly increasing")
-        if not 0 <= ref.t <= duration:
-            raise FixtureError(f"frames[{i}]: t {ref.t:g} outside the video [0, {duration}]")
-        prev_t = ref.t
-
-
 @dataclass(frozen=True)
 class VideoFixture:
+    """A video's frame table, and the annotations oracle tools answer from
+    (none for a frames directory)."""
+
     duration: int
     fps: float
     frames: tuple[FrameRef, ...]
@@ -99,26 +91,18 @@ class VideoFixture:
     qa_facts: tuple[QaFact, ...] = ()
 
     def __post_init__(self):
-        _check_frame_table(self.frames, self.duration)
-
-    def full_segment(self) -> VideoSegment:
-        return VideoSegment(0, self.duration)
-
-
-@dataclass(frozen=True)
-class FramesDirectory:
-    duration: int
-    fps: float
-    frames: tuple[FrameRef, ...]
-
-    def __post_init__(self):
-        _check_frame_table(self.frames, self.duration)
-
-    def full_segment(self) -> VideoSegment:
-        return VideoSegment(0, self.duration)
-
-
-FrameSource = VideoFixture | FramesDirectory
+        # Frame access bisects on `t`, so times must strictly increase; and
+        # the frames outside a segment are two slices of the table, so every
+        # frame must lie within the video.
+        prev_t = -math.inf
+        for i, ref in enumerate(self.frames):
+            if ref.t <= prev_t:
+                raise FixtureError(f"frames[{i}]: frame times must be strictly increasing")
+            if not 0 <= ref.t <= self.duration:
+                raise FixtureError(
+                    f"frames[{i}]: t {ref.t:g} outside the video [0, {self.duration}]"
+                )
+            prev_t = ref.t
 
 
 @dataclass(frozen=True)
@@ -135,7 +119,7 @@ def _parse_time_field(value, where: str) -> int:
         raise FixtureError(f"{where}: expected an MM:SS string, got {value!r}")
     try:
         return parse_timestamp(value)
-    except TimestampError as exc:
+    except ValueError as exc:  # a TimestampError, or too many digits for int()
         raise FixtureError(f"{where}: {exc}") from exc
 
 
@@ -152,48 +136,60 @@ def _segment_field(obj: dict, where: str, duration: int) -> VideoSegment:
     return VideoSegment(start, end)
 
 
-def load_fixture(path: str) -> VideoFixture:
-    """Load and validate a fixture file; diagnostics name the bad field."""
-    if not os.path.exists(path):
-        raise FixtureError(f"fixture file not found: {path}")
+def _read_header(path: str) -> tuple[dict, int, float]:
+    """A JSON object file and its video's duration and fps (default 1)."""
+    if not os.path.isfile(path):
+        raise FixtureError(f"file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise FixtureError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FixtureError(f"{path}: top level must be an object")
     if "duration" not in data:
         raise FixtureError(f"{path}: missing required key 'duration'")
     duration = _parse_time_field(data["duration"], f"{path}: duration")
-    if duration <= 0:
-        raise FixtureError(f"{path}: duration must be positive")
+    # frame times are floats, so the video must end within float range
+    if not 0 < duration <= sys.float_info.max:
+        raise FixtureError(f"{path}: duration must be positive and fit a float")
     fps = data.get("fps", 1)
-    if not isinstance(fps, (int, float)) or fps <= 0:
+    # NaN fails both comparisons; infinity and ints past float range fail the second
+    if (
+        isinstance(fps, bool)
+        or not isinstance(fps, (int, float))
+        or not 0 < fps <= sys.float_info.max
+    ):
         raise FixtureError(f"{path}: fps must be a positive number")
+    return data, duration, float(fps)
 
-    frames = []
-    prev_t = -1
-    for i, entry in enumerate(data.get("frames", [])):
-        where = f"{path}: frames[{i}]"
+
+def _objects(data: dict, key: str, path: str):
+    """(where, entry) for each entry of the optional object list `data[key]`."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise FixtureError(f"{path}: {key}: expected a list")
+    for i, entry in enumerate(entries):
+        where = f"{path}: {key}[{i}]"
         if not isinstance(entry, dict):
             raise FixtureError(f"{where}: expected an object")
+        yield where, entry
+
+
+def load_fixture(path: str) -> VideoFixture:
+    """Load and validate a fixture file; diagnostics name the bad field."""
+    data, duration, fps = _read_header(path)
+
+    frames = []
+    for i, (where, entry) in enumerate(_objects(data, "frames", path)):
         t = _parse_time_field(entry.get("t"), f"{where}.t")
-        if t <= prev_t:
-            raise FixtureError(f"{where}: frame times must be strictly increasing")
-        if t > duration:
-            raise FixtureError(f"{where}: t beyond video duration")
         caption = entry.get("caption", "")
         if not isinstance(caption, str):
             raise FixtureError(f"{where}.caption: expected a string")
         frames.append(FrameRef(index=i, t=float(t), caption=caption))
-        prev_t = t
 
     events = []
-    for i, entry in enumerate(data.get("events", [])):
-        where = f"{path}: events[{i}]"
-        if not isinstance(entry, dict):
-            raise FixtureError(f"{where}: expected an object")
+    for where, entry in _objects(data, "events", path):
         segment = _segment_field(entry, where, duration)
         label = entry.get("label")
         if not isinstance(label, str) or not label:
@@ -205,10 +201,7 @@ def load_fixture(path: str) -> VideoFixture:
 
     asr = []
     prev_t = -1
-    for i, entry in enumerate(data.get("asr", [])):
-        where = f"{path}: asr[{i}]"
-        if not isinstance(entry, dict):
-            raise FixtureError(f"{where}: expected an object")
+    for where, entry in _objects(data, "asr", path):
         t = _parse_time_field(entry.get("t"), f"{where}.t")
         if t > duration:
             raise FixtureError(f"{where}: t beyond video duration")
@@ -221,10 +214,7 @@ def load_fixture(path: str) -> VideoFixture:
         prev_t = t
 
     qa_facts = []
-    for i, entry in enumerate(data.get("qa_facts", [])):
-        where = f"{path}: qa_facts[{i}]"
-        if not isinstance(entry, dict):
-            raise FixtureError(f"{where}: expected an object")
+    for where, entry in _objects(data, "qa_facts", path):
         evidence = _segment_field(entry, where, duration)
         keywords = entry.get("keywords")
         if (
@@ -238,38 +228,29 @@ def load_fixture(path: str) -> VideoFixture:
             raise FixtureError(f"{where}.answer: expected a nonempty string")
         qa_facts.append(QaFact(evidence, tuple(keywords), answer))
 
-    return VideoFixture(
-        duration=duration,
-        fps=float(fps),
-        frames=tuple(frames),
-        events=tuple(events),
-        asr=tuple(asr),
-        qa_facts=tuple(qa_facts),
-    )
+    try:
+        return VideoFixture(
+            duration=duration,
+            fps=fps,
+            frames=tuple(frames),
+            events=tuple(events),
+            asr=tuple(asr),
+            qa_facts=tuple(qa_facts),
+        )
+    except FixtureError as exc:
+        raise FixtureError(f"{path}: {exc}") from exc
 
 
-def load_frames_directory(path: str) -> FramesDirectory:
+def load_frames_directory(path: str) -> VideoFixture:
     """Directory of image files named by integer index, plus metadata.json.
 
     A file `<index>.<ext>` holds the frame at t = index / fps; zero padding
     is allowed, but two files may not share an index and no frame may lie
-    past the duration.
+    past the duration. The video carries no annotations.
     """
     if not os.path.isdir(path):
         raise FixtureError(f"frames directory not found: {path}")
-    meta_path = os.path.join(path, "metadata.json")
-    if not os.path.exists(meta_path):
-        raise FixtureError(f"{path}: missing sidecar metadata.json")
-    with open(meta_path, encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FixtureError(f"{meta_path}: invalid JSON: {exc}") from exc
-    duration = _parse_time_field(meta.get("duration"), f"{meta_path}: duration")
-    fps = meta.get("fps", 1)
-    if not isinstance(fps, (int, float)) or fps <= 0:
-        raise FixtureError(f"{meta_path}: fps must be a positive number")
-    fps = float(fps)
+    _, duration, fps = _read_header(os.path.join(path, "metadata.json"))
     name_by_index: dict[int, str] = {}
     for name in sorted(os.listdir(path)):
         stem = os.path.splitext(name)[0]
@@ -289,7 +270,7 @@ def load_frames_directory(path: str) -> FramesDirectory:
         name_by_index[index] = name
     if not name_by_index:
         raise FixtureError(f"{path}: no frame image files")
-    return FramesDirectory(
+    return VideoFixture(
         duration=duration,
         fps=fps,
         frames=tuple(
@@ -299,25 +280,13 @@ def load_frames_directory(path: str) -> FramesDirectory:
     )
 
 
-def video_ref_for(path: str) -> tuple[VideoRef, FrameSource]:
-    """Build a VideoRef (and its loaded frame source) from a dataset path."""
+def video_ref_for(path: str) -> tuple[VideoRef, VideoFixture]:
+    """Build a VideoRef (and its loaded video) from a dataset path."""
     if os.path.isdir(path):
-        source = load_frames_directory(path)
-        ref = VideoRef(
-            source=VideoSource.FRAMES_DIRECTORY,
-            path=path,
-            duration=source.duration,
-            fps=source.fps,
-        )
-        return ref, source
-    fixture = load_fixture(path)
-    ref = VideoRef(
-        source=VideoSource.FIXTURE_PATH,
-        path=path,
-        duration=fixture.duration,
-        fps=fixture.fps,
-    )
-    return ref, fixture
+        source, video = VideoSource.FRAMES_DIRECTORY, load_frames_directory(path)
+    else:
+        source, video = VideoSource.FIXTURE_PATH, load_fixture(path)
+    return VideoRef(source, path, video.duration, video.fps), video
 
 
 # --- frame access ---
@@ -334,7 +303,7 @@ def _bounds(frames: Sequence[FrameRef], segment: VideoSegment) -> tuple[int, int
     )
 
 
-def frames_outside(video: FrameSource, segment: VideoSegment) -> list[FrameRef]:
+def frames_outside(video: VideoFixture, segment: VideoSegment) -> list[FrameRef]:
     """The source's frames before and after the segment, in time order."""
     frames = video.frames
     lo, hi = _bounds(frames, segment)
@@ -357,7 +326,7 @@ def _nearest(refs: Sequence[FrameRef], target: float) -> FrameRef:
     return refs[i]
 
 
-def sample_frames(video: FrameSource, segment: VideoSegment, k: int) -> list[FrameRef]:
+def sample_frames(video: VideoFixture, segment: VideoSegment, k: int) -> list[FrameRef]:
     """Up to k frames spread uniformly over a segment, in time order.
 
     Spaces k target times evenly across the segment (endpoints included
@@ -386,7 +355,7 @@ def sample_frames(video: FrameSource, segment: VideoSegment, k: int) -> list[Fra
     return picked
 
 
-def windows(video: FrameSource, segment: VideoSegment, size: int) -> list[FrameWindow]:
+def windows(video: VideoFixture, segment: VideoSegment, size: int) -> list[FrameWindow]:
     """Partition the segment's frames into consecutive windows of `size`.
 
     Every frame in the segment lands in exactly one window, in time order:

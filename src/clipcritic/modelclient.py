@@ -214,7 +214,7 @@ class Cassette:
 
     path: str
     mode: CassetteMode
-    entries: list[dict] = field(default_factory=list)
+    entries: list[dict] = field(default_factory=list)  # replayed; a recording stays empty
 
     @classmethod
     def open(cls, path: str, mode: CassetteMode) -> "Cassette":
@@ -290,11 +290,11 @@ class CassetteClient(ModelClient):
         ]
         if not entries:
             return
+        # the file only: nothing reads a recording's entries back, and a long
+        # recording would hold every response in memory
         lines = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries)
-        with self._lock:
-            self.cassette.entries.extend(entries)
-            with open(self.cassette.path, "a", encoding="utf-8") as fh:
-                fh.write(lines)
+        with self._lock, open(self.cassette.path, "a", encoding="utf-8") as fh:
+            fh.write(lines)
 
     def _complete(self, req: ModelRequest) -> str:
         if self.cassette.mode is CassetteMode.RECORD:

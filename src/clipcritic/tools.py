@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from .core import (
     TaskQuery,
     VideoSegment,
+    VideoSource,
     format_timestamp,
     parse_timestamp,
 )
 from .fixtures import (
     FrameRef,
-    FrameSource,
     VideoFixture,
     frames_outside,
     sample_frames,
@@ -113,14 +113,14 @@ class ToolSuite:
     def __init__(
         self,
         task: TaskQuery,
-        video: FrameSource,
+        video: VideoFixture,
         backend: str = "oracle",
         model: ModelClient | None = None,
         tags: TagContext | None = None,
     ):
         if backend not in BACKENDS:
             raise ValueError(f"unknown tool backend '{backend}'")
-        if backend == "oracle" and not isinstance(video, VideoFixture):
+        if backend == "oracle" and task.video.source is not VideoSource.FIXTURE_PATH:
             raise ValueError("oracle backends need a fixture video")
         if backend == "model" and model is None:
             raise ValueError("model backends need a model client")
@@ -298,7 +298,7 @@ class ToolSuite:
         return self._asr_model(question, answer_options)
 
     def _asr_oracle(self, question: str) -> str:
-        lines = getattr(self.video, "asr", ())
+        lines = self.video.asr
         if not lines:
             return NO_SPEECH_SENTENCE
         lowered = question.lower()
@@ -318,7 +318,7 @@ class ToolSuite:
         return NO_RELEVANT_SPEECH_SENTENCE
 
     def _asr_model(self, question, answer_options) -> str:
-        lines = getattr(self.video, "asr", ())
+        lines = self.video.asr
         if not lines:
             return NO_SPEECH_SENTENCE
         rendered = [f"[{format_timestamp(line.t)}] {line.text}" for line in lines]
@@ -373,7 +373,7 @@ class ToolSuite:
 
 def build_registry(
     task: TaskQuery,
-    video: FrameSource,
+    video: VideoFixture,
     backend: str = "oracle",
     model: ModelClient | None = None,
     tags: TagContext | None = None,

@@ -21,6 +21,7 @@ from clipcritic.critic import (
     build_critique_prompt,
     elide_middle,
     load_examples,
+    load_examples_file,
     parse_examples_json,
     parse_verdict,
     render_trace_block,
@@ -62,7 +63,6 @@ def fake_trace(label, final, modules=("retrieval_qa",), direct=False):
         final=final,
         raw_final=raw,
         stop_reason=StopReason.FINISHED,
-        step_budget=10,
     )
 
 
@@ -170,6 +170,19 @@ def test_load_examples_per_profile():
         for example in examples:
             assert example.input_block.endswith("\n")
             assert example.winners
+
+
+def test_packaged_examples_are_parsed_once(tmp_path):
+    examples = load_examples("visual_mcq")
+    assert isinstance(examples, tuple)
+    assert load_examples(PROFILES["visual_mcq"]) is examples
+    # a configured examples file is read afresh on every call
+    path = tmp_path / "examples.json"
+    block = {"input_block": "Strategy A (x):\nsteps\n", "critique": "c"}
+    path.write_text(json.dumps([{**block, "winners": ["A"]}]))
+    assert load_examples_file(str(path))[0].critique == "c"
+    path.write_text(json.dumps([{**block, "critique": "d", "winners": ["A"]}]))
+    assert load_examples_file(str(path))[0].critique == "d"
 
 
 def test_parse_examples_json_validates_labels():

@@ -683,6 +683,32 @@ def test_cli_data_errors_exit_2(tmp_path, suite_paths, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "video, files, fragment",
+    [
+        (
+            "clip.json",
+            {"clip.json": {"duration": "01:00", "frames": 5}},
+            "clip.json: frames: expected a list",
+        ),
+        (
+            "frames",
+            {"frames/0.jpg": "", "frames/metadata.json": [1]},
+            "metadata.json: top level must be an object",
+        ),
+    ],
+)
+def test_cli_malformed_video_exits_2(tmp_path, capsys, video, files, fragment):
+    path = write_rows(tmp_path, [{**GOOD_ROW, "video": video}])
+    (tmp_path / "frames").mkdir()
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    argv = ["--mode", "direct", "--traces-dir", str(tmp_path / "traces"), "eval", path]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and fragment in err
+
+
 def test_cli_replay_tampered_cassette_exits_3(tmp_path, suite_paths, all_items, capsys):
     cfg, cassette_path, report_path = record_baseline(tmp_path, all_items)
     rows = [json.loads(line) for line in open(cassette_path)]

@@ -4,6 +4,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clipcritic.core import VideoSegment, VideoSource
 from clipcritic.fixtures import (
@@ -75,7 +77,7 @@ def test_frame_access_rejects_counts_below_one():
 
 def test_windows_chunking():
     video = clip(2450)
-    chunks = windows(video, video.full_segment(), 100)
+    chunks = windows(video, VideoSegment(0, 2450), 100)
     assert len(chunks) == 25
     assert [len(c.refs) for c in chunks[:-1]] == [100] * 24
     assert len(chunks[-1].refs) == 50
@@ -111,12 +113,19 @@ def test_load_fixture_round_trip(tmp_path):
     assert fixture.asr[0].t == 5
 
 
+PAST_FLOAT = "1" + "0" * 400 + ":00"  # a frame time float() cannot hold
+
+
 @pytest.mark.parametrize(
     "mutate,fragment",
     [
         (lambda d: d.pop("duration"), "missing required key 'duration'"),
         (lambda d: d.update(frames=[{"t": "00:30"}, {"t": "00:10"}]), "frames[1]"),
-        (lambda d: d.update(frames=[{"t": "05:00"}]), "beyond video duration"),
+        (lambda d: d.update(frames=[{"t": "05:00"}]), "frames[0]: t 300 outside the video"),
+        (lambda d: d.update(frames=5), "frames: expected a list"),
+        (lambda d: d.update(frames=None), "frames: expected a list"),
+        (lambda d: d.update(events={"a": 1}), "events: expected a list"),
+        (lambda d: d.update(asr="00:05 hello"), "asr: expected a list"),
         (
             lambda d: d.update(events=[{"start": "00:20", "end": "00:10", "label": "x"}]),
             "events[0]",
@@ -138,6 +147,15 @@ def test_load_fixture_round_trip(tmp_path):
             "keywords",
         ),
         (lambda d: d.update(fps=0), "fps"),
+        (lambda d: d.update(fps=True), "fps must be a positive number"),
+        (lambda d: d.update(fps=float("nan")), "fps must be a positive number"),
+        (lambda d: d.update(fps=float("inf")), "fps must be a positive number"),
+        (lambda d: d.update(fps=10**400), "fps must be a positive number"),
+        (lambda d: d.update(duration="00:00"), "duration must be positive"),
+        (
+            lambda d: d.update(duration=PAST_FLOAT, frames=[{"t": PAST_FLOAT}]),
+            "duration must be positive and fit a float",
+        ),
     ],
 )
 def test_load_fixture_diagnostics(tmp_path, mutate, fragment):
@@ -164,6 +182,8 @@ def test_frames_directory_adapter(tmp_path):
         (frame_dir / f"{i:04d}.jpg").write_bytes(b"\xff\xd8\xff")
     (frame_dir / "metadata.json").write_text(json.dumps({"duration": "00:05", "fps": 1}))
     source = load_frames_directory(str(frame_dir))
+    assert isinstance(source, VideoFixture)
+    assert source.events == source.asr == source.qa_facts == ()
     assert source.duration == 5
     assert len(source.frames) == 5
     assert source.frames[0].path.endswith("0000.jpg")
@@ -225,6 +245,25 @@ def test_frames_directory_requires_metadata(tmp_path):
         load_frames_directory(str(frame_dir))
 
 
+@pytest.mark.parametrize(
+    "meta, fragment",
+    [
+        ([1], "metadata.json: top level must be an object"),
+        ("not json", "metadata.json: invalid JSON"),
+        ({"fps": 1}, "metadata.json: missing required key 'duration'"),
+        ({"duration": "00:00"}, "metadata.json: duration must be positive"),
+        ({"duration": "00:10", "fps": True}, "metadata.json: fps must be a positive number"),
+    ],
+)
+def test_frames_directory_metadata_diagnostics(tmp_path, meta, fragment):
+    path = frames_dir(tmp_path, ["0.jpg"])
+    text = meta if isinstance(meta, str) else json.dumps(meta)
+    (tmp_path / "frames" / "metadata.json").write_text(text)
+    with pytest.raises(FixtureError) as err:
+        load_frames_directory(path)
+    assert fragment in str(err.value)
+
+
 def test_video_ref_for_fixture_file(tmp_path):
     path = write_fixture(tmp_path, FIXTURE_DOC)
     ref, source = video_ref_for(path)
@@ -239,3 +278,55 @@ def test_sampling_is_pure():
     second = sample_frames(video, VideoSegment(0, 40), 4)
     assert first == second
     assert video.frames == clip(40).frames
+
+
+# --- malformed input: a FixtureError or a video, never another exception ---
+
+FIXTURE_KEYS = ("duration", "fps", "frames", "events", "asr", "qa_facts")
+METADATA_KEYS = ("duration", "fps")
+FIELD_NAMES = (
+    "t", "caption", "start", "end", "label", "justification", "text", "keywords", "answer"
+)
+
+# Arbitrary JSON, seasoned with timestamps and the schema's own field
+# names so that draws also reach the checks past the first type test.
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(("00:00", "00:05", "00:30", "01:00", "05:00", "1:00:00", "00:60")),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=4), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+def loads_or_fixture_error(load, path):
+    try:
+        video = load(path)
+    except FixtureError:
+        return
+    assert isinstance(video, VideoFixture)
+
+
+@settings(max_examples=300, deadline=None)
+@given(changes=st.dictionaries(st.sampled_from(FIXTURE_KEYS), json_values, min_size=1))
+def test_load_fixture_never_raises_another_error(tmp_path_factory, changes):
+    path = tmp_path_factory.getbasetemp() / "arbitrary_clip.json"
+    path.write_text(json.dumps({**FIXTURE_DOC, **changes}))
+    loads_or_fixture_error(load_fixture, str(path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    meta=st.dictionaries(st.sampled_from(METADATA_KEYS), json_values) | json_values
+)
+def test_load_frames_directory_never_raises_another_error(tmp_path_factory, meta):
+    frame_dir = tmp_path_factory.getbasetemp() / "arbitrary_frames"
+    frame_dir.mkdir(exist_ok=True)
+    for name in ("0.jpg", "1.jpg", "3.jpg"):
+        (frame_dir / name).write_bytes(b"\xff\xd8\xff")
+    (frame_dir / "metadata.json").write_text(json.dumps(meta))
+    loads_or_fixture_error(load_frames_directory, str(frame_dir))

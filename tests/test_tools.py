@@ -266,13 +266,13 @@ def test_model_backend_requires_client():
 
 
 def test_oracle_backend_requires_fixture():
-    from clipcritic.fixtures import FramesDirectory
-
-    frames_only = FramesDirectory(
+    frames_only = VideoFixture(
         duration=10, fps=1.0, frames=(FrameRef(0, 0.0, path="a.jpg"),)
     )
-    with pytest.raises(ValueError):
-        ToolSuite(make_task(10), frames_only, backend="oracle")
+    video = VideoRef(VideoSource.FRAMES_DIRECTORY, "frames", 10, 1.0)
+    task = TaskQuery("t1", "What is shown?", TaskKind.MULTIPLE_CHOICE, video, ("a", "b"))
+    with pytest.raises(ValueError, match="oracle backends need a fixture video"):
+        ToolSuite(task, frames_only, backend="oracle")
 
 
 def test_build_registry_exposes_all_tools():
