@@ -27,7 +27,7 @@ from .core import (
     parse_final_answer,
 )
 from .dsl import DslExecutionError, extract_code_block, run_source
-from .modelclient import ModelClient, ModelTransportError, text_request
+from .modelclient import ModelClient, text_request
 from .toolkit import StrategySubset, ToolRegistry, load_prompt_text
 
 DEFAULT_STEP_BUDGET = 10
@@ -207,19 +207,7 @@ def run_episode(
     if subset.direct:
         raise ValueError("run_episode needs a non-direct subset; use run_direct")
     transcript = _Transcript(task, subset, model, registry, "agent_preamble.txt")
-    try:
-        return transcript.trace(*transcript.take_turns(step_budget))
-    except ModelTransportError as exc:
-        message = f"error: model transport failed: {exc}"
-        transcript.steps.append(Step(program="", result=message, terminal=True))
-        return Trace(
-            task,
-            subset,
-            transcript.steps,
-            Unparsed(message),
-            message,
-            StopReason.FINISHED,
-        )
+    return transcript.trace(*transcript.take_turns(step_budget))
 
 
 def run_direct(

@@ -16,6 +16,27 @@ from typing import Sequence, Union
 Timestamp = int  # non-negative whole seconds
 
 
+class FatalError(Exception):
+    """A fault that stops the whole run; any other exception fails only the
+    item it met. Each subclass names the exit code and the stderr label the
+    command line reports it with."""
+
+    exit_code: int
+    label: str
+
+
+class UsageError(FatalError):
+    exit_code, label = 1, "usage error"
+
+
+class DataError(FatalError):
+    exit_code, label = 2, "data error"
+
+
+class ReplayDivergence(FatalError):
+    exit_code, label = 3, "replay divergence"
+
+
 class TimestampError(ValueError):
     """Raised for text that does not parse as a timestamp."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .agent import Trace, render_step, run_direct, run_episode, task_statement
-from .core import FinalAnswer, TaskQuery, Unparsed, answer_key, answers_equal
+from .core import DataError, FinalAnswer, TaskQuery, Unparsed, answer_key, answers_equal
 from .modelclient import ModelClient, ModelRequest, TextPart
 from .toolkit import PROFILES, Profile, load_prompt_text
 
@@ -77,8 +77,12 @@ def _packaged_examples(resource: str) -> tuple[CriticExample, ...]:
 
 
 def load_examples_file(path: str) -> list[CriticExample]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_examples_json(fh.read(), path)
+    """A user's examples file; a missing or malformed one is a DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_examples_json(fh.read(), path)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a bad entry
+        raise DataError(f"critic examples: {exc}") from exc
 
 
 def parse_examples_json(text: str, where: str) -> list[CriticExample]:
@@ -90,11 +94,13 @@ def parse_examples_json(text: str, where: str) -> list[CriticExample]:
         raise ValueError(f"{where}: expected a nonempty JSON array")
     examples = []
     for i, entry in enumerate(data):
-        if not isinstance(entry, dict) or "input_block" not in entry:
-            raise ValueError(f"{where}[{i}]: expected an object with input_block")
+        if not isinstance(entry, dict) or not isinstance(entry.get("input_block"), str):
+            raise ValueError(f"{where}[{i}]: expected an object with an input_block string")
         winners = entry.get("winners")
-        if not isinstance(winners, list) or not winners:
-            raise ValueError(f"{where}[{i}]: winners must be a nonempty list")
+        if not isinstance(winners, list) or not winners or not all(
+            isinstance(w, str) for w in winners
+        ):
+            raise ValueError(f"{where}[{i}]: winners must be a nonempty list of labels")
         examples.append(
             CriticExample(
                 input_block=entry["input_block"],

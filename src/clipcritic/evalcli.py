@@ -28,18 +28,22 @@ from .agent import (
 )
 from .core import (
     Choice,
+    DataError,
+    FatalError,
     FinalAnswer,
     Ranges,
+    ReplayDivergence,
     TaskKind,
     TaskQuery,
     TimestampError,
+    UsageError,
     VideoSegment,
     answers_equal,
     interval_union_iou,
     parse_timestamp,
 )
 from .critic import load_examples, load_examples_file, run_agent_critic
-from .fixtures import FixtureError, VideoFixture, video_ref_for
+from .fixtures import VideoFixture, video_ref_for
 from .modelclient import (
     Cassette,
     CassetteClient,
@@ -47,28 +51,9 @@ from .modelclient import (
     ConcurrencyLimitedClient,
     HttpModelClient,
     ModelClient,
-    ReplayMismatchError,
 )
 from .toolkit import PROFILES, StrategySubset, enumerate_module_subsets, profile_for_task
 from .tools import BACKENDS, TagContext, build_registry
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_REPLAY_DIVERGENCE = 3
-
-
-class UsageError(Exception):
-    pass
-
-
-class DataError(Exception):
-    pass
-
-
-class ReplayDivergence(Exception):
-    pass
-
 
 @dataclass(frozen=True)
 class DatasetItem:
@@ -204,6 +189,12 @@ def load_config_file(path: str) -> RunConfig:
             raise DataError(
                 f"{path}: config key '{key}' must be one of {', '.join(allowed)}"
             )
+        if key == "examples_files":
+            for name, file in value.items():
+                if name not in PROFILES or not isinstance(file, str):
+                    raise DataError(
+                        f"{path}: examples_files['{name}'] must map a profile name to a path"
+                    )
         setattr(config, key, value)
     return config
 
@@ -289,7 +280,7 @@ def load_dataset(path: str, profile: str | None = None) -> list[DatasetItem]:
                 video_path = os.path.join(base_dir, video_path)
             try:
                 ref, source = video_ref_for(video_path)
-            except FixtureError as exc:
+            except DataError as exc:
                 raise DataError(f"{where}: {exc}") from exc
             kind = (
                 TaskKind.MULTIPLE_CHOICE if options else TaskKind.TEMPORAL_RANGE
@@ -392,13 +383,14 @@ def evaluate(
     def one(item: DatasetItem) -> tuple[dict, list[Trace]]:
         try:
             return run_item(item, config, model, fixed_subset)
-        except (UsageError, DataError, ReplayMismatchError):
+        except FatalError:
             raise
         except Exception as exc:
             record = {
                 "id": item.task.id,
                 "kind": item.task.kind.value,
                 "error": str(exc),
+                "error_type": type(exc).__name__,
             }
             if item.task.kind is TaskKind.MULTIPLE_CHOICE:
                 record["correct"] = False
@@ -501,10 +493,7 @@ def replay_run(
     """
     model = CassetteClient(Cassette.open(cassette_path, CassetteMode.REPLAY))
     replay_config = RunConfig(**{**config.__dict__, "traces_dir": out_dir})
-    try:
-        report = evaluate(items, replay_config, model)
-    except ReplayMismatchError as exc:
-        raise ReplayDivergence(str(exc)) from exc
+    report = evaluate(items, replay_config, model)
     with open(baseline_report_path, "rb") as fh:
         baseline_report = json.loads(fh.read().decode("utf-8"))
     if _normalized_report_bytes(report) != _normalized_report_bytes(baseline_report):
@@ -565,8 +554,6 @@ def build_model(config: RunConfig) -> ModelClient:
                 raise UsageError("record mode needs a configured transport")
             return CassetteClient(Cassette.open(path, CassetteMode.RECORD), inner)
         if mode_name == "replay":
-            if not os.path.exists(path):
-                raise DataError(f"cassette not found: {path}")
             return CassetteClient(Cassette.open(path, CassetteMode.REPLAY))
         raise UsageError(f"unknown cassette mode '{mode_name}'")
     if inner is not None:
@@ -666,7 +653,7 @@ def main(argv: list[str] | None = None) -> int:
                 out_dir=out_dir,
             )
             print("replay matched: traces and report are identical")
-            return EXIT_OK
+            return 0
         model = build_model(config)
         if args.command == "run":
             if args.task:
@@ -678,7 +665,7 @@ def main(argv: list[str] | None = None) -> int:
             for trace in traces:
                 print(json.dumps(trace.to_dict(), indent=2, sort_keys=True))
             print(json.dumps({"result": record}, indent=2, sort_keys=True))
-            return EXIT_OK
+            return 0
         if args.command == "eval":
             report = evaluate(items, config, model)
             report_path = args.report or os.path.join(config.traces_dir, "report.json")
@@ -693,16 +680,13 @@ def main(argv: list[str] | None = None) -> int:
                 json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
         print(json.dumps(shown, indent=2, sort_keys=True))
-        return EXIT_OK
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ReplayDivergence, ReplayMismatchError) as exc:
-        print(f"replay divergence: {exc}", file=sys.stderr)
-        return EXIT_REPLAY_DIVERGENCE
-    except (DataError, FixtureError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return 0
+    except FatalError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except FileNotFoundError as exc:
+        print(f"{DataError.label}: {exc}", file=sys.stderr)
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

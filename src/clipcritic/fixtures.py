@@ -22,6 +22,7 @@ from operator import attrgetter
 from typing import Sequence
 
 from .core import (
+    DataError,
     VideoRef,
     VideoSegment,
     VideoSource,
@@ -30,7 +31,7 @@ from .core import (
 )
 
 
-class FixtureError(ValueError):
+class FixtureError(DataError):
     """A fixture file that violates the schema, with a field-level message."""
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import base64
 import functools
 import hashlib
+import http.client
 import json
 import os
 import random
@@ -25,20 +26,30 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Union
 
+from .core import DataError, FatalError, ReplayDivergence
 from .fixtures import FrameRef
 
 FRAME_BUDGET = 120  # frames per request, the context-size proxy
+MAX_ATTEMPTS = 3  # live transport attempts per request
+BACKOFF_BASE = 1.0  # seconds before the second attempt, doubling after
 
 
 class ModelTransportError(RuntimeError):
-    """Live transport failed: a fatal fault, or retryable ones on every attempt."""
+    """Live transport failed for one request; only the item it served fails."""
+
+
+class FatalTransportError(ModelTransportError, FatalError):
+    """A transport fault no retry mends, so the run stops: a missing key,
+    a 4xx other than 429, a JSON reply with no text, or a frame with no image."""
+
+    exit_code, label = 1, "model transport error"
 
 
 class BudgetExceededError(ValueError):
     """A request was constructed with more frames than the budget allows."""
 
 
-class ReplayMismatchError(RuntimeError):
+class ReplayMismatchError(ReplayDivergence):
     """A replayed request diverged from the recorded cassette."""
 
     def __init__(self, tag: str, detail: str):
@@ -218,25 +229,27 @@ class Cassette:
 
     @classmethod
     def open(cls, path: str, mode: CassetteMode) -> "Cassette":
+        """A replay cassette is read and checked here, one pass per entry;
+        a missing file or a malformed line is a DataError naming path:line."""
         entries = []
         if mode is CassetteMode.REPLAY:
             if not os.path.exists(path):
-                raise FileNotFoundError(f"cassette not found: {path}")
-            with open(path, encoding="utf-8") as fh:
+                raise DataError(f"cassette not found: {path}")
+            with open(path, "rb") as fh:
                 for line_no, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
+                    if not line.strip():
                         continue
+                    where = f"{path}:{line_no}"
                     try:
-                        entry = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ValueError(
-                            f"{path}:{line_no}: invalid cassette line: {exc}"
-                        ) from exc
+                        entry = json.loads(line.decode("utf-8"))
+                    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+                        raise DataError(f"{where}: invalid cassette line: {exc}") from exc
+                    if not isinstance(entry, dict):
+                        raise DataError(f"{where}: cassette entry must be an object")
                     for key in ("fingerprint", "tag", "response"):
-                        if key not in entry:
-                            raise ValueError(
-                                f"{path}:{line_no}: cassette entry missing '{key}'"
+                        if not isinstance(entry.get(key), str):
+                            raise DataError(
+                                f"{where}: cassette entry needs a string '{key}'"
                             )
                     entries.append(entry)
         return cls(path=path, mode=mode, entries=entries)
@@ -335,11 +348,21 @@ class ConcurrencyLimitedClient(ModelClient):
 
 
 def _retryable(exc: Exception) -> bool:
-    """Transport faults worth another attempt: network errors, 429 and 5xx."""
+    """Transport faults worth another attempt: network errors, replies cut
+    off mid-body, 429 and 5xx."""
     if isinstance(exc, urllib.error.HTTPError):
         return exc.code == 429 or exc.code >= 500
-    # URLError, timeouts and connection errors are all OSErrors
-    return isinstance(exc, OSError)
+    # URLError, timeouts and connection errors are all OSErrors;
+    # IncompleteRead and other broken replies are HTTPExceptions
+    return isinstance(exc, (OSError, http.client.HTTPException))
+
+
+def _fatal(exc: Exception) -> bool:
+    """Faults that every later request would meet too: a 4xx other than 429,
+    or what the default transport raises as FatalTransportError."""
+    if isinstance(exc, urllib.error.HTTPError):
+        return 400 <= exc.code < 500 and exc.code != 429
+    return isinstance(exc, FatalTransportError)
 
 
 def _equal_jitter(delay: float) -> float:
@@ -349,10 +372,13 @@ def _equal_jitter(delay: float) -> float:
 class HttpModelClient(ModelClient):
     """Minimal live transport: JSON POST with bounded retry.
 
-    Only transport faults (`_retryable`) are retried, with exponential
-    backoff passed through `jitter`; a missing key, any other 4xx or a
-    malformed reply fails on the first attempt. Credentials come from an
-    environment variable so keys never live in run configuration files.
+    Only transport faults (`_retryable`) are retried, up to MAX_ATTEMPTS
+    times with exponential backoff passed through `jitter`. A fault no retry
+    mends (`_fatal`) raises FatalTransportError at once and stops the run;
+    any other fault, or retries that run out, raises ModelTransportError and
+    fails only its item. Both errors name the request's tag.
+    Credentials come from an environment variable so keys never live in run
+    configuration files.
     The wire format is isolated here; everything upstream sees only
     request/response text.
     """
@@ -362,19 +388,13 @@ class HttpModelClient(ModelClient):
         endpoint: str,
         model_name: str,
         api_key_env: str = "MODEL_API_KEY",
-        max_attempts: int = 3,
-        backoff_base: float = 1.0,
         transport: Callable[[dict], str] | None = None,
         sleep: Callable[[float], None] = time.sleep,
         jitter: Callable[[float], float] = _equal_jitter,
     ):
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         self.endpoint = endpoint
         self.model_name = model_name
         self.api_key_env = api_key_env
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self._transport = transport or self._http_post
         self._sleep = sleep
         self._jitter = jitter
@@ -387,8 +407,9 @@ class HttpModelClient(ModelClient):
             else:
                 for ref in part.frames:
                     if not ref.path:
-                        raise ModelTransportError(
-                            f"frame {ref.index} has no image path to upload"
+                        raise FatalTransportError(
+                            f"request '{req.tag}': frame {ref.index} has no "
+                            "image path to upload"
                         )
                     with open(ref.path, "rb") as fh:
                         data = base64.b64encode(fh.read()).decode("ascii")
@@ -410,7 +431,7 @@ class HttpModelClient(ModelClient):
     def _http_post(self, payload: dict) -> str:
         api_key = os.environ.get(self.api_key_env)
         if not api_key:
-            raise ModelTransportError(
+            raise FatalTransportError(
                 f"environment variable {self.api_key_env} is not set"
             )
         body = json.dumps(payload).encode("utf-8")
@@ -427,20 +448,21 @@ class HttpModelClient(ModelClient):
         try:
             return reply["text"]
         except (TypeError, KeyError) as exc:
-            raise ModelTransportError(f"malformed transport reply: {reply!r}") from exc
+            raise FatalTransportError(f"malformed transport reply: {reply!r}") from exc
 
     def _complete(self, req: ModelRequest) -> str:
         payload = self._payload(req)
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             try:
                 return self._transport(payload)
-            except ModelTransportError:
-                raise
             except Exception as exc:
+                if _fatal(exc):
+                    raise FatalTransportError(f"request '{req.tag}': {exc}") from exc
                 if not _retryable(exc):
-                    raise ModelTransportError(f"transport failed: {exc}") from exc
-                if attempt + 1 == self.max_attempts:
+                    raise ModelTransportError(f"request '{req.tag}': {exc}") from exc
+                if attempt + 1 == MAX_ATTEMPTS:
                     raise ModelTransportError(
-                        f"transport failed after {self.max_attempts} attempts: {exc}"
+                        f"request '{req.tag}' failed after {MAX_ATTEMPTS} "
+                        f"attempts: {exc}"
                     ) from exc
-                self._sleep(self._jitter(self.backoff_base * (2**attempt)))
+                self._sleep(self._jitter(BACKOFF_BASE * (2**attempt)))

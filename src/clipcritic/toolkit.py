@@ -13,9 +13,8 @@ import functools
 import importlib.resources
 from dataclasses import dataclass, field, replace
 
-from .core import TaskKind, TaskQuery
+from .core import FatalError, TaskKind, TaskQuery
 from .dsl import DslExecutionError
-from .modelclient import ReplayMismatchError
 
 
 @functools.cache
@@ -123,7 +122,7 @@ class ToolRegistry:
         backend = self.backends[name]
         try:
             return backend(**bound)
-        except (DslExecutionError, ReplayMismatchError):
+        except (DslExecutionError, FatalError):
             raise
         except Exception as exc:
             raise DslExecutionError(f"error: {name} failed: {exc}") from exc

@@ -23,7 +23,7 @@ from clipcritic.core import (
     VideoSource,
 )
 from clipcritic.fixtures import FrameRef, QaFact, VideoFixture
-from clipcritic.modelclient import CallableModel, ModelTransportError, ScriptedModel
+from clipcritic.modelclient import ScriptedModel
 from clipcritic.toolkit import PROFILES, StrategySubset
 from clipcritic.tools import TagContext, build_registry
 
@@ -166,21 +166,6 @@ def test_parse_errors_are_fed_back_as_results():
     assert trace.steps[0].result.startswith("error: parse error at line 1")
     assert trace.steps[0].result in model.calls[-1].parts[0].text
     assert trace.final == Choice(2)
-
-
-def test_transport_failure_ends_episode():
-    def explode(req):
-        raise ModelTransportError("socket closed")
-
-    task = make_task()
-    tags = TagContext("t1/A")
-    registry = build_registry(task, make_fixture(), tags=tags)
-    trace = run_episode(
-        task, PROFILES["visual_mcq"].strategies[0], CallableModel(explode), registry
-    )
-    assert trace.stop_reason is StopReason.FINISHED
-    assert trace.steps[-1].result.startswith("error: model transport failed")
-    assert isinstance(trace.final, Unparsed)
 
 
 def test_run_direct_uses_tool_not_model():

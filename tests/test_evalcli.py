@@ -28,6 +28,7 @@ from clipcritic.modelclient import (
     CassetteMode,
     ConcurrencyLimitedClient,
     FramesPart,
+    HttpModelClient,
     ScriptedModel,
 )
 from clipcritic.toolkit import PROFILES, StrategySubset
@@ -169,6 +170,8 @@ def test_load_config_file(tmp_path):
         ({"elide_over": 4000}, "unknown config key 'elide_over'"),
         ({"example_count": 4}, "unknown config key 'example_count'"),
         ({"window_stride": 2}, "unknown config key 'window_stride'"),
+        ({"examples_files": {"visul_mcq": "x.json"}}, r"examples_files\['visul_mcq'\] must map"),
+        ({"examples_files": {"visual_mcq": 3}}, r"examples_files\['visual_mcq'\] must map"),
     ],
 )
 def test_load_config_file_checks_types(tmp_path, data, fragment):
@@ -287,6 +290,41 @@ def test_per_item_failure_is_absorbed(tmp_path, all_items):
     assert records["v01"]["correct"] is True
     assert report["aggregate"]["count"] == 20
     assert report["aggregate"]["accuracy"] == pytest.approx(14 / 15)
+
+
+def test_transport_failure_after_retries_is_an_item_error(tmp_path, all_items):
+    def unreachable(payload):
+        raise OSError("connection refused")
+
+    model = HttpModelClient(
+        "http://localhost:9/v1", "m", transport=unreachable, sleep=lambda s: None
+    )
+    for mode in ("agent", "agent_critic", "self_eval"):
+        report = evaluate(all_items[:2], config(mode, tmp_path), model)
+        for record in report["items"]:
+            assert record["error_type"] == "ModelTransportError", mode
+            assert f"request '{record['id']}/" in record["error"]
+            assert "failed after" in record["error"]
+        assert report["aggregate"]["accuracy"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "content, fragment",
+    [
+        (None, "No such file"),
+        ("not json", "invalid JSON"),
+        ("{}", "expected a nonempty JSON array"),
+        ('[{"input_block": 1, "winners": ["A"]}]', "input_block string"),
+    ],
+    ids=["missing", "not-json", "object", "int-block"],
+)
+def test_bad_examples_file_stops_the_run(tmp_path, all_items, content, fragment):
+    path = tmp_path / "examples.json"
+    if content is not None:
+        path.write_text(content)
+    cfg = config("agent_critic", tmp_path, examples_files={"visual_mcq": str(path)})
+    with pytest.raises(DataError, match=fragment):
+        evaluate(all_items, cfg, oracle_suite.scripted_model())
 
 
 def test_concurrent_run_matches_serial(tmp_path, all_items):
@@ -681,6 +719,55 @@ def test_cli_data_errors_exit_2(tmp_path, suite_paths, capsys):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "not json",
+        json.dumps({"fingerprint": "f", "response": "r"}),
+        json.dumps('"fingerprint" "tag" "response"'),
+    ],
+    ids=["not-json", "no-tag", "json-string"],
+)
+def test_cli_malformed_cassette_exits_2(tmp_path, suite_paths, capsys, line):
+    cassette = tmp_path / "bad.cassette.jsonl"
+    cassette.write_text(line + "\n")
+    argv = [
+        "--cassette", f"replay:{cassette}",
+        "--mode", "agent",
+        "--traces-dir", str(tmp_path / "traces"),
+        "eval", suite_paths["all"],
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {cassette}:1: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "mode, tag",
+    [("agent", "v01/C/0"), ("agent_critic", "v01/A/0"), ("self_eval", "v01/self/0")],
+)
+def test_cli_fatal_transport_fault_exits_1(tmp_path, suite_paths, capsys, monkeypatch, mode, tag):
+    monkeypatch.delenv("MODEL_API_KEY", raising=False)
+    config_path = tmp_path / "config.json"
+    transport = {"endpoint": "http://localhost:9/v1", "model_name": "m"}
+    config_path.write_text(json.dumps({"transport": transport}))
+    traces = tmp_path / "traces"
+    argv = [
+        "--config", str(config_path),
+        "--mode", mode,
+        "--traces-dir", str(traces),
+        "eval", suite_paths["all"],
+    ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"model transport error: request '{tag}': "
+        "environment variable MODEL_API_KEY is not set\n"
+    )
+    assert not traces.exists()  # neither a report nor a trace is written
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import http.client
 import json
 import sys
 import threading
@@ -12,15 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clipcritic.core import DataError, FatalError
 from clipcritic.fixtures import FrameRef
 from clipcritic.modelclient import (
+    BACKOFF_BASE,
     FRAME_BUDGET,
+    MAX_ATTEMPTS,
     BudgetExceededError,
     CallableModel,
     Cassette,
     CassetteClient,
     CassetteMode,
     ConcurrencyLimitedClient,
+    FatalTransportError,
     FramesPart,
     HttpModelClient,
     ModelRequest,
@@ -288,6 +293,58 @@ def test_cassette_replay_exhaustion(tmp_path):
         replayer.complete(request)
 
 
+@pytest.mark.parametrize(
+    "line, fragment",
+    [
+        (json.dumps(["fingerprint", "tag", "response"]), "entry must be an object"),
+        (json.dumps({"fingerprint": "f", "tag": 3, "response": "r"}), "needs a string 'tag'"),
+        (json.dumps({"fingerprint": "f", "tag": "t", "response": None}), "string 'response'"),
+        (b"\xff\xfe", "invalid cassette line"),
+    ],
+    ids=["list", "int-tag", "null-response", "not-utf8"],
+)
+def test_malformed_cassette_is_a_data_error(tmp_path, line, fragment):
+    # the command-line test covers the three shapes seen in the wild; the
+    # line number counts blank lines
+    path = tmp_path / "run.jsonl"
+    good = json.dumps({"fingerprint": "f", "tag": "t1/A/0", "response": "r"}).encode()
+    line = line if isinstance(line, bytes) else line.encode()
+    path.write_bytes(good + b"\n\n" + line + b"\n")
+    with pytest.raises(DataError, match=f"{path}:3: .*{fragment}"):
+        Cassette.open(str(path), CassetteMode.REPLAY)
+
+
+def test_missing_replay_cassette_is_a_data_error(tmp_path):
+    with pytest.raises(DataError, match="cassette not found"):
+        Cassette.open(str(tmp_path / "absent.jsonl"), CassetteMode.REPLAY)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["fingerprint", "tag", "response", "x"]), inner),
+    max_leaves=6,
+)
+_cassette_lines = st.one_of(
+    _json_values.map(json.dumps),
+    st.binary(max_size=20).filter(lambda b: b"\n" not in b),
+)
+
+
+@given(st.lists(_cassette_lines, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_cassette_open_returns_or_raises_data_error(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("cassette") / "run.jsonl"
+    path.write_bytes(
+        b"".join((l.encode() if isinstance(l, str) else l) + b"\n" for l in lines)
+    )
+    try:
+        cassette = Cassette.open(str(path), CassetteMode.REPLAY)
+    except DataError:
+        return
+    CassetteClient(cassette)  # every entry it returns can be replayed from
+
+
 def test_callable_model_wraps_function():
     seen = []
 
@@ -312,17 +369,18 @@ def test_http_client_retries_with_backoff(monkeypatch):
     client = HttpModelClient(
         "http://localhost:9/v1",
         "test-model",
-        max_attempts=3,
-        backoff_base=0.5,
         transport=failing_transport,
         sleep=sleeps.append,
         jitter=lambda delay: delay,
     )
-    with pytest.raises(ModelTransportError):
+    with pytest.raises(ModelTransportError) as err:
         client.complete(text_request("q", tag="t1/A/0"))
-    assert len(attempts) == 3
+    # retries that run out fail the item, not the run
+    assert not isinstance(err.value, FatalError)
+    assert f"request 't1/A/0' failed after {MAX_ATTEMPTS} attempts" in str(err.value)
+    assert len(attempts) == MAX_ATTEMPTS
     # exponential backoff between attempts, none after the last
-    assert sleeps == [0.5, 1.0]
+    assert sleeps == [BACKOFF_BASE * 2**i for i in range(MAX_ATTEMPTS - 1)]
 
 
 def test_http_client_recovers_after_transient_failure(monkeypatch):
@@ -358,18 +416,19 @@ def http_error(code):
 
 
 @pytest.mark.parametrize(
-    "fault",
+    "fault, fatal",
     [
-        ModelTransportError("environment variable MODEL_API_KEY is not set"),
-        http_error(400),
-        http_error(401),
-        http_error(404),
-        ModelTransportError("malformed transport reply: {}"),
-        json.JSONDecodeError("Expecting value", "<html>", 0),
+        (FatalTransportError("environment variable MODEL_API_KEY is not set"), True),
+        (http_error(400), True),
+        (http_error(401), True),
+        (http_error(404), True),
+        (FatalTransportError("malformed transport reply: {}"), True),
+        # a body that is not JSON may be one bad reply: it fails its item only
+        (json.JSONDecodeError("Expecting value", "<html>", 0), False),
     ],
     ids=["no-key", "400", "401", "404", "no-text", "not-json"],
 )
-def test_http_client_fails_fast_on_fatal_faults(monkeypatch, fault):
+def test_http_client_fails_fast_on_fatal_faults(monkeypatch, fault, fatal):
     monkeypatch.setenv("MODEL_API_KEY", "test-key")
     attempts, sleeps = [], []
 
@@ -380,8 +439,9 @@ def test_http_client_fails_fast_on_fatal_faults(monkeypatch, fault):
     client = HttpModelClient(
         "http://localhost:9/v1", "m", transport=transport, sleep=sleeps.append
     )
-    with pytest.raises(ModelTransportError):
-        client.complete(text_request("q", tag="t"))
+    with pytest.raises(ModelTransportError, match="request 't1/A/0': ") as err:
+        client.complete(text_request("q", tag="t1/A/0"))
+    assert isinstance(err.value, FatalTransportError) is fatal
     assert (len(attempts), sleeps) == (1, [])
 
 
@@ -389,15 +449,21 @@ def test_http_client_missing_key_is_not_retried(monkeypatch):
     monkeypatch.delenv("MODEL_API_KEY", raising=False)
     sleeps = []
     client = HttpModelClient("http://localhost:9/v1", "m", sleep=sleeps.append)
-    with pytest.raises(ModelTransportError, match="MODEL_API_KEY"):
+    with pytest.raises(FatalTransportError, match="MODEL_API_KEY"):
         client.complete(text_request("q", tag="t"))
     assert sleeps == []
 
 
 @pytest.mark.parametrize(
     "fault",
-    [http_error(429), http_error(503), urllib.error.URLError("refused"), TimeoutError("slow")],
-    ids=["429", "503", "url-error", "timeout"],
+    [
+        http_error(429),
+        http_error(503),
+        urllib.error.URLError("refused"),
+        TimeoutError("slow"),
+        http.client.IncompleteRead(b'{"te'),
+    ],
+    ids=["429", "503", "url-error", "timeout", "cut-off-body"],
 )
 def test_http_client_retries_transport_faults_with_jitter(monkeypatch, fault):
     monkeypatch.setenv("MODEL_API_KEY", "test-key")
@@ -408,15 +474,17 @@ def test_http_client_retries_transport_faults_with_jitter(monkeypatch, fault):
         raise fault
 
     client = HttpModelClient(
-        "http://localhost:9/v1", "m", max_attempts=3, backoff_base=1.0,
-        transport=transport, sleep=sleeps.append,
+        "http://localhost:9/v1", "m", transport=transport, sleep=sleeps.append
     )
-    with pytest.raises(ModelTransportError, match="after 3 attempts"):
+    with pytest.raises(ModelTransportError, match=f"after {MAX_ATTEMPTS} attempts") as err:
         client.complete(text_request("q", tag="t"))
-    assert len(attempts) == 3
-    assert len(sleeps) == 2
+    assert not isinstance(err.value, FatalError)
+    assert len(attempts) == MAX_ATTEMPTS
+    assert len(sleeps) == MAX_ATTEMPTS - 1
     # equal jitter: half of each exponential step is fixed, half random
-    assert 0.5 <= sleeps[0] <= 1.0 and 1.0 <= sleeps[1] <= 2.0
+    for i, slept in enumerate(sleeps):
+        step = BACKOFF_BASE * 2**i
+        assert step / 2 <= slept <= step
 
 
 def test_http_payload_carries_frame_index(tmp_path, monkeypatch):
@@ -437,6 +505,17 @@ def test_http_payload_carries_frame_index(tmp_path, monkeypatch):
     assert [(c["index"], c["timestamp"]) for c in images] == [(7, "00:07"), (9, "00:09")]
     # the index goes on the wire only; recorded cassettes still match
     assert fingerprint(req) == "1af12b30c63464208c51dbff2fa53fc871427a28e33d011cacb28262376f18d0"
+
+
+def test_http_frame_without_image_is_fatal():
+    req = ModelRequest(parts=(frames(1),), tag="t1/C/retrieval_qa/window/0")
+    sent = []
+    client = HttpModelClient("http://localhost:9/v1", "m", transport=sent.append)
+    with pytest.raises(
+        FatalTransportError, match="request 't1/C/retrieval_qa/window/0': frame 0 has no"
+    ):
+        client.complete(req)
+    assert sent == []
 
 
 class InflightModel(CallableModel):

@@ -4,7 +4,7 @@ import ast
 
 import pytest
 
-from clipcritic.core import TaskKind, TaskQuery, VideoRef, VideoSource
+from clipcritic.core import DataError, TaskKind, TaskQuery, VideoRef, VideoSource
 from clipcritic.dsl import DslExecutionError
 from clipcritic.toolkit import (
     PROFILES,
@@ -100,6 +100,15 @@ def test_backend_exceptions_become_tool_errors():
 
     registry = ToolRegistry({"think": boom})
     with pytest.raises(DslExecutionError, match="think failed: internal detail"):
+        registry.call("think", [], {"thought": "x"})
+
+
+def test_fatal_backend_errors_pass_through():
+    def fatal(thought):
+        raise DataError("stops the run")
+
+    registry = ToolRegistry({"think": fatal})
+    with pytest.raises(DataError, match="stops the run"):
         registry.call("think", [], {"thought": "x"})
 
 
