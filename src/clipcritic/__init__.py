@@ -11,7 +11,6 @@ the submodules (`core`, `dsl`, `toolkit`, `fixtures`, `modelclient`,
 from .core import (
     TaskKind,
     TaskQuery,
-    VideoRef,
     VideoSegment,
     VideoSource,
     interval_union_iou,
@@ -25,5 +24,6 @@ from .evalcli import (
     main,
     replay_run,
 )
+from .fixtures import VideoFixture
 
 __version__ = "0.1.0"

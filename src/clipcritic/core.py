@@ -11,7 +11,10 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
+
+if TYPE_CHECKING:  # fixtures imports this module
+    from .fixtures import VideoFixture
 
 Timestamp = int  # non-negative whole seconds
 
@@ -100,29 +103,13 @@ class VideoSource(enum.Enum):
 
 
 @dataclass(frozen=True)
-class VideoRef:
-    """Reference to a video: where it lives plus its sampled-stream shape."""
-
-    source: VideoSource
-    path: str
-    duration: Timestamp
-    fps: float
-
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
-
-
-@dataclass(frozen=True)
 class TaskQuery:
     """One question over one video."""
 
     id: str
     question: str
     kind: TaskKind
-    video: VideoRef
+    video: VideoFixture
     options: tuple[str, ...] | None = None
     allow_asr: bool = False
 

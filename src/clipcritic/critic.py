@@ -17,7 +17,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .agent import Trace, render_step, run_direct, run_episode, task_statement
+from .agent import (
+    DEFAULT_STEP_BUDGET,
+    Trace,
+    render_step,
+    run_direct,
+    run_episode,
+    task_statement,
+)
 from .core import DataError, FinalAnswer, TaskQuery, Unparsed, answer_key, answers_equal
 from .modelclient import ModelClient, ModelRequest, TextPart
 from .toolkit import PROFILES, Profile, load_prompt_text
@@ -243,7 +250,7 @@ def sample_strategies(
     model: ModelClient,
     registry_factory,
     profile: Profile,
-    step_budget: int = 10,
+    step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> list[Trace]:
     """Run all of the profile's strategies; always returns one trace each."""
     traces = []
@@ -277,7 +284,7 @@ def run_agent_critic(
     registry_factory,
     profile: Profile,
     examples: Sequence[CriticExample] | None = None,
-    step_budget: int = 10,
+    step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> tuple[Selection, list[Trace], CriticVerdict]:
     if examples is None:
         examples = load_examples(profile)

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -43,7 +44,7 @@ from .core import (
     parse_timestamp,
 )
 from .critic import load_examples, load_examples_file, run_agent_critic
-from .fixtures import VideoFixture, video_ref_for
+from .fixtures import video_ref_for
 from .modelclient import (
     Cassette,
     CassetteClient,
@@ -59,7 +60,6 @@ from .tools import BACKENDS, TagContext, build_registry
 class DatasetItem:
     task: TaskQuery
     truth: FinalAnswer
-    source: VideoFixture
 
 
 # RunConfig fields that say where things live, not how the run behaves
@@ -101,19 +101,19 @@ class RunConfig:
 # every call.
 
 
-def _direct(task, profile, factory, model, config, fixed_subset):
+def _direct(task, profile, factory, model, config, fixed_subset, read_examples):
     subset = next(s for s in profile.strategies if s.direct)
     trace = run_direct(task, subset, model, factory(subset))
     return trace, [trace], {}
 
 
-def _single_program(task, profile, factory, model, config, fixed_subset):
+def _single_program(task, profile, factory, model, config, fixed_subset, read_examples):
     subset = StrategySubset("single", profile.pool)
     trace = run_single_program(task, subset, model, factory(subset))
     return trace, [trace], {}
 
 
-def _agent(task, profile, factory, model, config, fixed_subset):
+def _agent(task, profile, factory, model, config, fixed_subset, read_examples):
     """The given subset, or the profile's all-module non-direct subset."""
     subset = fixed_subset or next(
         s
@@ -126,21 +126,21 @@ def _agent(task, profile, factory, model, config, fixed_subset):
     return trace, [trace], {}
 
 
-def _agent_critic(task, profile, factory, model, config, fixed_subset):
+def _agent_critic(task, profile, factory, model, config, fixed_subset, read_examples):
     path = config.examples_files.get(profile.name)
     selection, traces, verdict = run_agent_critic(
         task,
         model,
         factory,
         profile,
-        examples=load_examples_file(path) if path else load_examples(profile),
+        examples=read_examples(path) if path else load_examples(profile),
         step_budget=config.step_budget,
     )
     extra = {"winners": list(verdict.winners), "fallback_used": selection.fallback_used}
     return selection.trace, traces, extra
 
 
-def _self_eval(task, profile, factory, model, config, fixed_subset):
+def _self_eval(task, profile, factory, model, config, fixed_subset, read_examples):
     subset = StrategySubset("self", profile.pool)
     trace = run_self_eval(
         task,
@@ -279,7 +279,7 @@ def load_dataset(path: str, profile: str | None = None) -> list[DatasetItem]:
             if not os.path.isabs(video_path):
                 video_path = os.path.join(base_dir, video_path)
             try:
-                ref, source = video_ref_for(video_path)
+                video = video_ref_for(video_path)
             except DataError as exc:
                 raise DataError(f"{where}: {exc}") from exc
             kind = (
@@ -289,7 +289,7 @@ def load_dataset(path: str, profile: str | None = None) -> list[DatasetItem]:
                 id=task_id,
                 question=question,
                 kind=kind,
-                video=ref,
+                video=video,
                 options=tuple(options) if options else None,
                 allow_asr=allow_asr,
             )
@@ -298,7 +298,7 @@ def load_dataset(path: str, profile: str | None = None) -> list[DatasetItem]:
                     profile_for_task(task, profile)
                 except ValueError as exc:
                     raise DataError(f"{where}: {exc}") from exc
-            items.append(DatasetItem(task, _truth_for(data, task, where), source))
+            items.append(DatasetItem(task, _truth_for(data, task, where)))
     if not items:
         raise DataError(f"{path}: dataset is empty")
     return items
@@ -319,6 +319,7 @@ def run_item(
     config: RunConfig,
     model: ModelClient,
     fixed_subset: StrategySubset | None = None,
+    read_examples=load_examples_file,
 ) -> tuple[dict, list[Trace]]:
     """Evaluate one dataset item; returns (report record, traces to persist)."""
     runner = _RUNNERS.get(config.mode)
@@ -333,14 +334,15 @@ def run_item(
     def factory(subset: StrategySubset):
         return build_registry(
             task,
-            item.source,
             backend=config.backend,
             model=model,
             tags=TagContext(f"{task.id}/{subset.label}"),
             answer_capable=profile.answer_capable,
         )
 
-    chosen, traces, extra = runner(task, profile, factory, model, config, fixed_subset)
+    chosen, traces, extra = runner(
+        task, profile, factory, model, config, fixed_subset, read_examples
+    )
     final = chosen.final
     record: dict = {
         "id": task.id,
@@ -379,10 +381,17 @@ def evaluate(
     if not items:
         raise DataError("refusing to report on an empty dataset")
     started = time.time()
+    lock, examples_read = threading.Lock(), {}
+
+    def read_examples(path: str):  # a user's critic examples, read once per run
+        with lock:
+            if path not in examples_read:
+                examples_read[path] = load_examples_file(path)
+            return examples_read[path]
 
     def one(item: DatasetItem) -> tuple[dict, list[Trace]]:
         try:
-            return run_item(item, config, model, fixed_subset)
+            return run_item(item, config, model, fixed_subset, read_examples)
         except FatalError:
             raise
         except Exception as exc:
@@ -660,10 +669,10 @@ def main(argv: list[str] | None = None) -> int:
                 items = [i for i in items if i.task.id == args.task]
                 if not items:
                     raise DataError(f"no task with id '{args.task}'")
-            record, traces = run_item(items[0], config, model)
-            persist_traces(traces, config.traces_dir)
-            for trace in traces:
-                print(json.dumps(trace.to_dict(), indent=2, sort_keys=True))
+            record = evaluate(items[:1], config, model)["items"][0]
+            for name in record.get("trace_files", ()):
+                with open(os.path.join(config.traces_dir, name), encoding="utf-8") as fh:
+                    sys.stdout.write(fh.read())
             print(json.dumps({"result": record}, indent=2, sort_keys=True))
             return 0
         if args.command == "eval":

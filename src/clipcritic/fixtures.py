@@ -1,12 +1,12 @@
 """Videos as frame tables, their loaders, and frame access for tools.
 
-Every video is a `VideoFixture`: its duration, fps, and a frame table
-whose times strictly increase within the video. A fixture file is a JSON
-description of a video: captioned frames, labeled events, an optional
-transcript, and question-answering facts, so oracle tools answer from it
-deterministically and the whole pipeline runs without pixels or models. A
-frames directory (image files plus a sidecar metadata.json) loads as a
-`VideoFixture` with no annotations, for model-backed tools on live runs.
+Every video is a `VideoFixture`: its duration, fps, source kind, and a
+frame table whose times strictly increase within the video. A fixture file
+is a JSON description of a video: captioned frames, labeled events, an
+optional transcript, and question-answering facts, so oracle tools answer
+from it deterministically and the whole pipeline runs without pixels or
+models. A frames directory (image files plus a sidecar metadata.json)
+loads as a `VideoFixture` with no annotations, for model-backed tools.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Sequence
 
 from .core import (
     DataError,
-    VideoRef,
     VideoSegment,
     VideoSource,
     format_timestamp,
@@ -84,14 +83,20 @@ class VideoFixture:
     """A video's frame table, and the annotations oracle tools answer from
     (none for a frames directory)."""
 
+    # a task carries its video, so the tables stay out of the task's repr
     duration: int
     fps: float
-    frames: tuple[FrameRef, ...]
-    events: tuple[Event, ...] = ()
-    asr: tuple[AsrLine, ...] = ()
-    qa_facts: tuple[QaFact, ...] = ()
+    frames: tuple[FrameRef, ...] = field(repr=False)
+    events: tuple[Event, ...] = field(default=(), repr=False)
+    asr: tuple[AsrLine, ...] = field(default=(), repr=False)
+    qa_facts: tuple[QaFact, ...] = field(default=(), repr=False)
+    source: VideoSource = VideoSource.FIXTURE_PATH
 
     def __post_init__(self):
+        if not self.duration > 0:
+            raise FixtureError("duration must be positive")
+        if not self.fps > 0:
+            raise FixtureError("fps must be positive")
         # Frame access bisects on `t`, so times must strictly increase; and
         # the frames outside a segment are two slices of the table, so every
         # frame must lie within the video.
@@ -278,16 +283,13 @@ def load_frames_directory(path: str) -> VideoFixture:
             FrameRef(index=i, t=i / fps, path=os.path.join(path, name_by_index[i]))
             for i in sorted(name_by_index)
         ),
+        source=VideoSource.FRAMES_DIRECTORY,
     )
 
 
-def video_ref_for(path: str) -> tuple[VideoRef, VideoFixture]:
-    """Build a VideoRef (and its loaded video) from a dataset path."""
-    if os.path.isdir(path):
-        source, video = VideoSource.FRAMES_DIRECTORY, load_frames_directory(path)
-    else:
-        source, video = VideoSource.FIXTURE_PATH, load_fixture(path)
-    return VideoRef(source, path, video.duration, video.fps), video
+def video_ref_for(path: str) -> VideoFixture:
+    """The video a dataset path names: a frames directory or a fixture file."""
+    return load_frames_directory(path) if os.path.isdir(path) else load_fixture(path)
 
 
 # --- frame access ---

@@ -82,8 +82,6 @@ PromptPart = Union[TextPart, FramesPart]
 @dataclass(frozen=True)
 class ModelRequest:
     parts: tuple[PromptPart, ...]
-    temperature: float = 0.0
-    max_output: int = 1024
     tag: str = ""
 
 
@@ -262,8 +260,8 @@ class CassetteClient(ModelClient):
     label from the tag) so concurrent episodes each replay their own slice
     in order. Recording keeps request order: `complete_all` fans out
     through the inner client, then appends the batch on the calling thread
-    in request order, so the cassette reads as a serial run's would.
-    Replay is serial (width 1).
+    in request order, so each episode's lines read as a serial run's would
+    (episodes run side by side may interleave). Replay is serial (width 1).
     """
 
     def __init__(self, cassette: Cassette, inner: ModelClient | None = None):
@@ -423,8 +421,8 @@ class HttpModelClient(ModelClient):
                     )
         return {
             "model": self.model_name,
-            "temperature": req.temperature,
-            "max_output": req.max_output,
+            "temperature": 0.0,
+            "max_output": 1024,
             "content": content,
         }
 

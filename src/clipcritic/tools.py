@@ -20,13 +20,7 @@ from .core import (
     format_timestamp,
     parse_timestamp,
 )
-from .fixtures import (
-    FrameRef,
-    VideoFixture,
-    frames_outside,
-    sample_frames,
-    windows,
-)
+from .fixtures import FrameRef, frames_outside, sample_frames, windows
 from .modelclient import FramesPart, ModelClient, ModelRequest, TextPart
 from .toolkit import ToolRegistry, api_listing, load_prompt_text
 
@@ -108,12 +102,11 @@ def _options_block(answer_options) -> str:
 
 
 class ToolSuite:
-    """Backends for one episode, bound to a task, a video, and a model."""
+    """Backends for one episode, bound to a task (and so its video) and a model."""
 
     def __init__(
         self,
         task: TaskQuery,
-        video: VideoFixture,
         backend: str = "oracle",
         model: ModelClient | None = None,
         tags: TagContext | None = None,
@@ -124,8 +117,7 @@ class ToolSuite:
             raise ValueError("oracle backends need a fixture video")
         if backend == "model" and model is None:
             raise ValueError("model backends need a model client")
-        self.task = task
-        self.video = video
+        self.video = task.video
         self.backend = backend
         self.model = model
         self.tags = tags or TagContext()
@@ -373,13 +365,12 @@ class ToolSuite:
 
 def build_registry(
     task: TaskQuery,
-    video: VideoFixture,
     backend: str = "oracle",
     model: ModelClient | None = None,
     tags: TagContext | None = None,
     answer_capable: frozenset[str] = frozenset({"retrieval_qa"}),
 ) -> ToolRegistry:
-    """A registry with all six built-ins bound to one task and video."""
-    suite = ToolSuite(task, video, backend=backend, model=model, tags=tags)
+    """A registry with all six built-ins bound to one task and its video."""
+    suite = ToolSuite(task, backend=backend, model=model, tags=tags)
     backends = {name: getattr(suite, name) for name in api_listing().blocks}
     return ToolRegistry(backends, answer_capable)

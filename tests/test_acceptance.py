@@ -20,9 +20,7 @@ from clipcritic.core import (
     Ranges,
     TaskKind,
     TaskQuery,
-    VideoRef,
     VideoSegment,
-    VideoSource,
     answers_equal,
     interval_union_iou,
 )
@@ -184,11 +182,10 @@ def test_criterion_2_interval_metric(criterion):
 def test_criterion_3_window_accounting(criterion):
     def check():
         for n_frames in (64, 65, 2450, 7200):
-            video = VideoRef(VideoSource.FIXTURE_PATH, "v.json", n_frames, 1.0)
-            task = TaskQuery("t1", "what?", TaskKind.MULTIPLE_CHOICE, video, ("a", "b"), False)
             fixture = VideoFixture(
                 n_frames, 1.0, tuple(FrameRef(i, float(i)) for i in range(n_frames))
             )
+            task = TaskQuery("t1", "what?", TaskKind.MULTIPLE_CHOICE, fixture, ("a", "b"), False)
             log = []
 
             def respond(req):
@@ -201,8 +198,7 @@ def test_criterion_3_window_accounting(criterion):
                 return "Final Answer: (1)"
 
             suite = ToolSuite(
-                task, fixture, backend="model",
-                model=CallableModel(respond), tags=TagContext("t1/A"),
+                task, backend="model", model=CallableModel(respond), tags=TagContext("t1/A")
             )
             log.clear()
             suite.find_when("query")
@@ -374,16 +370,15 @@ def test_criterion_8_ablation_sweep(criterion, tmp_path, suite_paths):
 
 
 def _self_eval(confidences, answers, max_rounds):
-    video = VideoRef(VideoSource.FIXTURE_PATH, "v.json", 600, 1.0)
-    task = TaskQuery(
-        "t1", "What color is the door?", TaskKind.MULTIPLE_CHOICE, video, ("red", "blue"), False
-    )
     fixture = VideoFixture(
         600, 1.0, tuple(FrameRef(i, float(i)) for i in range(600)),
         qa_facts=(QaFact(VideoSegment(100, 120), ("door",), "a red door"),),
     )
+    task = TaskQuery(
+        "t1", "What color is the door?", TaskKind.MULTIPLE_CHOICE, fixture, ("red", "blue"), False
+    )
     tags = TagContext("t1/self")
-    registry = build_registry(task, fixture, tags=tags)
+    registry = build_registry(task, tags=tags)
     turns = [f"```\nfinish(final_answer='Final Answer: ({a})')\n```" for a in answers]
     model = ScriptedModel({"t1/self/confidence": list(confidences), "t1/self": turns})
     subset = StrategySubset("self", PROFILES["visual_mcq"].pool)

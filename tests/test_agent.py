@@ -18,25 +18,12 @@ from clipcritic.core import (
     TaskKind,
     TaskQuery,
     Unparsed,
-    VideoRef,
     VideoSegment,
-    VideoSource,
 )
 from clipcritic.fixtures import FrameRef, QaFact, VideoFixture
 from clipcritic.modelclient import ScriptedModel
 from clipcritic.toolkit import PROFILES, StrategySubset
 from clipcritic.tools import TagContext, build_registry
-
-
-def make_task(kind=TaskKind.MULTIPLE_CHOICE):
-    video = VideoRef(VideoSource.FIXTURE_PATH, "v.json", 600, 1.0)
-    options = ("blue", "red") if kind is TaskKind.MULTIPLE_CHOICE else None
-    question = (
-        "What color is the door?"
-        if kind is TaskKind.MULTIPLE_CHOICE
-        else "When is the door open?"
-    )
-    return TaskQuery("t1", question, kind, video, options, False)
 
 
 def make_fixture():
@@ -45,10 +32,20 @@ def make_fixture():
     return VideoFixture(600, 1.0, frames, qa_facts=facts)
 
 
+def make_task(kind=TaskKind.MULTIPLE_CHOICE):
+    options = ("blue", "red") if kind is TaskKind.MULTIPLE_CHOICE else None
+    question = (
+        "What color is the door?"
+        if kind is TaskKind.MULTIPLE_CHOICE
+        else "When is the door open?"
+    )
+    return TaskQuery("t1", question, kind, make_fixture(), options, False)
+
+
 def episode_setup(label="A", scripts=None, subset=None):
     task = make_task()
     tags = TagContext(f"t1/{label}")
-    registry = build_registry(task, make_fixture(), tags=tags)
+    registry = build_registry(task, tags=tags)
     model = ScriptedModel(scripts or {})
     return task, subset or PROFILES["visual_mcq"].strategies[0], model, registry, tags
 
@@ -171,7 +168,7 @@ def test_parse_errors_are_fed_back_as_results():
 def test_run_direct_uses_tool_not_model():
     task = make_task()
     tags = TagContext("t1/B")
-    registry = build_registry(task, make_fixture(), tags=tags)
+    registry = build_registry(task, tags=tags)
     model = ScriptedModel({})  # never consulted with the oracle backend
     trace = run_direct(task, PROFILES["visual_mcq"].strategies[1], model, registry)
     assert trace.stop_reason is StopReason.FINISHED
@@ -184,7 +181,7 @@ def test_run_direct_uses_tool_not_model():
 
 def test_run_direct_requires_answer_capable_module():
     task = make_task()
-    registry = build_registry(task, make_fixture())
+    registry = build_registry(task)
     bad = StrategySubset("B", ("get_segment",), direct=True)
     with pytest.raises(ValueError, match="cannot answer"):
         run_direct(task, bad, ScriptedModel({}), registry)
@@ -201,7 +198,7 @@ def test_run_single_program_is_one_model_call():
     )
     task = make_task()
     tags = TagContext("t1/single")
-    registry = build_registry(task, make_fixture(), tags=tags)
+    registry = build_registry(task, tags=tags)
     model = ScriptedModel({"t1/single": [program]})
     subset = StrategySubset("single", PROFILES["visual_mcq"].pool)
     trace = run_single_program(task, subset, model, registry)
@@ -216,7 +213,7 @@ def test_run_single_program_is_one_model_call():
 def test_run_single_program_without_code_is_unparsed():
     task = make_task()
     tags = TagContext("t1/single")
-    registry = build_registry(task, make_fixture(), tags=tags)
+    registry = build_registry(task, tags=tags)
     model = ScriptedModel({"t1/single": ["no code at all"]})
     subset = StrategySubset("single", PROFILES["visual_mcq"].pool)
     trace = run_single_program(task, subset, model, registry)
@@ -230,7 +227,7 @@ def finish_turn(index):
 def run_self_eval_with(confidences, answers=None, max_rounds=3):
     task = make_task()
     tags = TagContext("t1/self")
-    registry = build_registry(task, make_fixture(), tags=tags)
+    registry = build_registry(task, tags=tags)
     rounds = len(confidences)
     episode_turns = [finish_turn(a) for a in (answers or [2] * rounds)]
     model = ScriptedModel(

@@ -13,9 +13,7 @@ from clipcritic.core import (
     TaskQuery,
     TimestampError,
     Unparsed,
-    VideoRef,
     VideoSegment,
-    VideoSource,
     answer_key,
     answers_equal,
     format_timestamp,
@@ -24,6 +22,7 @@ from clipcritic.core import (
     parse_final_answer,
     parse_timestamp,
 )
+from clipcritic.fixtures import VideoFixture
 
 
 def test_parse_timestamp_known_values():
@@ -71,7 +70,7 @@ def test_video_segment_validation():
 
 
 def test_task_query_requires_options_for_multiple_choice():
-    video = VideoRef(VideoSource.FIXTURE_PATH, "clip.json", 60, 1.0)
+    video = VideoFixture(duration=60, fps=1.0, frames=())
     with pytest.raises(ValueError):
         TaskQuery("t1", "q?", TaskKind.MULTIPLE_CHOICE, video, (), False)
     with pytest.raises(ValueError):

@@ -11,9 +11,7 @@ from clipcritic.core import (
     TaskKind,
     TaskQuery,
     Unparsed,
-    VideoRef,
     VideoSegment,
-    VideoSource,
 )
 from clipcritic.critic import (
     ELIDE_OVER,
@@ -21,7 +19,6 @@ from clipcritic.critic import (
     build_critique_prompt,
     elide_middle,
     load_examples,
-    load_examples_file,
     parse_examples_json,
     parse_verdict,
     render_trace_block,
@@ -38,17 +35,21 @@ from clipcritic.tools import TagContext, build_registry
 DATA_DIR = Path(__file__).parent / "data"
 
 
-def make_task():
-    video = VideoRef(VideoSource.FIXTURE_PATH, "v.json", 600, 1.0)
-    return TaskQuery(
-        "t1", "What color is the door?", TaskKind.MULTIPLE_CHOICE, video, ("blue", "red"), False
-    )
-
-
 def make_fixture():
     frames = tuple(FrameRef(i, float(i)) for i in range(600))
     return VideoFixture(
         600, 1.0, frames, qa_facts=(QaFact(VideoSegment(100, 120), ("door",), "a red door"),)
+    )
+
+
+def make_task():
+    return TaskQuery(
+        "t1",
+        "What color is the door?",
+        TaskKind.MULTIPLE_CHOICE,
+        make_fixture(),
+        ("blue", "red"),
+        False,
     )
 
 
@@ -172,17 +173,12 @@ def test_load_examples_per_profile():
             assert example.winners
 
 
-def test_packaged_examples_are_parsed_once(tmp_path):
+def test_packaged_examples_are_parsed_once():
     examples = load_examples("visual_mcq")
     assert isinstance(examples, tuple)
     assert load_examples(PROFILES["visual_mcq"]) is examples
-    # a configured examples file is read afresh on every call
-    path = tmp_path / "examples.json"
-    block = {"input_block": "Strategy A (x):\nsteps\n", "critique": "c"}
-    path.write_text(json.dumps([{**block, "winners": ["A"]}]))
-    assert load_examples_file(str(path))[0].critique == "c"
-    path.write_text(json.dumps([{**block, "critique": "d", "winners": ["A"]}]))
-    assert load_examples_file(str(path))[0].critique == "d"
+    # a configured examples file is read afresh on every run:
+    # test_evalcli.py::test_examples_file_is_read_once_per_run
 
 
 def test_parse_examples_json_validates_labels():
@@ -211,7 +207,6 @@ def test_elide_middle():
 def scripted_pipeline(critic_response):
     task = make_task()
     profile = PROFILES["visual_mcq"]
-    fixture = make_fixture()
     model = ScriptedModel(
         {
             "t1/A": [
@@ -222,9 +217,7 @@ def scripted_pipeline(critic_response):
             "t1/critic": [critic_response],
         }
     )
-    factory = lambda subset: build_registry(
-        task, fixture, tags=TagContext(f"t1/{subset.label}")
-    )
+    factory = lambda subset: build_registry(task, tags=TagContext(f"t1/{subset.label}"))
     return task, profile, model, factory
 
 

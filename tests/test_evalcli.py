@@ -2,12 +2,15 @@
 
 import json
 import os
+import sys
 import threading
 import time
+from importlib import resources
 
 import pytest
 
 import oracle_suite
+from clipcritic import evalcli
 from clipcritic.core import Choice, Ranges, TaskKind
 from clipcritic.evalcli import (
     DataError,
@@ -29,9 +32,11 @@ from clipcritic.modelclient import (
     ConcurrencyLimitedClient,
     FramesPart,
     HttpModelClient,
+    ModelTransportError,
     ScriptedModel,
+    episode_key,
 )
-from clipcritic.toolkit import PROFILES, StrategySubset
+from clipcritic.toolkit import PROFILES, StrategySubset, profile_for_task
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +330,39 @@ def test_bad_examples_file_stops_the_run(tmp_path, all_items, content, fragment)
     cfg = config("agent_critic", tmp_path, examples_files={"visual_mcq": str(path)})
     with pytest.raises(DataError, match=fragment):
         evaluate(all_items, cfg, oracle_suite.scripted_model())
+
+
+@pytest.mark.parametrize("concurrency", [1, 8])
+def test_examples_file_is_read_once_per_run(tmp_path, all_items, monkeypatch, concurrency):
+    packaged = resources.files("clipcritic") / "critic_examples" / "visual_mcq.json"
+    example = json.loads(packaged.read_text(encoding="utf-8"))[0]
+    path = tmp_path / "examples.json"
+    reads = []
+    read = evalcli.load_examples_file
+    monkeypatch.setattr(evalcli, "load_examples_file", lambda p: reads.append(p) or read(p))
+    cfg = config(
+        "agent_critic", tmp_path, concurrency=concurrency, examples_files={"visual_mcq": str(path)}
+    )
+    visual = {
+        f"{i.task.id}/critic"
+        for i in all_items
+        if profile_for_task(i.task) is PROFILES["visual_mcq"]
+    }
+    # a file edited between two runs is read afresh by the second
+    for runs, critique in enumerate(("first critique", "second critique"), start=1):
+        path.write_text(json.dumps([{**example, "critique": critique}]))
+        model = oracle_suite.scripted_model()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # items race to the first read
+        try:
+            report = evaluate(all_items, cfg, model, persist=False)
+        finally:
+            sys.setswitchinterval(interval)
+        assert reads == [str(path)] * runs
+        prompts = [c.parts[0].text for c in model.calls if c.tag in visual]
+        assert len(prompts) == len(visual) == 11
+        assert all(f"Critique:\n{critique}\n" in text for text in prompts)
+        assert not any("error" in r for r in report["items"])
 
 
 def test_concurrent_run_matches_serial(tmp_path, all_items):
@@ -631,6 +669,38 @@ def test_tool_windows_fan_out_to_serial_bytes(tmp_path):
     assert outputs[3] == outputs[1]
 
 
+def test_concurrent_recording_matches_serial_per_episode(tmp_path, all_items):
+    """Items recorded side by side may interleave their episodes' lines, but
+    each episode's lines match a serial recording's, so replay, which reads
+    one episode's slice at a time, matches the serial run."""
+    serial_dir, fanned_dir = tmp_path / "serial", tmp_path / "fanned"
+    serial_dir.mkdir()
+    fanned_dir.mkdir()
+    cfg, serial_path, report_path = record_baseline(serial_dir, all_items)
+    scripted = oracle_suite.scripted_model()
+
+    def slow(req):
+        time.sleep(0.001)
+        return scripted.complete(req)
+
+    fanned_path = str(fanned_dir / "run.cassette.jsonl")
+    model = CassetteClient(
+        Cassette.open(fanned_path, CassetteMode.RECORD),
+        ConcurrencyLimitedClient(CallableModel(slow), 4),
+    )
+    evaluate(all_items, config("agent_critic", fanned_dir, concurrency=4), model, persist=False)
+
+    def per_episode(path):
+        slices = {}
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                slices.setdefault(episode_key(json.loads(line)["tag"]), []).append(line)
+        return slices
+
+    assert per_episode(fanned_path) == per_episode(serial_path)
+    replay_run(all_items, cfg, fanned_path, cfg.traces_dir, report_path, str(tmp_path / "replayed"))
+
+
 # --- command line ---
 
 
@@ -665,6 +735,40 @@ def test_cli_run_prints_trace(tmp_path, suite_paths, capsys):
     assert '"result"' in out
     assert '"v05"' in out
     assert os.path.exists(tmp_path / "traces" / "v05.B.json")
+
+
+def test_cli_run_prints_traces_then_the_record(tmp_path, suite_paths, all_items, capsys, monkeypatch):
+    monkeypatch.setattr(evalcli, "build_model", lambda config: oracle_suite.scripted_model())
+    traces_dir = tmp_path / "traces"
+    argv = ["--traces-dir", str(traces_dir), "run", suite_paths["all"], "--task", "v02"]
+    assert main(argv) == 0
+    item = next(i for i in all_items if i.task.id == "v02")
+    record, traces = run_item(
+        item, config("agent_critic", tmp_path), oracle_suite.scripted_model()
+    )
+    want = "".join(json.dumps(t.to_dict(), indent=2, sort_keys=True) + "\n" for t in traces)
+    want += json.dumps({"result": record}, indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == want
+    assert sorted(os.listdir(traces_dir)) == ["v02.A.json", "v02.B.json", "v02.C.json"]
+
+
+def test_cli_run_records_an_item_failure(tmp_path, suite_paths, capsys, monkeypatch):
+    def refused(req):
+        raise ModelTransportError(f"request '{req.tag}' failed after 3 attempts: refused")
+
+    monkeypatch.setattr(evalcli, "build_model", lambda config: CallableModel(refused))
+    argv = ["--mode", "agent", "--traces-dir", str(tmp_path / "traces"), "run", suite_paths["all"]]
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == {
+        "result": {
+            "id": "v01",
+            "kind": "multiple_choice",
+            "error": "request 'v01/C/0' failed after 3 attempts: refused",
+            "error_type": "ModelTransportError",
+            "correct": False,
+        }
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Fixture loading, uniform frame sampling, and frame windowing."""
 
 import json
+import math
 import os
 
 import pytest
@@ -187,10 +188,11 @@ def test_frames_directory_adapter(tmp_path):
     assert source.duration == 5
     assert len(source.frames) == 5
     assert source.frames[0].path.endswith("0000.jpg")
+    assert source.source is VideoSource.FRAMES_DIRECTORY
 
-    ref, loaded = video_ref_for(str(frame_dir))
-    assert ref.source is VideoSource.FRAMES_DIRECTORY
-    assert ref.duration == 5
+    loaded = video_ref_for(str(frame_dir))
+    assert loaded.source is VideoSource.FRAMES_DIRECTORY
+    assert loaded.duration == 5
     got = sample_frames(loaded, VideoSegment(0, 5), 2)
     assert [f.path for f in got] == [source.frames[0].path, source.frames[-1].path]
 
@@ -237,6 +239,21 @@ def test_video_fixture_rejects_unsorted_frames():
         VideoFixture(10, 1.0, (FrameRef(0, 11.0),))
 
 
+@pytest.mark.parametrize(
+    "duration, fps, fragment",
+    [
+        (0, 1.0, "duration must be positive"),
+        (-5, 1.0, "duration must be positive"),
+        (10, 0.0, "fps must be positive"),
+        (10, -1.0, "fps must be positive"),
+        (10, math.nan, "fps must be positive"),
+    ],
+)
+def test_video_fixture_rejects_nonpositive_shape(duration, fps, fragment):
+    with pytest.raises(FixtureError, match=fragment):
+        VideoFixture(duration=duration, fps=fps, frames=())
+
+
 def test_frames_directory_requires_metadata(tmp_path):
     frame_dir = tmp_path / "frames"
     frame_dir.mkdir()
@@ -266,10 +283,10 @@ def test_frames_directory_metadata_diagnostics(tmp_path, meta, fragment):
 
 def test_video_ref_for_fixture_file(tmp_path):
     path = write_fixture(tmp_path, FIXTURE_DOC)
-    ref, source = video_ref_for(path)
-    assert ref.source is VideoSource.FIXTURE_PATH
-    assert ref.duration == 60
-    assert isinstance(source, VideoFixture)
+    video = video_ref_for(path)
+    assert isinstance(video, VideoFixture)
+    assert video.source is VideoSource.FIXTURE_PATH
+    assert video.duration == 60
 
 
 def test_sampling_is_pure():

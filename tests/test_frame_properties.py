@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clipcritic.core import TaskKind, TaskQuery, VideoRef, VideoSegment, VideoSource
+from clipcritic.core import TaskKind, TaskQuery, VideoSegment
 from clipcritic.fixtures import FrameRef, VideoFixture, sample_frames, windows
 from clipcritic.modelclient import FRAME_BUDGET, CallableModel, FramesPart, budget_frames
 from clipcritic.tools import ToolSuite
@@ -95,11 +95,9 @@ def test_model_tool_requests_stay_within_frame_budget(data, source, retrieve_all
         return ""
 
     task = TaskQuery(
-        "t1", "What is shown?", TaskKind.MULTIPLE_CHOICE,
-        VideoRef(VideoSource.FIXTURE_PATH, "v.json", video.duration, video.fps),
-        ("a", "b"), False,
+        "t1", "What is shown?", TaskKind.MULTIPLE_CHOICE, video, ("a", "b"), False
     )
-    suite = ToolSuite(task, video, backend="model", model=CallableModel(respond))
+    suite = ToolSuite(task, backend="model", model=CallableModel(respond))
     suite.find_when("the door", segment)
     suite.retrieval_qa("What is shown?", ["a", "b"], segment)
     assert all(n <= FRAME_BUDGET for n in used)

@@ -91,10 +91,8 @@ def test_frame_budget_enforced_at_client_boundary():
 
 
 def test_fingerprint_ignores_tag_and_tuning():
-    base = ModelRequest(parts=(TextPart("q"), frames(3)), tag="t1/A/0", temperature=0.0)
-    same_parts = ModelRequest(
-        parts=(TextPart("q"), frames(3)), tag="t9/Z/7", temperature=0.9, max_output=9
-    )
+    base = ModelRequest(parts=(TextPart("q"), frames(3)), tag="t1/A/0")
+    same_parts = ModelRequest(parts=(TextPart("q"), frames(3)), tag="t9/Z/7")
     assert fingerprint(base) == fingerprint(same_parts)
     different = ModelRequest(parts=(TextPart("q!"), frames(3)), tag="t1/A/0")
     assert fingerprint(different) != fingerprint(base)
@@ -501,6 +499,8 @@ def test_http_payload_carries_frame_index(tmp_path, monkeypatch):
     sent = []
     client = HttpModelClient("http://localhost:9/v1", "m", transport=lambda p: sent.append(p) or "7")
     assert client.complete(req) == "7"
+    assert list(sent[0]) == ["model", "temperature", "max_output", "content"]
+    assert (sent[0]["model"], sent[0]["temperature"], sent[0]["max_output"]) == ("m", 0.0, 1024)
     images = [c for c in sent[0]["content"] if c["type"] == "image"]
     assert [(c["index"], c["timestamp"]) for c in images] == [(7, "00:07"), (9, "00:09")]
     # the index goes on the wire only; recorded cassettes still match

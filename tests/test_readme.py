@@ -11,7 +11,7 @@ from clipcritic.core import FatalError
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 EXPORTS = {
-    "TaskKind", "TaskQuery", "VideoRef", "VideoSegment", "VideoSource",
+    "TaskKind", "TaskQuery", "VideoFixture", "VideoSegment", "VideoSource",
     "interval_union_iou", "parse_timestamp",
     "RunConfig", "load_dataset", "evaluate", "ablate_fixed_subsets", "replay_run", "main",
 }

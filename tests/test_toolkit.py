@@ -4,8 +4,9 @@ import ast
 
 import pytest
 
-from clipcritic.core import DataError, TaskKind, TaskQuery, VideoRef, VideoSource
+from clipcritic.core import DataError, TaskKind, TaskQuery
 from clipcritic.dsl import DslExecutionError
+from clipcritic.fixtures import VideoFixture
 from clipcritic.toolkit import (
     PROFILES,
     StrategySubset,
@@ -170,7 +171,7 @@ def test_enumerate_module_subsets_counts():
 
 
 def make_task(kind=TaskKind.MULTIPLE_CHOICE, allow_asr=False):
-    video = VideoRef(VideoSource.FIXTURE_PATH, "clip.json", 600, 1.0)
+    video = VideoFixture(duration=600, fps=1.0, frames=())
     options = ("one", "two") if kind is TaskKind.MULTIPLE_CHOICE else None
     return TaskQuery("t1", "what happens?", kind, video, options, allow_asr)
 

@@ -7,7 +7,6 @@ import pytest
 from clipcritic.core import (
     TaskKind,
     TaskQuery,
-    VideoRef,
     VideoSegment,
     VideoSource,
 )
@@ -27,13 +26,9 @@ from clipcritic.tools import (
 )
 
 
-def make_video(duration):
-    return VideoRef(VideoSource.FIXTURE_PATH, "v.json", duration, 1.0)
-
-
-def make_task(duration=2450, kind=TaskKind.MULTIPLE_CHOICE, question="What color is the man's suit?"):
+def make_task(video, kind=TaskKind.MULTIPLE_CHOICE, question="What color is the man's suit?"):
     options = ("red", "blue") if kind is TaskKind.MULTIPLE_CHOICE else None
-    return TaskQuery("t1", question, kind, make_video(duration), options, False)
+    return TaskQuery("t1", question, kind, video, options, False)
 
 
 def plain_fixture(duration, step=1, **extra):
@@ -57,7 +52,7 @@ SUIT_FIXTURE = plain_fixture(
 
 
 def oracle_suite(fixture=SUIT_FIXTURE, task=None):
-    return ToolSuite(task or make_task(), fixture)
+    return ToolSuite(task or make_task(fixture))
 
 
 def test_content_tokens_drop_stopwords():
@@ -104,7 +99,7 @@ def test_find_when_oracle_multiple_hits_in_time_order():
             Event(VideoSegment(30, 60), "dog sleeps", "early nap"),
         ),
     )
-    got = oracle_suite(fixture, make_task(600, question="what does the dog do?")).find_when(
+    got = oracle_suite(fixture, make_task(fixture, question="what does the dog do?")).find_when(
         "dog"
     )
     lines = got.split("\n")
@@ -130,7 +125,7 @@ def test_retrieval_qa_oracle_first_matching_fact_wins():
             QaFact(VideoSegment(10, 20), ("door", "red"), "specific answer"),
         ),
     )
-    suite = oracle_suite(fixture, make_task(600, question="Is the red door open?"))
+    suite = oracle_suite(fixture, make_task(fixture, question="Is the red door open?"))
     assert suite.retrieval_qa("Is the red door open?") == "decoy answer"
 
 
@@ -138,7 +133,7 @@ def test_asr_oracle_variants():
     suite = oracle_suite()
     hit = suite.asr_understanding("what should you do during the descent?")
     assert hit == "[01:23] take a deep inhale during the descent"
-    silent = ToolSuite(make_task(), plain_fixture(2450, step=10))
+    silent = ToolSuite(make_task(plain_fixture(2450, step=10)))
     assert silent.asr_understanding("anything?") == NO_SPEECH_SENTENCE
     assert suite.asr_understanding("zebra gymnastics?") == NO_RELEVANT_SPEECH_SENTENCE
 
@@ -152,7 +147,7 @@ def test_think_and_finish_echo():
 @pytest.mark.parametrize("n_frames", [64, 65, 2450, 7200])
 def test_window_accounting(n_frames):
     fixture = plain_fixture(n_frames)
-    task = make_task(n_frames, question="what?")
+    task = make_task(fixture, question="what?")
     log = []
 
     def respond(req):
@@ -165,7 +160,7 @@ def test_window_accounting(n_frames):
         return "Final Answer: (1)"
 
     suite = ToolSuite(
-        task, fixture, backend="model", model=CallableModel(respond), tags=TagContext("t1/A")
+        task, backend="model", model=CallableModel(respond), tags=TagContext("t1/A")
     )
 
     log.clear()
@@ -193,7 +188,7 @@ def test_retrieval_model_phase2_composition():
         return "ANSWER TEXT"
 
     suite = ToolSuite(
-        make_task(n), fixture, backend="model", model=CallableModel(respond),
+        make_task(fixture), backend="model", model=CallableModel(respond),
         tags=TagContext("t1/A"),
     )
     assert suite.retrieval_qa("question?", video_segment=VideoSegment(100, 400)) == "ANSWER TEXT"
@@ -217,7 +212,7 @@ def test_retrieval_model_fallback_note():
         return "GUESSED ANSWER"
 
     suite = ToolSuite(
-        make_task(300), fixture, backend="model", model=CallableModel(respond),
+        make_task(fixture), backend="model", model=CallableModel(respond),
         tags=TagContext("t1/A"),
     )
     got = suite.retrieval_qa("question?")
@@ -237,7 +232,7 @@ def test_asr_model_chunks_and_consolidates():
         return "CONSOLIDATED"
 
     suite = ToolSuite(
-        make_task(n), fixture, backend="model", model=CallableModel(respond),
+        make_task(fixture), backend="model", model=CallableModel(respond),
         tags=TagContext("t1/A"),
     )
     assert suite.asr_understanding("what was said?") == "CONSOLIDATED"
@@ -252,7 +247,7 @@ def test_asr_model_chunks_and_consolidates():
 def test_model_retrieval_on_a_video_without_frames_is_not_visible():
     calls = []
     suite = ToolSuite(
-        make_task(30), VideoFixture(duration=30, fps=1.0, frames=()), backend="model",
+        make_task(VideoFixture(duration=30, fps=1.0, frames=())), backend="model",
         model=CallableModel(lambda req: calls.append(req) or "1"),
     )
     assert suite.retrieval_qa("What is shown?", ["a", "b"]) == NOT_VISIBLE_SENTENCE
@@ -262,21 +257,23 @@ def test_model_retrieval_on_a_video_without_frames_is_not_visible():
 
 def test_model_backend_requires_client():
     with pytest.raises(ValueError):
-        ToolSuite(make_task(300), plain_fixture(300), backend="model", model=None)
+        ToolSuite(make_task(plain_fixture(300)), backend="model", model=None)
 
 
 def test_oracle_backend_requires_fixture():
     frames_only = VideoFixture(
-        duration=10, fps=1.0, frames=(FrameRef(0, 0.0, path="a.jpg"),)
+        duration=10,
+        fps=1.0,
+        frames=(FrameRef(0, 0.0, path="a.jpg"),),
+        source=VideoSource.FRAMES_DIRECTORY,
     )
-    video = VideoRef(VideoSource.FRAMES_DIRECTORY, "frames", 10, 1.0)
-    task = TaskQuery("t1", "What is shown?", TaskKind.MULTIPLE_CHOICE, video, ("a", "b"))
+    task = TaskQuery("t1", "What is shown?", TaskKind.MULTIPLE_CHOICE, frames_only, ("a", "b"))
     with pytest.raises(ValueError, match="oracle backends need a fixture video"):
-        ToolSuite(task, frames_only, backend="oracle")
+        ToolSuite(task, backend="oracle")
 
 
 def test_build_registry_exposes_all_tools():
-    registry = build_registry(make_task(), SUIT_FIXTURE)
+    registry = build_registry(make_task(SUIT_FIXTURE))
     assert sorted(registry.backends) == sorted(
         ["think", "get_segment", "find_when", "asr_understanding", "retrieval_qa", "finish"]
     )

@@ -12,6 +12,7 @@ import os
 import pytest
 
 import oracle_suite
+from clipcritic import evalcli
 from clipcritic.evalcli import RunConfig, evaluate, load_dataset
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
@@ -40,6 +41,21 @@ def traced_calls(tmp_path, mode):
         undo()
     assert "error" not in report["items"][0]
     return calls
+
+
+def test_tracer_times_every_fixture_load(tmp_path):
+    spans = load_spans()
+    path = oracle_suite.write_suite(str(tmp_path / "suite"))["all"]
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        tracer.begin_item("setup")
+        items = evalcli.load_dataset(path)  # the module attribute is the one wrapped
+        calls = tracer.end_item()["calls"]
+    finally:
+        undo()
+    assert calls["evalcli.load_dataset"] == 1
+    assert calls["fixtures.load"] == len(items) == 20
 
 
 def test_tracer_sees_every_layer_of_an_agent_critic_item(tmp_path):
