@@ -139,14 +139,14 @@ class _Transcript:
         self.task = task
         self.subset = subset
         self.model = model
-        self.snapshot = registry.with_subset(subset)
-        self.base = f"{task.id}/{subset.label}"
+        self.registry = registry
+        self.base = subset.tag_prefix(task)
         self.env: dict = {}
         self.steps: list[Step] = []
         self.turn = 0
         self.prompt = (
             load_prompt_text(preamble)
-            + self.snapshot.render_api(subset)
+            + registry.render_api()
             + "\n"
             + task_statement(task)
             + "\n\n"
@@ -173,7 +173,7 @@ class _Transcript:
                 final = parse_final_answer(reply, self.task.kind)
                 step = Step("", reply, terminal=not isinstance(final, Unparsed))
             else:
-                result = run_source(code, self.env, self.snapshot)
+                result = run_source(code, self.env, self.registry)
                 raw = str(result.answer) if result.terminal else result.rendered
                 step = Step(code, result.rendered, terminal=result.terminal)
             self.steps.append(step)
@@ -224,7 +224,6 @@ def run_direct(
         raise ValueError(f"unknown module '{module}'")
     if module not in registry.answer_capable:
         raise ValueError(f"module '{module}' cannot answer this task directly")
-    snapshot = registry.with_subset(subset)
     kwargs: dict = {}
     if module == "find_when":
         kwargs["query"] = task.question
@@ -233,7 +232,7 @@ def run_direct(
         if task.options:
             kwargs["answer_options"] = list(task.options)
     try:
-        response = snapshot.call(module, [], kwargs)
+        response = registry.call(module, [], kwargs)
     except DslExecutionError as exc:
         response = str(exc)
     text = response if isinstance(response, str) else str(response)

@@ -27,7 +27,7 @@ from .agent import (
 )
 from .core import DataError, FinalAnswer, TaskQuery, Unparsed, answer_key, answers_equal
 from .modelclient import ModelClient, ModelRequest, TextPart
-from .toolkit import PROFILES, Profile, load_prompt_text
+from .toolkit import Profile, load_prompt_text
 
 logger = logging.getLogger(__name__)
 
@@ -62,18 +62,21 @@ class CriticVerdict:
 @dataclass(frozen=True)
 class Selection:
     trace: Trace
-    final: FinalAnswer
-    label: str
     fallback_used: bool
     conflict: bool = False
 
+    @property
+    def final(self) -> FinalAnswer:
+        return self.trace.final
 
-def load_examples(profile: Profile | str) -> tuple[CriticExample, ...]:
+    @property
+    def label(self) -> str:
+        return self.trace.strategy.label
+
+
+def load_examples(profile: Profile) -> tuple[CriticExample, ...]:
     """Default in-context examples for a profile, from the packaged files."""
-    if isinstance(profile, str) and profile in PROFILES:
-        profile = PROFILES[profile]
-    resource = profile.examples_resource if isinstance(profile, Profile) else profile
-    return _packaged_examples(resource)
+    return _packaged_examples(profile.examples_resource)
 
 
 @functools.cache
@@ -221,13 +224,7 @@ def select_answer(traces: list[Trace], verdict: CriticVerdict) -> Selection:
                 winners,
                 winners[0],
             )
-        return Selection(
-            trace=chosen,
-            final=chosen.final,
-            label=chosen.strategy.label,
-            fallback_used=False,
-            conflict=conflict,
-        )
+        return Selection(chosen, fallback_used=False, conflict=conflict)
     ordered = [by_label[label] for label in sorted(by_label)]
     # an Unparsed final can never score, so it gets no vote
     counts = Counter(
@@ -237,12 +234,7 @@ def select_answer(traces: list[Trace], verdict: CriticVerdict) -> Selection:
     if counts:
         best = max(counts.values())
         chosen = next(t for t in ordered if counts[answer_key(t.final)] == best)
-    return Selection(
-        trace=chosen,
-        final=chosen.final,
-        label=chosen.strategy.label,
-        fallback_used=True,
-    )
+    return Selection(chosen, fallback_used=True)
 
 
 def sample_strategies(

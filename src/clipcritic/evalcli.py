@@ -15,7 +15,6 @@ import sys
 import threading
 import time
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 from .agent import (
@@ -52,9 +51,10 @@ from .modelclient import (
     ConcurrencyLimitedClient,
     HttpModelClient,
     ModelClient,
+    in_order,
 )
 from .toolkit import PROFILES, StrategySubset, enumerate_module_subsets, profile_for_task
-from .tools import BACKENDS, TagContext, build_registry
+from .tools import BACKENDS, build_registry
 
 @dataclass(frozen=True)
 class DatasetItem:
@@ -231,8 +231,14 @@ def _truth_for(data: dict, task: TaskQuery, where: str) -> FinalAnswer:
     return Ranges(tuple(segments))
 
 
-def load_dataset(path: str, profile: str | None = None) -> list[DatasetItem]:
-    """JSON-lines records {id, video, question, options?, answer, allow_asr}."""
+def load_dataset(
+    path: str, profile: str | None = None, task_id: str | None = None
+) -> list[DatasetItem]:
+    """JSON-lines records {id, video, question, options?, answer, allow_asr}.
+
+    With `task_id`, only that row becomes an item (and only its video is
+    loaded); every row still gets its JSON and id checks.
+    """
     if not os.path.exists(path):
         raise DataError(f"dataset not found: {path}")
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -253,14 +259,16 @@ def load_dataset(path: str, profile: str | None = None) -> list[DatasetItem]:
             for key in ("id", "video", "question", "answer"):
                 if key not in data:
                     raise DataError(f"{where}: missing required key '{key}'")
-            task_id = data["id"]
-            if not isinstance(task_id, str) or not task_id:
+            row_id = data["id"]
+            if not isinstance(row_id, str) or not row_id:
                 raise DataError(f"{where}: id must be a nonempty string")
-            if "/" in task_id:
-                raise DataError(f"{where}: id '{task_id}' must not contain '/'")
-            if task_id in seen_ids:
-                raise DataError(f"{where}: duplicate id '{task_id}'")
-            seen_ids.add(task_id)
+            if "/" in row_id:
+                raise DataError(f"{where}: id '{row_id}' must not contain '/'")
+            if row_id in seen_ids:
+                raise DataError(f"{where}: duplicate id '{row_id}'")
+            seen_ids.add(row_id)
+            if task_id is not None and row_id != task_id:
+                continue
             question = data["question"]
             if not isinstance(question, str) or not question:
                 raise DataError(f"{where}: question must be a nonempty string")
@@ -286,7 +294,7 @@ def load_dataset(path: str, profile: str | None = None) -> list[DatasetItem]:
                 TaskKind.MULTIPLE_CHOICE if options else TaskKind.TEMPORAL_RANGE
             )
             task = TaskQuery(
-                id=task_id,
+                id=row_id,
                 question=question,
                 kind=kind,
                 video=video,
@@ -299,6 +307,8 @@ def load_dataset(path: str, profile: str | None = None) -> list[DatasetItem]:
                 except ValueError as exc:
                     raise DataError(f"{where}: {exc}") from exc
             items.append(DatasetItem(task, _truth_for(data, task, where)))
+    if not items and seen_ids:  # every row was another task's
+        raise DataError(f"no task with id '{task_id}'")
     if not items:
         raise DataError(f"{path}: dataset is empty")
     return items
@@ -333,11 +343,7 @@ def run_item(
 
     def factory(subset: StrategySubset):
         return build_registry(
-            task,
-            backend=config.backend,
-            model=model,
-            tags=TagContext(f"{task.id}/{subset.label}"),
-            answer_capable=profile.answer_capable,
+            task, subset, config.backend, model, profile.answer_capable
         )
 
     chosen, traces, extra = runner(
@@ -407,11 +413,9 @@ def evaluate(
                 record["iou"] = 0.0
             return record, []
 
-    if config.concurrency > 1:
-        with ThreadPoolExecutor(max_workers=config.concurrency) as pool:
-            results = list(pool.map(one, items))
-    else:
-        results = [one(item) for item in items]
+    results, fatal = in_order(one, items, config.concurrency)
+    if fatal is not None:
+        raise fatal
 
     records = []
     for record, traces in results:
@@ -650,7 +654,8 @@ def main(argv: list[str] | None = None) -> int:
         replaying = args.command == "replay"
         if replaying and not (config.cassette or "").startswith("replay:"):
             raise UsageError("replay requires --cassette replay:<path>")
-        items = load_dataset(args.dataset, config.profile)
+        task_id = args.task if args.command == "run" else None
+        items = load_dataset(args.dataset, config.profile, task_id)
         if replaying:
             out_dir = args.out_dir or config.traces_dir.rstrip("/\\") + ".replay"
             replay_run(
@@ -665,10 +670,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         model = build_model(config)
         if args.command == "run":
-            if args.task:
-                items = [i for i in items if i.task.id == args.task]
-                if not items:
-                    raise DataError(f"no task with id '{args.task}'")
             record = evaluate(items[:1], config, model)["items"][0]
             for name in record.get("trace_files", ()):
                 with open(os.path.join(config.traces_dir, name), encoding="utf-8") as fh:

@@ -115,29 +115,30 @@ def episode_key(tag: str) -> str:
     return "/".join(tag.split("/")[:2])
 
 
-def _in_order(call, requests: list, width: int) -> tuple[list, Exception | None]:
-    """Apply `call` to each request, up to `width` at once, in request order.
+def in_order(call, items: list, width: int) -> tuple[list, Exception | None]:
+    """Apply `call` to each item, up to `width` at once, in item order.
 
-    Returns the responses before the first request, in order, whose call
-    raised, and that error (None when every call returned). Requests not
-    yet started when it is reached are cancelled.
+    Returns the results before the first item, in order, whose call raised,
+    and that error (None when every call returned). Items not yet started
+    when it is reached are cancelled. At width 1, or for one item, no
+    thread is started.
     """
-    workers = min(width, len(requests))
+    workers = min(width, len(items))
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    responses = []
+    results = []
     try:
         pending = [
-            pool.submit(call, req).result if pool else functools.partial(call, req)
-            for req in requests
+            pool.submit(call, item).result if pool else functools.partial(call, item)
+            for item in items
         ]
         for result in pending:
-            responses.append(result())
+            results.append(result())
     except Exception as exc:
-        return responses, exc
+        return results, exc
     finally:
         if pool:
             pool.shutdown(cancel_futures=True)
-    return responses, None
+    return results, None
 
 
 class ModelClient:
@@ -159,7 +160,7 @@ class ModelClient:
         Responses come back in request order. The first request, in order,
         that fails raises its error; requests still queued are cancelled.
         """
-        responses, error = _in_order(self.complete, requests, self.width)
+        responses, error = in_order(self.complete, requests, self.width)
         if error is not None:
             raise error
         return responses
@@ -286,7 +287,7 @@ class CassetteClient(ModelClient):
     def complete_all(self, requests: list[ModelRequest]) -> list[str]:
         if self.cassette.mode is not CassetteMode.RECORD:
             return super().complete_all(requests)
-        responses, error = _in_order(self.inner.complete, requests, self.width)
+        responses, error = in_order(self.inner.complete, requests, self.width)
         # after a failure only the responses before it are recorded, as in
         # a serial run
         self._record(requests, responses)

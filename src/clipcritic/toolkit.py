@@ -11,7 +11,7 @@ from __future__ import annotations
 import ast
 import functools
 import importlib.resources
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core import FatalError, TaskKind, TaskQuery
 from .dsl import DslExecutionError
@@ -48,6 +48,10 @@ class StrategySubset:
             return self.modules
         extra = tuple(m for m in ("think", "finish") if m not in self.modules)
         return self.modules + extra
+
+    def tag_prefix(self, task: TaskQuery) -> str:
+        """The request-tag prefix of this strategy's episode of `task`."""
+        return f"{task.id}/{self.label}"
 
     def header(self) -> str:
         if self.direct:
@@ -94,34 +98,23 @@ def api_listing() -> _ApiListing:
 
 @dataclass(frozen=True)
 class ToolRegistry:
-    """Backends for the built-in tools, by name; a snapshot restricted to one
-    strategy's modules serves one episode. Snapshots share the backend
-    table, which nothing mutates."""
+    """The tools of one episode: a backend per built-in tool its strategy
+    may call. A listed tool outside the table is unavailable, not unknown."""
 
     backends: dict = field(default_factory=dict)
     answer_capable: frozenset[str] = frozenset()
-    active_subset: StrategySubset | None = None
     terminal_tools = frozenset({"finish"})  # not a field: the DSL stops at these
 
-    def with_subset(self, subset: StrategySubset) -> "ToolRegistry":
-        """Snapshot restricted to one strategy's modules."""
-        for name in subset.effective_modules():
-            if name not in self.backends:
-                raise ValueError(f"subset names unregistered tool '{name}'")
-        return replace(self, active_subset=subset)
-
     def call(self, name: str, args: list, kwargs: dict):
-        if name not in self.backends:
+        if name not in api_listing().blocks:
             raise DslExecutionError(f"error: unknown tool '{name}'")
-        subset = self.active_subset
-        if subset is not None and name not in subset.effective_modules():
+        if name not in self.backends:
             raise DslExecutionError(
                 f"error: tool '{name}' is not available in this strategy"
             )
         bound = self._bind(name, args, kwargs)
-        backend = self.backends[name]
         try:
-            return backend(**bound)
+            return self.backends[name](**bound)
         except (DslExecutionError, FatalError):
             raise
         except Exception as exc:
@@ -155,16 +148,12 @@ class ToolRegistry:
                 bound[param] = None
         return bound
 
-    def render_api(self, subset: StrategySubset | None = None) -> str:
-        subset = subset or self.active_subset
-        active = set(subset.effective_modules()) if subset else set(self.backends)
-        unknown = active - set(self.backends)
-        if unknown:
-            raise ValueError(f"unknown module name(s): {sorted(unknown)}")
-        if not active:
+    def render_api(self) -> str:
+        """The API listing's header and the blocks of the tools held."""
+        if not self.backends:
             raise ValueError("cannot render an empty subset")
         listing = api_listing()
-        blocks = (block for name, block in listing.blocks.items() if name in active)
+        blocks = (b for name, b in listing.blocks.items() if name in self.backends)
         return listing.header + "".join(blocks)
 
 

@@ -22,7 +22,7 @@ from .core import (
 )
 from .fixtures import FrameRef, frames_outside, sample_frames, windows
 from .modelclient import FramesPart, ModelClient, ModelRequest, TextPart
-from .toolkit import ToolRegistry, api_listing, load_prompt_text
+from .toolkit import StrategySubset, ToolRegistry, api_listing, load_prompt_text
 
 BACKENDS = ("oracle", "model")
 
@@ -84,16 +84,6 @@ def format_findings(findings: list[LocalizationFinding]) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class TagContext:
-    """The request-tag prefix of one episode's tools: `<task>/<label>`."""
-
-    base: str = ""
-
-    def tag(self, suffix: str) -> str:
-        return f"{self.base}/{suffix}" if self.base else suffix
-
-
 def _options_block(answer_options) -> str:
     if not answer_options:
         return ""
@@ -102,14 +92,15 @@ def _options_block(answer_options) -> str:
 
 
 class ToolSuite:
-    """Backends for one episode, bound to a task (and so its video) and a model."""
+    """Backends for one episode, bound to a task (and so its video), a model,
+    and the prefix of the episode's request tags."""
 
     def __init__(
         self,
         task: TaskQuery,
         backend: str = "oracle",
         model: ModelClient | None = None,
-        tags: TagContext | None = None,
+        tag_prefix: str = "",
     ):
         if backend not in BACKENDS:
             raise ValueError(f"unknown tool backend '{backend}'")
@@ -120,7 +111,10 @@ class ToolSuite:
         self.video = task.video
         self.backend = backend
         self.model = model
-        self.tags = tags or TagContext()
+        self.tag_prefix = tag_prefix
+
+    def _tag(self, suffix: str) -> str:
+        return f"{self.tag_prefix}/{suffix}" if self.tag_prefix else suffix
 
     # --- think / finish ---
 
@@ -182,7 +176,7 @@ class ToolSuite:
                     ),
                     FramesPart(window.refs),
                 ),
-                tag=self.tags.tag(f"find_when/window/{i}"),
+                tag=self._tag(f"find_when/window/{i}"),
             )
             for i, window in enumerate(windows(self.video, segment, FIND_WHEN_WINDOW))
         ]
@@ -223,7 +217,7 @@ class ToolSuite:
             [
                 ModelRequest(
                     parts=(TextPart(prompt), FramesPart(window.refs)),
-                    tag=self.tags.tag(f"retrieval_qa/window/{i}"),
+                    tag=self._tag(f"retrieval_qa/window/{i}"),
                 )
                 for i, window in enumerate(grid)
             ]
@@ -262,7 +256,7 @@ class ToolSuite:
             parts.append(TextPart("Context frames from the rest of the video:"))
             parts.append(FramesPart(tuple(context)))
         answer = self.model.complete(
-            ModelRequest(parts=tuple(parts), tag=self.tags.tag("retrieval_qa/answer"))
+            ModelRequest(parts=tuple(parts), tag=self._tag("retrieval_qa/answer"))
         )
         if fell_back:
             return f"{FALLBACK_NOTE}\n{answer}"
@@ -340,7 +334,7 @@ class ToolSuite:
                             )
                         ),
                     ),
-                    tag=self.tags.tag(f"asr_understanding/chunk/{i}"),
+                    tag=self._tag(f"asr_understanding/chunk/{i}"),
                 )
                 for i, chunk in enumerate(chunks)
             ]
@@ -358,19 +352,24 @@ class ToolSuite:
         return self.model.complete(
             ModelRequest(
                 parts=(TextPart(consolidation),),
-                tag=self.tags.tag("asr_understanding/final"),
+                tag=self._tag("asr_understanding/final"),
             )
         )
 
 
 def build_registry(
     task: TaskQuery,
+    subset: StrategySubset,
     backend: str = "oracle",
     model: ModelClient | None = None,
-    tags: TagContext | None = None,
     answer_capable: frozenset[str] = frozenset({"retrieval_qa"}),
 ) -> ToolRegistry:
-    """A registry with all six built-ins bound to one task and its video."""
-    suite = ToolSuite(task, backend=backend, model=model, tags=tags)
-    backends = {name: getattr(suite, name) for name in api_listing().blocks}
+    """The tools of one episode: `subset`'s modules bound to one task and its
+    video, their requests tagged under the episode's prefix."""
+    suite = ToolSuite(task, backend, model, subset.tag_prefix(task))
+    backends = {}
+    for name in subset.effective_modules():
+        if name not in api_listing().blocks:
+            raise ValueError(f"subset names unregistered tool '{name}'")
+        backends[name] = getattr(suite, name)
     return ToolRegistry(backends, answer_capable)

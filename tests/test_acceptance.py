@@ -44,7 +44,7 @@ from clipcritic.modelclient import (
     budget_frames,
 )
 from clipcritic.toolkit import PROFILES, StrategySubset, enumerate_module_subsets
-from clipcritic.tools import NO_RANGES_SENTENCE, TagContext, ToolSuite, build_registry
+from clipcritic.tools import NO_RANGES_SENTENCE, ToolSuite, build_registry
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -198,7 +198,7 @@ def test_criterion_3_window_accounting(criterion):
                 return "Final Answer: (1)"
 
             suite = ToolSuite(
-                task, backend="model", model=CallableModel(respond), tags=TagContext("t1/A")
+                task, backend="model", model=CallableModel(respond), tag_prefix="t1/A"
             )
             log.clear()
             suite.find_when("query")
@@ -377,11 +377,10 @@ def _self_eval(confidences, answers, max_rounds):
     task = TaskQuery(
         "t1", "What color is the door?", TaskKind.MULTIPLE_CHOICE, fixture, ("red", "blue"), False
     )
-    tags = TagContext("t1/self")
-    registry = build_registry(task, tags=tags)
+    subset = StrategySubset("self", PROFILES["visual_mcq"].pool)
+    registry = build_registry(task, subset)
     turns = [f"```\nfinish(final_answer='Final Answer: ({a})')\n```" for a in answers]
     model = ScriptedModel({"t1/self/confidence": list(confidences), "t1/self": turns})
-    subset = StrategySubset("self", PROFILES["visual_mcq"].pool)
     trace = run_self_eval(task, subset, model, registry, max_rounds=max_rounds)
     rounds = sum(1 for c in model.calls if "/confidence/" in c.tag)
     return trace, rounds

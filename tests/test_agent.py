@@ -23,7 +23,7 @@ from clipcritic.core import (
 from clipcritic.fixtures import FrameRef, QaFact, VideoFixture
 from clipcritic.modelclient import ScriptedModel
 from clipcritic.toolkit import PROFILES, StrategySubset
-from clipcritic.tools import TagContext, build_registry
+from clipcritic.tools import build_registry
 
 
 def make_fixture():
@@ -42,12 +42,12 @@ def make_task(kind=TaskKind.MULTIPLE_CHOICE):
     return TaskQuery("t1", question, kind, make_fixture(), options, False)
 
 
-def episode_setup(label="A", scripts=None, subset=None):
+def episode_setup(scripts=None, subset=None):
     task = make_task()
-    tags = TagContext(f"t1/{label}")
-    registry = build_registry(task, tags=tags)
+    subset = subset or PROFILES["visual_mcq"].strategies[0]
+    registry = build_registry(task, subset)
     model = ScriptedModel(scripts or {})
-    return task, subset or PROFILES["visual_mcq"].strategies[0], model, registry, tags
+    return task, subset, model, registry
 
 
 def test_task_statement_shapes():
@@ -67,7 +67,7 @@ def test_three_turn_episode():
             "Done.\n```\nfinish(final_answer=f\"Final Answer: (2) because {ans}\")\n```",
         ]
     }
-    task, subset, model, registry, tags = episode_setup(scripts=scripts)
+    task, subset, model, registry = episode_setup(scripts=scripts)
     trace = run_episode(task, subset, model, registry)
     assert trace.stop_reason is StopReason.FINISHED
     assert trace.final == Choice(2)
@@ -84,7 +84,7 @@ def test_transcript_accumulates_programs_and_results():
             "```\nfinish(final_answer='Final Answer: (2)')\n```",
         ]
     }
-    task, subset, model, registry, tags = episode_setup(scripts=scripts)
+    task, subset, model, registry = episode_setup(scripts=scripts)
     run_episode(task, subset, model, registry)
     last_prompt = model.calls[-1].parts[0].text
     # every earlier program and its rendered result appear verbatim, in order
@@ -105,7 +105,7 @@ def test_transcript_accumulates_programs_and_results():
 
 def test_first_prompt_lists_only_subset_tools():
     scripts = {"t1/A": ["Final Answer: (1)"]}
-    task, subset, model, registry, tags = episode_setup(scripts=scripts)
+    task, subset, model, registry = episode_setup(scripts=scripts)
     run_episode(task, subset, model, registry)
     prompt = model.calls[0].parts[0].text
     assert "def get_segment(" in prompt
@@ -116,7 +116,7 @@ def test_first_prompt_lists_only_subset_tools():
 
 def test_budget_exhaustion_forces_answer():
     scripts = {"t1/A": ["```\nthink(thought='still looking')\n```"] * 10 + ["Final Answer: (2)"]}
-    task, subset, model, registry, tags = episode_setup(scripts=scripts)
+    task, subset, model, registry = episode_setup(scripts=scripts)
     trace = run_episode(task, subset, model, registry)
     assert trace.stop_reason is StopReason.FORCED_ANSWER
     # the forced-answer exchange is not a step
@@ -127,7 +127,7 @@ def test_budget_exhaustion_forces_answer():
 
 def test_code_free_reply_with_final_answer_terminates():
     scripts = {"t1/A": ["Looking at the door, Final Answer: (1)"]}
-    task, subset, model, registry, tags = episode_setup(scripts=scripts)
+    task, subset, model, registry = episode_setup(scripts=scripts)
     trace = run_episode(task, subset, model, registry)
     assert trace.stop_reason is StopReason.FINISHED
     assert len(trace.steps) == 1
@@ -142,7 +142,7 @@ def test_code_free_reply_without_answer_gets_corrective_turn():
             "```\nfinish(final_answer='Final Answer: (2)')\n```",
         ]
     }
-    task, subset, model, registry, tags = episode_setup(scripts=scripts)
+    task, subset, model, registry = episode_setup(scripts=scripts)
     trace = run_episode(task, subset, model, registry)
     assert trace.stop_reason is StopReason.FINISHED
     # the corrective exchange consumed a step
@@ -158,7 +158,7 @@ def test_parse_errors_are_fed_back_as_results():
             "```\nfinish(final_answer='Final Answer: (2)')\n```",
         ]
     }
-    task, subset, model, registry, tags = episode_setup(scripts=scripts)
+    task, subset, model, registry = episode_setup(scripts=scripts)
     trace = run_episode(task, subset, model, registry)
     assert trace.steps[0].result.startswith("error: parse error at line 1")
     assert trace.steps[0].result in model.calls[-1].parts[0].text
@@ -167,10 +167,10 @@ def test_parse_errors_are_fed_back_as_results():
 
 def test_run_direct_uses_tool_not_model():
     task = make_task()
-    tags = TagContext("t1/B")
-    registry = build_registry(task, tags=tags)
+    subset = PROFILES["visual_mcq"].strategies[1]
+    registry = build_registry(task, subset)
     model = ScriptedModel({})  # never consulted with the oracle backend
-    trace = run_direct(task, PROFILES["visual_mcq"].strategies[1], model, registry)
+    trace = run_direct(task, subset, model, registry)
     assert trace.stop_reason is StopReason.FINISHED
     assert len(trace.steps) == 1
     assert trace.steps[0].result == "a red door"
@@ -181,8 +181,8 @@ def test_run_direct_uses_tool_not_model():
 
 def test_run_direct_requires_answer_capable_module():
     task = make_task()
-    registry = build_registry(task)
     bad = StrategySubset("B", ("get_segment",), direct=True)
+    registry = build_registry(task, bad)
     with pytest.raises(ValueError, match="cannot answer"):
         run_direct(task, bad, ScriptedModel({}), registry)
     nondirect = StrategySubset("A", ("retrieval_qa",), direct=False)
@@ -197,10 +197,9 @@ def test_run_single_program_is_one_model_call():
         "finish(final_answer=f'Final Answer: (1) {ans}')\n```"
     )
     task = make_task()
-    tags = TagContext("t1/single")
-    registry = build_registry(task, tags=tags)
-    model = ScriptedModel({"t1/single": [program]})
     subset = StrategySubset("single", PROFILES["visual_mcq"].pool)
+    registry = build_registry(task, subset)
+    model = ScriptedModel({"t1/single": [program]})
     trace = run_single_program(task, subset, model, registry)
     assert len(model.calls) == 1
     assert trace.strategy.label == "single"
@@ -212,10 +211,9 @@ def test_run_single_program_is_one_model_call():
 
 def test_run_single_program_without_code_is_unparsed():
     task = make_task()
-    tags = TagContext("t1/single")
-    registry = build_registry(task, tags=tags)
-    model = ScriptedModel({"t1/single": ["no code at all"]})
     subset = StrategySubset("single", PROFILES["visual_mcq"].pool)
+    registry = build_registry(task, subset)
+    model = ScriptedModel({"t1/single": ["no code at all"]})
     trace = run_single_program(task, subset, model, registry)
     assert trace.final == Unparsed("no code at all")
 
@@ -226,14 +224,13 @@ def finish_turn(index):
 
 def run_self_eval_with(confidences, answers=None, max_rounds=3):
     task = make_task()
-    tags = TagContext("t1/self")
-    registry = build_registry(task, tags=tags)
+    subset = StrategySubset("self", PROFILES["visual_mcq"].pool)
+    registry = build_registry(task, subset)
     rounds = len(confidences)
     episode_turns = [finish_turn(a) for a in (answers or [2] * rounds)]
     model = ScriptedModel(
         {"t1/self/confidence": list(confidences), "t1/self": episode_turns}
     )
-    subset = StrategySubset("self", PROFILES["visual_mcq"].pool)
     trace = run_self_eval(task, subset, model, registry, max_rounds=max_rounds)
     asked = sum(1 for c in model.calls if "/confidence/" in c.tag)
     return trace, asked
@@ -267,7 +264,7 @@ def test_self_eval_unscorable_confidence_counts_as_low():
 
 def test_trace_round_trips_through_dict():
     scripts = {"t1/A": [finish_turn(2)]}
-    task, subset, model, registry, tags = episode_setup(scripts=scripts)
+    task, subset, model, registry = episode_setup(scripts=scripts)
     trace = run_episode(task, subset, model, registry)
     data = trace.to_dict()
     assert data["task_id"] == "t1"

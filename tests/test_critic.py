@@ -30,7 +30,7 @@ from clipcritic.critic import (
 from clipcritic.fixtures import FrameRef, QaFact, VideoFixture
 from clipcritic.modelclient import ScriptedModel, budget_frames
 from clipcritic.toolkit import PROFILES, StrategySubset
-from clipcritic.tools import TagContext, build_registry
+from clipcritic.tools import build_registry
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -166,7 +166,7 @@ def test_selected_answer_is_always_a_presented_final():
 
 def test_load_examples_per_profile():
     for name in ("visual_mcq", "asr_mcq", "temporal_range"):
-        examples = load_examples(name)
+        examples = load_examples(PROFILES[name])
         assert len(examples) == 4
         for example in examples:
             assert example.input_block.endswith("\n")
@@ -174,7 +174,7 @@ def test_load_examples_per_profile():
 
 
 def test_packaged_examples_are_parsed_once():
-    examples = load_examples("visual_mcq")
+    examples = load_examples(PROFILES["visual_mcq"])
     assert isinstance(examples, tuple)
     assert load_examples(PROFILES["visual_mcq"]) is examples
     # a configured examples file is read afresh on every run:
@@ -217,7 +217,7 @@ def scripted_pipeline(critic_response):
             "t1/critic": [critic_response],
         }
     )
-    factory = lambda subset: build_registry(task, tags=TagContext(f"t1/{subset.label}"))
+    factory = lambda subset: build_registry(task, subset)
     return task, profile, model, factory
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import oracle_suite
 from clipcritic import evalcli
-from clipcritic.core import Choice, Ranges, TaskKind
+from clipcritic.core import Choice, Ranges, TaskKind, UsageError
 from clipcritic.evalcli import (
     DataError,
     ReplayDivergence,
@@ -140,6 +140,17 @@ def test_load_dataset_profile_mismatch(tmp_path):
     path = write_rows(tmp_path, [GOOD_ROW])
     with pytest.raises(DataError, match="profile"):
         load_dataset(path, profile="temporal_range")
+
+
+def test_load_dataset_of_one_task_reads_one_video(tmp_path):
+    path = write_rows(tmp_path, [GOOD_ROW, {**GOOD_ROW, "id": "t2", "video": "missing.json"}])
+    assert [item.task.id for item in load_dataset(path, task_id="t1")] == ["t1"]
+    with pytest.raises(DataError, match="no task with id 't9'"):
+        load_dataset(path, task_id="t9")
+    # every row still gets its JSON, id and duplicate-id checks
+    for row, fragment in [("not json", "invalid JSON"), (GOOD_ROW, "duplicate id 't1'"), ({**GOOD_ROW, "id": ""}, "id must be")]:
+        with pytest.raises(DataError, match=fragment):
+            load_dataset(write_rows(tmp_path, [GOOD_ROW, row]), task_id="t1")
 
 
 def test_load_config_file(tmp_path):
@@ -379,6 +390,31 @@ def test_concurrent_run_matches_serial(tmp_path, all_items):
     stripped = lambda rep: {k: v for k, v in rep.items() if k != "timing"}
     serial["config"]["concurrency"] = concurrent["config"]["concurrency"]
     assert stripped(concurrent) == stripped(serial)
+
+
+def test_fatal_error_cancels_queued_items(tmp_path, all_items):
+    started = set()
+
+    def respond(req):  # the first item stops the run; the others are slow
+        started.add(req.tag.split("/")[0])
+        if req.tag.startswith(f"{all_items[0].task.id}/"):
+            raise UsageError("stops the run")
+        time.sleep(0.2)
+        return "```\nfinish(final_answer='Final Answer: (1)')\n```"
+
+    with pytest.raises(UsageError, match="stops the run"):
+        evaluate(all_items, config("agent", tmp_path, concurrency=2), CallableModel(respond))
+    assert len(started) <= 3  # the item that failed and those already running
+
+
+def test_one_item_runs_on_the_calling_thread(tmp_path, all_items, monkeypatch):
+    threads = []
+    run = evalcli.run_item
+    monkeypatch.setattr(
+        evalcli, "run_item", lambda *a: threads.append(threading.current_thread()) or run(*a)
+    )
+    evaluate(all_items[:1], config("agent_critic", tmp_path, concurrency=2), oracle_suite.scripted_model())
+    assert threads == [threading.current_thread()]
 
 
 def test_fixed_subset_override(tmp_path, temporal_items):
@@ -735,6 +771,17 @@ def test_cli_run_prints_trace(tmp_path, suite_paths, capsys):
     assert '"result"' in out
     assert '"v05"' in out
     assert os.path.exists(tmp_path / "traces" / "v05.B.json")
+
+
+def test_cli_run_loads_only_the_named_task(tmp_path, suite_paths, capsys, monkeypatch):
+    loads = []
+    load = evalcli.video_ref_for
+    monkeypatch.setattr(evalcli, "video_ref_for", lambda path: loads.append(path) or load(path))
+    argv = ["--mode", "direct", "--traces-dir", str(tmp_path / "traces"), "run", suite_paths["all"]]
+    assert main(argv + ["--task", "v05"]) == 0
+    assert len(loads) == 1
+    assert main(argv + ["--task", "v99"]) == 2
+    assert "no task with id 'v99'" in capsys.readouterr().err
 
 
 def test_cli_run_prints_traces_then_the_record(tmp_path, suite_paths, all_items, capsys, monkeypatch):

@@ -7,7 +7,7 @@ from clipcritic.agent import StopReason, run_episode
 from clipcritic.dsl import DslParseError, StepResult, parse_program, run_source
 from clipcritic.modelclient import CallableModel
 from clipcritic.toolkit import PROFILES
-from clipcritic.tools import TagContext, build_registry
+from clipcritic.tools import build_registry
 from test_agent import make_task
 
 # reply kind -> (reply text for turn i, is the reply a terminal step)
@@ -36,8 +36,8 @@ def test_episode_loop_invariants(kinds, budget):
         return replies[len(seen) - 1]
 
     task = make_task()
-    registry = build_registry(task, tags=TagContext("t1/A"))
     subset = PROFILES["visual_mcq"].strategies[0]
+    registry = build_registry(task, subset)
     trace = run_episode(
         task, subset, CallableModel(respond), registry, step_budget=budget
     )
@@ -53,7 +53,7 @@ def test_episode_loop_invariants(kinds, budget):
 
 
 DSL_ALPHABET = "abfxy_()[]'\"=,:{}!\n\t #\\0123456789 "
-REGISTRY = build_registry(make_task())
+REGISTRY = build_registry(make_task(), PROFILES["asr_mcq"].strategies[2])  # all six tools
 
 
 @settings(max_examples=300, deadline=None)

@@ -18,9 +18,9 @@ from clipcritic.toolkit import (
 )
 
 
-def make_registry(answer_capable=frozenset({"retrieval_qa"})):
-    backends = {name: lambda *a, **k: None for name in api_listing().blocks}
-    return ToolRegistry(backends, answer_capable)
+def make_registry(names=None):
+    backends = {name: lambda *a, **k: None for name in names or api_listing().blocks}
+    return ToolRegistry(backends, frozenset({"retrieval_qa"}))
 
 
 def test_full_api_render_matches_stored_listing():
@@ -61,9 +61,8 @@ def test_parameters_parse_from_the_listing():
 
 
 def test_subset_render_includes_only_active_tools():
-    registry = make_registry()
     subset = PROFILES["visual_mcq"].strategies[0]  # retrieval_qa + get_segment
-    text = registry.render_api(subset)
+    text = make_registry(subset.effective_modules()).render_api()
     assert "def get_segment(" in text
     assert "def retrieval_qa(" in text
     assert "def think(" in text
@@ -79,8 +78,7 @@ def test_render_api_rejects_empty_subset():
 
 
 def test_call_validates_arity_and_names():
-    registry = make_registry()
-    subset = registry.with_subset(PROFILES["visual_mcq"].strategies[0])
+    subset = make_registry(PROFILES["visual_mcq"].strategies[0].effective_modules())
     with pytest.raises(DslExecutionError, match="unknown tool 'nope'"):
         subset.call("nope", [], {})
     with pytest.raises(DslExecutionError, match="not available in this strategy"):

@@ -10,8 +10,10 @@ from clipcritic.core import (
     VideoSegment,
     VideoSource,
 )
+from clipcritic.dsl import DslExecutionError
 from clipcritic.fixtures import AsrLine, Event, FrameRef, QaFact, VideoFixture
 from clipcritic.modelclient import CallableModel, FramesPart, budget_frames
+from clipcritic.toolkit import PROFILES, StrategySubset, api_listing
 from clipcritic.tools import (
     FALLBACK_NOTE,
     NO_RANGES_SENTENCE,
@@ -19,7 +21,6 @@ from clipcritic.tools import (
     NO_SPEECH_SENTENCE,
     NOT_VISIBLE_SENTENCE,
     STOPWORDS,
-    TagContext,
     ToolSuite,
     build_registry,
     content_tokens,
@@ -160,7 +161,7 @@ def test_window_accounting(n_frames):
         return "Final Answer: (1)"
 
     suite = ToolSuite(
-        task, backend="model", model=CallableModel(respond), tags=TagContext("t1/A")
+        task, backend="model", model=CallableModel(respond), tag_prefix="t1/A"
     )
 
     log.clear()
@@ -189,7 +190,7 @@ def test_retrieval_model_phase2_composition():
 
     suite = ToolSuite(
         make_task(fixture), backend="model", model=CallableModel(respond),
-        tags=TagContext("t1/A"),
+        tag_prefix="t1/A",
     )
     assert suite.retrieval_qa("question?", video_segment=VideoSegment(100, 400)) == "ANSWER TEXT"
     answer_req = [r for r in log if "/retrieval_qa/answer" in r.tag][0]
@@ -213,7 +214,7 @@ def test_retrieval_model_fallback_note():
 
     suite = ToolSuite(
         make_task(fixture), backend="model", model=CallableModel(respond),
-        tags=TagContext("t1/A"),
+        tag_prefix="t1/A",
     )
     got = suite.retrieval_qa("question?")
     assert got == FALLBACK_NOTE + "\nGUESSED ANSWER"
@@ -233,7 +234,7 @@ def test_asr_model_chunks_and_consolidates():
 
     suite = ToolSuite(
         make_task(fixture), backend="model", model=CallableModel(respond),
-        tags=TagContext("t1/A"),
+        tag_prefix="t1/A",
     )
     assert suite.asr_understanding("what was said?") == "CONSOLIDATED"
     chunk_tags = [r.tag for r in log if "/asr_understanding/chunk/" in r.tag]
@@ -273,7 +274,8 @@ def test_oracle_backend_requires_fixture():
 
 
 def test_build_registry_exposes_all_tools():
-    registry = build_registry(make_task(SUIT_FIXTURE))
+    all_six = PROFILES["asr_mcq"].strategies[2]
+    registry = build_registry(make_task(SUIT_FIXTURE), all_six)
     assert sorted(registry.backends) == sorted(
         ["think", "get_segment", "find_when", "asr_understanding", "retrieval_qa", "finish"]
     )
@@ -281,6 +283,43 @@ def test_build_registry_exposes_all_tools():
     assert got == "a blue suit"
 
 
-def test_tag_context_builds_hierarchical_tags():
-    tags = TagContext("t1/A")
-    assert tags.tag("find_when/window/0") == "t1/A/find_when/window/0"
+def test_registry_tags_tool_requests_under_its_episode():
+    log = []
+    model = CallableModel(lambda req: log.append(req.tag) or "")
+    task = make_task(plain_fixture(300))
+    subset = StrategySubset("A", ("find_when", "asr_understanding"))
+    build_registry(task, subset, backend="model", model=model).call("find_when", ["door"], {})
+    assert log == ["t1/A/find_when/window/0", "t1/A/find_when/window/1", "t1/A/find_when/window/2"]
+    log.clear()
+    ToolSuite(task, backend="model", model=model).find_when("door")
+    assert log[0] == "find_when/window/0"  # a bare suite tags without a prefix
+
+
+# every profile strategy, and the pools the single-program and self-eval modes offer
+EPISODE_SUBSETS = {
+    f"{p.name}-{s.label}": s
+    for p in PROFILES.values()
+    for s in (*p.strategies, StrategySubset("single", p.pool), StrategySubset("self", p.pool))
+}
+
+
+@pytest.mark.parametrize("subset", EPISODE_SUBSETS.values(), ids=list(EPISODE_SUBSETS))
+def test_registry_holds_only_its_strategy_tools(subset):
+    registry = build_registry(make_task(SUIT_FIXTURE), subset)
+    listing = api_listing()
+    held = subset.effective_modules()
+    want = "".join(block for name, block in listing.blocks.items() if name in held)
+    assert registry.render_api() == listing.header + want
+    for name in listing.blocks:
+        if name not in held:
+            with pytest.raises(DslExecutionError, match=f"^error: tool '{name}' is not available in this strategy$"):
+                registry.call(name, ["x"], {})
+    for name in ("nope", "_find_when_model", "render_api"):
+        with pytest.raises(DslExecutionError, match=f"^error: unknown tool '{name}'$"):
+            registry.call(name, [], {})
+
+
+@pytest.mark.parametrize("module", ["_find_when_model", "bogus"])
+def test_build_registry_rejects_unlisted_modules(module):
+    with pytest.raises(ValueError, match=f"subset names unregistered tool '{module}'"):
+        build_registry(make_task(SUIT_FIXTURE), StrategySubset("X", (module,)))
