@@ -232,12 +232,16 @@ def _truth_for(data: dict, task: TaskQuery, where: str) -> FinalAnswer:
 
 
 def load_dataset(
-    path: str, profile: str | None = None, task_id: str | None = None
+    path: str,
+    profile: str | None = None,
+    task_id: str | None = None,
+    first: bool = False,
 ) -> list[DatasetItem]:
     """JSON-lines records {id, video, question, options?, answer, allow_asr}.
 
-    With `task_id`, only that row becomes an item (and only its video is
-    loaded); every row still gets its JSON and id checks.
+    With `task_id`, only that row becomes an item, and with `first`, only
+    the first row (so only its video is loaded); every row still gets its
+    JSON and id checks.
     """
     if not os.path.exists(path):
         raise DataError(f"dataset not found: {path}")
@@ -267,7 +271,7 @@ def load_dataset(
             if row_id in seen_ids:
                 raise DataError(f"{where}: duplicate id '{row_id}'")
             seen_ids.add(row_id)
-            if task_id is not None and row_id != task_id:
+            if (task_id is not None and row_id != task_id) or (first and items):
                 continue
             question = data["question"]
             if not isinstance(question, str) or not question:
@@ -655,7 +659,8 @@ def main(argv: list[str] | None = None) -> int:
         if replaying and not (config.cassette or "").startswith("replay:"):
             raise UsageError("replay requires --cassette replay:<path>")
         task_id = args.task if args.command == "run" else None
-        items = load_dataset(args.dataset, config.profile, task_id)
+        first = args.command == "run" and task_id is None
+        items = load_dataset(args.dataset, config.profile, task_id, first)
         if replaying:
             out_dir = args.out_dir or config.traces_dir.rstrip("/\\") + ".replay"
             replay_run(
@@ -670,7 +675,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         model = build_model(config)
         if args.command == "run":
-            record = evaluate(items[:1], config, model)["items"][0]
+            record = evaluate(items, config, model)["items"][0]
             for name in record.get("trace_files", ()):
                 with open(os.path.join(config.traces_dir, name), encoding="utf-8") as fh:
                     sys.stdout.write(fh.read())

@@ -16,8 +16,12 @@ import math
 import os
 import re
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from typing import Sequence
 
@@ -97,24 +101,38 @@ class VideoFixture:
             raise FixtureError("duration must be positive")
         if not self.fps > 0:
             raise FixtureError("fps must be positive")
-        # Frame access bisects on `t`, so times must strictly increase; and
-        # the frames outside a segment are two slices of the table, so every
-        # frame must lie within the video.
-        prev_t = -math.inf
+        # Frame access bisects on `t`, and retrieval on `index`, so both must
+        # strictly increase; and the frames outside a segment are two slices
+        # of the table, so every frame must lie within the video.
+        prev_t = prev_index = -math.inf
         for i, ref in enumerate(self.frames):
             if ref.t <= prev_t:
                 raise FixtureError(f"frames[{i}]: frame times must be strictly increasing")
+            if ref.index <= prev_index:
+                raise FixtureError(f"frames[{i}]: frame indices must be strictly increasing")
             if not 0 <= ref.t <= self.duration:
                 raise FixtureError(
                     f"frames[{i}]: t {ref.t:g} outside the video [0, {self.duration}]"
                 )
-            prev_t = ref.t
+            prev_t, prev_index = ref.t, ref.index
+
+    @cached_property
+    def key_table(self) -> tuple[bytes, array]:
+        """Every frame's `key` encoded as `json.dumps` writes it, joined by
+        commas, and where each frame's entry starts, so the JSON list body of
+        frames[i:j] is `table[starts[i]:starts[j] - 1]`. Built on first use;
+        threads racing to build it build equal tables."""
+        encoded = [encode_basestring_ascii(ref.key) for ref in self.frames]
+        starts = array("q", accumulate((len(e) + 1 for e in encoded), initial=0))
+        return ",".join(encoded).encode("ascii"), starts
 
 
 @dataclass(frozen=True)
 class FrameWindow:
     refs: tuple[FrameRef, ...]
     segment: VideoSegment
+    # the JSON list body of the refs' keys, a slice of the video's key table
+    fragment: memoryview = field(repr=False, compare=False)
 
 
 # --- loading ---
@@ -368,15 +386,19 @@ def windows(video: VideoFixture, segment: VideoSegment, size: int) -> list[Frame
         raise ValueError("window size must be >= 1")
     frames = video.frames
     lo, hi = _bounds(frames, segment)
+    table, starts = video.key_table
+    view = memoryview(table)
     out: list[FrameWindow] = []
     for i in range(lo, hi, size):
-        chunk = frames[i : min(i + size, hi)]
+        j = min(i + size, hi)
+        chunk = frames[i:j]
         out.append(
             FrameWindow(
                 refs=chunk,
                 segment=VideoSegment(
                     int(math.floor(chunk[0].t)), int(math.ceil(chunk[-1].t))
                 ),
+                fragment=view[starts[i] : starts[j] - 1],
             )
         )
     return out

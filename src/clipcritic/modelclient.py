@@ -70,6 +70,10 @@ class TextPart:
 @dataclass(frozen=True)
 class FramesPart:
     frames: tuple[FrameRef, ...]
+    # the JSON list body of the frames' keys, when the frames are a run of
+    # their video's table (`FrameWindow.fragment`); it spares fingerprint
+    # encoding them one by one
+    fragment: memoryview | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.frames:
@@ -95,15 +99,27 @@ def budget_frames(parts) -> int:
 
 
 def fingerprint(req: ModelRequest) -> str:
-    """Stable digest of a request's content; the tag is bookkeeping only."""
-    normalized = []
-    for part in req.parts:
+    """Stable digest of a request's content; the tag is bookkeeping only.
+
+    The sha256 of the parts as `json.dumps` writes them, sorted keys and no
+    spaces: `[{"text":...},{"frames":[<key>,...]},...]`. The bytes are fed
+    piece by piece, a frames part's keys from its fragment when it has one.
+    """
+    digest = hashlib.sha256(b"[")
+    for i, part in enumerate(req.parts):
+        if i:
+            digest.update(b",")
         if isinstance(part, TextPart):
-            normalized.append({"text": part.text})
+            digest.update(b'{"text":%s}' % json.dumps(part.text).encode("ascii"))
+        elif part.fragment is not None:
+            digest.update(b'{"frames":[')
+            digest.update(part.fragment)
+            digest.update(b"]}")
         else:
-            normalized.append({"frames": [r.key for r in part.frames]})
-    payload = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            keys = json.dumps([r.key for r in part.frames], separators=(",", ":"))
+            digest.update(b'{"frames":%s}' % keys.encode("ascii"))
+    digest.update(b"]")
+    return digest.hexdigest()
 
 
 def text_request(text: str, tag: str = "") -> ModelRequest:

@@ -11,7 +11,9 @@ byte-for-byte.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .core import (
     TaskQuery,
@@ -40,6 +42,7 @@ RETRIEVAL_WINDOW = 64  # frames per retrieval_qa phase-1 window request
 RETRIEVAL_CAP = 64
 CONTEXT_FRAMES = 56
 ASR_CHUNK_CHARS = 4000  # transcript characters per asr_understanding chunk
+_INDEX = attrgetter("index")
 
 # articles, pronouns, and bare interrogatives never count as content
 STOPWORDS = frozenset(
@@ -174,7 +177,7 @@ class ToolSuite:
                             end=format_timestamp(window.segment.end),
                         )
                     ),
-                    FramesPart(window.refs),
+                    FramesPart(window.refs, window.fragment),
                 ),
                 tag=self._tag(f"find_when/window/{i}"),
             )
@@ -216,27 +219,28 @@ class ToolSuite:
         responses = self.model.complete_all(
             [
                 ModelRequest(
-                    parts=(TextPart(prompt), FramesPart(window.refs)),
+                    parts=(TextPart(prompt), FramesPart(window.refs, window.fragment)),
                     tag=self._tag(f"retrieval_qa/window/{i}"),
                 )
                 for i, window in enumerate(grid)
             ]
         )
-        retrieved: set[int] = set()
-        ref_by_index: dict[int, FrameRef] = {}
+        # a reply line names a frame by index; only frames of its own window
+        # count, and a frames directory may skip indices, so the ref found
+        # must carry the index asked for
+        retrieved: dict[int, FrameRef] = {}
         fell_back = False
         for window, response in zip(grid, responses):
-            for ref in window.refs:
-                ref_by_index[ref.index] = ref
-            allowed = {ref.index for ref in window.refs}
+            refs = window.refs
             for line in response.split("\n"):
                 line = line.strip()
                 if re.fullmatch(r"\d+", line):
                     idx = int(line)
-                    if idx in allowed:
-                        retrieved.add(idx)
+                    j = bisect_left(refs, idx, key=_INDEX)
+                    if j < len(refs) and refs[j].index == idx:
+                        retrieved[idx] = refs[j]
         if retrieved:
-            chosen = [ref_by_index[i] for i in sorted(retrieved)[:RETRIEVAL_CAP]]
+            chosen = [retrieved[i] for i in sorted(retrieved)[:RETRIEVAL_CAP]]
         else:
             fell_back = True
             chosen = sample_frames(self.video, segment, RETRIEVAL_CAP)

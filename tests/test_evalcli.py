@@ -143,14 +143,16 @@ def test_load_dataset_profile_mismatch(tmp_path):
 
 
 def test_load_dataset_of_one_task_reads_one_video(tmp_path):
-    path = write_rows(tmp_path, [GOOD_ROW, {**GOOD_ROW, "id": "t2", "video": "missing.json"}])
-    assert [item.task.id for item in load_dataset(path, task_id="t1")] == ["t1"]
+    rows = [GOOD_ROW, {**GOOD_ROW, "id": "t2", "video": "missing.json"}]
     with pytest.raises(DataError, match="no task with id 't9'"):
-        load_dataset(path, task_id="t9")
-    # every row still gets its JSON, id and duplicate-id checks
-    for row, fragment in [("not json", "invalid JSON"), (GOOD_ROW, "duplicate id 't1'"), ({**GOOD_ROW, "id": ""}, "id must be")]:
-        with pytest.raises(DataError, match=fragment):
-            load_dataset(write_rows(tmp_path, [GOOD_ROW, row]), task_id="t1")
+        load_dataset(write_rows(tmp_path, rows), task_id="t9")
+    for select in ({"task_id": "t1"}, {"first": True}):
+        path = write_rows(tmp_path, rows)
+        assert [item.task.id for item in load_dataset(path, **select)] == ["t1"]
+        # every row still gets its JSON, id and duplicate-id checks
+        for row, fragment in [("not json", "invalid JSON"), (GOOD_ROW, "duplicate id 't1'"), ({**GOOD_ROW, "id": ""}, "id must be")]:
+            with pytest.raises(DataError, match=fragment):
+                load_dataset(write_rows(tmp_path, [GOOD_ROW, row]), **select)
 
 
 def test_load_config_file(tmp_path):
@@ -782,6 +784,18 @@ def test_cli_run_loads_only_the_named_task(tmp_path, suite_paths, capsys, monkey
     assert len(loads) == 1
     assert main(argv + ["--task", "v99"]) == 2
     assert "no task with id 'v99'" in capsys.readouterr().err
+
+
+def test_cli_run_without_a_task_loads_only_the_first_video(tmp_path, suite_paths, monkeypatch):
+    loads = []
+    load = evalcli.video_ref_for
+    monkeypatch.setattr(evalcli, "video_ref_for", lambda path: loads.append(path) or load(path))
+    traces_dir = tmp_path / "traces"
+    assert main(["--mode", "direct", "--traces-dir", str(traces_dir), "run", suite_paths["all"]]) == 0
+    assert len(loads) == 1
+    with open(suite_paths["all"], encoding="utf-8") as fh:
+        first_id = json.loads(fh.readline())["id"]
+    assert os.listdir(traces_dir) == [f"{first_id}.B.json"]
 
 
 def test_cli_run_prints_traces_then_the_record(tmp_path, suite_paths, all_items, capsys, monkeypatch):

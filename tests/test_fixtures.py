@@ -235,6 +235,8 @@ def test_video_fixture_rejects_unsorted_frames():
         VideoFixture(10, 1.0, (FrameRef(0, 0.0), FrameRef(1, 5.0), FrameRef(2, 5.0)))
     with pytest.raises(FixtureError, match=r"frames\[1\]"):
         VideoFixture(10, 1.0, (FrameRef(0, 3.0), FrameRef(1, 2.0)))
+    with pytest.raises(FixtureError, match=r"frames\[2\]: frame indices must be strictly increasing"):
+        VideoFixture(10, 1.0, (FrameRef(0, 0.0), FrameRef(2, 1.0), FrameRef(2, 2.0)))
     with pytest.raises(FixtureError, match=r"frames\[0\]: t 11 outside the video"):
         VideoFixture(10, 1.0, (FrameRef(0, 11.0),))
 

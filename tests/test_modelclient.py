@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import http.client
 import json
+import math
 import sys
 import threading
 import time
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clipcritic.core import DataError, FatalError
-from clipcritic.fixtures import FrameRef
+from clipcritic.core import DataError, FatalError, VideoSegment, VideoSource
+from clipcritic.fixtures import FrameRef, VideoFixture, windows
 from clipcritic.modelclient import (
     BACKOFF_BASE,
     FRAME_BUDGET,
@@ -208,6 +209,80 @@ def test_frame_keys_race_to_the_same_fingerprint():
     assert not any(thread.is_alive() for thread in threads)
     assert digests == [expected] * 8
     assert [r.key for r in refs] == [reference_frame_id(r) for r in refs]
+
+
+# quotes, backslashes, control characters, a lone surrogate and non-ASCII
+# text: every escape `json.dumps` writes in a key
+PATH_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t\ud800é€😀') | st.characters(), max_size=6)
+
+
+@st.composite
+def key_table_videos(draw):
+    """A video shaped like a fixture (keys `index@t`) or like a frames
+    directory (skipped indices, keys are paths), some keys read already."""
+    fps = draw(st.sampled_from((0.5, 1.0, 3.0, 29.97)))
+    if draw(st.booleans()):
+        times = sorted(draw(st.sets(st.integers(0, 300), max_size=80)))
+        frames = tuple(FrameRef(i, float(t), caption="c") for i, t in enumerate(times))
+        duration, source = 301, VideoSource.FIXTURE_PATH
+    else:
+        indices = sorted(draw(st.sets(st.integers(0, 900), max_size=80)))
+        names = draw(st.lists(PATH_TEXT, min_size=len(indices), max_size=len(indices)))
+        frames = tuple(
+            FrameRef(i, i / fps, path=f"d/{name}{i}.jpg") for i, name in zip(indices, names)
+        )
+        duration, source = math.ceil(900 / fps), VideoSource.FRAMES_DIRECTORY
+    for ref in frames:
+        if draw(st.booleans()):
+            assert ref.key == reference_frame_id(ref)
+    return VideoFixture(duration, fps, frames, source=source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), video=key_table_videos(), size=st.integers(1, 100))
+def test_window_fragments_fingerprint_like_the_reference(data, video, size):
+    a, b = (data.draw(st.integers(0, video.duration + 2)) for _ in range(2))
+    for window in windows(video, VideoSegment(min(a, b), max(a, b)), size):
+        per_frame = ",".join(json.dumps(reference_frame_id(r)) for r in window.refs)
+        assert bytes(window.fragment) == per_frame.encode("ascii")
+        req = ModelRequest(parts=(TextPart("q"), FramesPart(window.refs, window.fragment)))
+        assert fingerprint(req) == reference_fingerprint(req)
+
+
+def test_key_table_races_to_the_reference_fingerprint():
+    """Eight threads cut windows over one video whose key table is unbuilt."""
+    refs = tuple(
+        FrameRef(i, float(i), path=f"f{i}.jpg" if i % 4 else None) for i in range(0, 4000, 2)
+    )
+    video = VideoFixture(4000, 1.0, refs, source=VideoSource.FRAMES_DIRECTORY)
+    expected = [
+        reference_fingerprint(ModelRequest(parts=(TextPart("q"), FramesPart(refs[i : i + 64]))))
+        for i in range(0, len(refs), 64)
+    ]
+    digests = []
+    barrier = threading.Barrier(8, timeout=30)
+
+    def run():
+        barrier.wait()
+        digests.append(
+            [
+                fingerprint(ModelRequest(parts=(TextPart("q"), FramesPart(w.refs, w.fragment))))
+                for w in windows(video, VideoSegment(0, 4000), 64)
+            ]
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert digests == [expected] * 8
 
 
 def test_episode_key_takes_first_two_components():

@@ -1,6 +1,8 @@
 """Video tool backends: oracle semantics and model-side window accounting."""
 
+import json
 import math
+import re
 
 import pytest
 
@@ -12,7 +14,7 @@ from clipcritic.core import (
 )
 from clipcritic.dsl import DslExecutionError
 from clipcritic.fixtures import AsrLine, Event, FrameRef, QaFact, VideoFixture
-from clipcritic.modelclient import CallableModel, FramesPart, budget_frames
+from clipcritic.modelclient import CallableModel, FramesPart, budget_frames, fingerprint
 from clipcritic.toolkit import PROFILES, StrategySubset, api_listing
 from clipcritic.tools import (
     FALLBACK_NOTE,
@@ -20,11 +22,13 @@ from clipcritic.tools import (
     NO_RELEVANT_SPEECH_SENTENCE,
     NO_SPEECH_SENTENCE,
     NOT_VISIBLE_SENTENCE,
+    RETRIEVAL_CAP,
     STOPWORDS,
     ToolSuite,
     build_registry,
     content_tokens,
 )
+from test_modelclient import reference_fingerprint, reference_frame_id
 
 
 def make_task(video, kind=TaskKind.MULTIPLE_CHOICE, question="What color is the man's suit?"):
@@ -218,6 +222,95 @@ def test_retrieval_model_fallback_note():
     )
     got = suite.retrieval_qa("question?")
     assert got == FALLBACK_NOTE + "\nGUESSED ANSWER"
+
+
+def skipping_frames_directory():
+    """A 1 fps frames directory missing every index that is 1 mod 3."""
+    refs = tuple(
+        FrameRef(i, float(i), path=f"frames/{i:04d}.jpg") for i in range(400) if i % 3 != 1
+    )
+    return VideoFixture(400, 1.0, refs, source=VideoSource.FRAMES_DIRECTORY)
+
+
+def test_window_requests_carry_a_key_table_fragment():
+    log = []
+
+    def respond(req):
+        log.append(req)
+        if "/retrieval_qa/window/" in req.tag:
+            return "\n".join(str(r.index) for r in req.parts[1].frames[::7])
+        return ""
+
+    suite = ToolSuite(
+        make_task(skipping_frames_directory()), backend="model",
+        model=CallableModel(respond), tag_prefix="t1/A",
+    )
+    suite.find_when("the door")
+    suite.retrieval_qa("question?", video_segment=VideoSegment(100, 300))
+    window_requests = [r for r in log if "/window/" in r.tag]
+    assert {r.tag.split("/")[2] for r in window_requests} == {"find_when", "retrieval_qa"}
+    for req in window_requests:
+        part = req.parts[1]
+        per_frame = ",".join(json.dumps(reference_frame_id(r)) for r in part.frames)
+        assert part.fragment is not None and bytes(part.fragment) == per_frame.encode("ascii")
+    # the answer request's frames are not one run of the table: no fragment
+    (answer,) = [r for r in log if r.tag.endswith("/retrieval_qa/answer")]
+    assert [p.fragment for p in answer.parts if isinstance(p, FramesPart)] == [None, None]
+    assert all(fingerprint(req) == reference_fingerprint(req) for req in log)
+
+
+def reference_retrieved(phase1, replies):
+    """The frames phase 1 retrieves, by the rule of one index set per window
+    and one index-to-frame map over every window."""
+    retrieved, ref_by_index = set(), {}
+    for req, reply in zip(phase1, replies):
+        refs = req.parts[1].frames
+        ref_by_index.update((ref.index, ref) for ref in refs)
+        allowed = {ref.index for ref in refs}
+        for line in reply.split("\n"):
+            line = line.strip()
+            if re.fullmatch(r"\d+", line) and int(line) in allowed:
+                retrieved.add(int(line))
+    return tuple(ref_by_index[i] for i in sorted(retrieved)[:RETRIEVAL_CAP])
+
+
+def test_retrieval_picks_frames_by_the_reference_rule():
+    video = skipping_frames_directory()
+    table = [r.index for r in video.frames]
+    replies, log = [], []
+
+    def respond(req):
+        log.append(req)
+        if "/retrieval_qa/window/" not in req.tag:
+            return "ANSWER"
+        indices = [r.index for r in req.parts[1].frames]
+        at = table.index(indices[0])
+        neighbours = table[max(at - 1, 0) : at] + table[at + len(indices) :][:1]
+        skipped = next(i for i in range(indices[0], indices[-1]) if i not in indices)
+        arabic = "".join(chr(0x660 + int(d)) for d in str(indices[2]))
+        reply = "\n".join(
+            [
+                str(indices[0]),
+                str(skipped),  # inside the window's span, but no such frame
+                *map(str, neighbours),  # the neighbouring windows' frames
+                str(indices[1]), str(indices[1]),  # a repeat
+                f"  {indices[3]:06d}  ",  # padded
+                arabic,  # non-ASCII digits are digits too
+                f"frame {indices[4]}", f"{indices[5]}.", f"-{indices[6]}", "", "none",
+            ]
+        )
+        replies.append(reply)
+        return reply
+
+    suite = ToolSuite(
+        make_task(video), backend="model", model=CallableModel(respond), tag_prefix="t1/A"
+    )
+    assert suite.retrieval_qa("question?") == "ANSWER"
+    phase1 = [r for r in log if "/retrieval_qa/window/" in r.tag]
+    assert len(phase1) > 1
+    chosen = log[-1].parts[1].frames
+    assert chosen == reference_retrieved(phase1, replies)
+    assert len(chosen) == 4 * len(phase1)
 
 
 def test_asr_model_chunks_and_consolidates():
