@@ -2,8 +2,9 @@
 
 Timestamps are whole seconds rendered as MM:SS strings (minutes unbounded,
 so a two hour mark renders "120:00"). Hour-form strings like "01:25:00" are
-accepted on input only. Final answers are one of three variants: a 1-based
-multiple-choice index, a list of time ranges, or the raw unparsed text.
+accepted on input only, and only the ASCII digits 0-9 are digits. Final
+answers are one of three variants: a 1-based multiple-choice index, a list
+of time ranges, or the raw unparsed text.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ class TimestampError(ValueError):
     """Raised for text that does not parse as a timestamp."""
 
 
-_TWO_FIELD = re.compile(r"^(\d+):(\d{2})$")
-_THREE_FIELD = re.compile(r"^(\d+):(\d{2}):(\d{2})$")
+# only ASCII digits: `\d` also takes Arabic-Indic, fullwidth and other digits
+_TWO_FIELD = re.compile(r"^([0-9]+):([0-9]{2})$")
+_THREE_FIELD = re.compile(r"^([0-9]+):([0-9]{2}):([0-9]{2})$")
 
 
 def parse_timestamp(text: str) -> Timestamp:
@@ -154,7 +156,8 @@ FinalAnswer = Union[Choice, Ranges, Unparsed]
 _CHOICE_PATTERN = re.compile(r"Final Answer:\s*\((\d+)\)")
 _FINAL_MARKER = re.compile(r"Final Answer:")
 _RANGE_PAIR = re.compile(
-    r"\[\s*[\"']?(\d+:\d{2}(?::\d{2})?)[\"']?\s*,\s*[\"']?(\d+:\d{2}(?::\d{2})?)[\"']?\s*\]"
+    r"\[\s*[\"']?([0-9]+:[0-9]{2}(?::[0-9]{2})?)[\"']?\s*,"
+    r"\s*[\"']?([0-9]+:[0-9]{2}(?::[0-9]{2})?)[\"']?\s*\]"
 )
 
 

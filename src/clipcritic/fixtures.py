@@ -18,11 +18,12 @@ import re
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import add, attrgetter, mul
 from typing import Sequence
 
 from .core import (
@@ -188,29 +189,90 @@ def _read_header(path: str) -> tuple[dict, int, float]:
     return data, duration, float(fps)
 
 
-def _objects(data: dict, key: str, path: str):
-    """(where, entry) for each entry of the optional object list `data[key]`."""
+def _object_list(data: dict, key: str, path: str) -> list:
     entries = data.get(key, [])
     if not isinstance(entries, list):
         raise FixtureError(f"{path}: {key}: expected a list")
-    for i, entry in enumerate(entries):
+    return entries
+
+
+def _objects(data: dict, key: str, path: str):
+    """(where, entry) for each entry of the optional object list `data[key]`."""
+    for i, entry in enumerate(_object_list(data, key, path)):
         where = f"{path}: {key}[{i}]"
         if not isinstance(entry, dict):
             raise FixtureError(f"{where}: expected an object")
         yield where, entry
 
 
+# Column passes: a list's entries are checked one field at a time, in C-level
+# loops, and the `where` of a message is built only by the per-entry checks
+# that a failed pass falls back to, so each error names the first bad entry
+# with the same text as before.
+
+
+def _all(check_type: type, values: list) -> bool:
+    return all(map(isinstance, values, repeat(check_type)))
+
+
+def _column(entries: list, key: str, default=None) -> list:
+    return list(map(dict.get, entries, repeat(key), repeat(default)))
+
+
+_CANONICAL_TIMES = re.compile(r"(?:[0-9]+:[0-5][0-9]\n)*[0-9]+:[0-5][0-9]")
+
+
+def _canonical_times(values: list) -> list[int] | None:
+    """The seconds of each value when all are ASCII `[0-9]+:[0-5][0-9]`
+    strings, else None. The values are matched as one newline-joined string,
+    so a value holding a newline of its own fails on the newline count."""
+    if not values:
+        return []
+    if not _all(str, values):
+        return None
+    joined = "\n".join(values)
+    if joined.count("\n") != len(values) - 1 or not _CANONICAL_TIMES.fullmatch(joined):
+        return None
+    try:
+        parts = list(map(int, joined.replace("\n", ":").split(":")))
+    except ValueError:  # more digits than int() converts
+        return None
+    return list(map(add, map(mul, parts[0::2], repeat(60)), parts[1::2]))
+
+
+_FRAME_SLOTS = tuple(FrameRef.__dict__[f.name].__set__ for f in fields(FrameRef))
+
+
+def _frame_table(indices: Sequence[int], times, captions, paths) -> tuple[FrameRef, ...]:
+    """The frames `FrameRef(i, t, caption, path)` for the rows of the columns,
+    built slot by slot: each slot is set through its descriptor in one map
+    loop, with no `__init__` call per frame. The refs stay frozen."""
+    refs = tuple(map(object.__new__, repeat(FrameRef, len(indices))))
+    for set_slot, column in zip(_FRAME_SLOTS, (indices, times, captions, paths, repeat(None))):
+        deque(map(set_slot, refs, column), maxlen=0)
+    return refs
+
+
+def _frames(data: dict, path: str) -> tuple[FrameRef, ...]:
+    entries = _object_list(data, "frames", path)
+    times = captions = None
+    if _all(dict, entries):
+        times, captions = _canonical_times(_column(entries, "t")), _column(entries, "caption", "")
+    if times is None or not _all(str, captions):
+        times, captions = [], []
+        for where, entry in _objects(data, "frames", path):
+            times.append(_parse_time_field(entry.get("t"), f"{where}.t"))
+            caption = entry.get("caption", "")
+            if not isinstance(caption, str):
+                raise FixtureError(f"{where}.caption: expected a string")
+            captions.append(caption)
+    return _frame_table(range(len(times)), map(float, times), captions, repeat(None))
+
+
 def load_fixture(path: str) -> VideoFixture:
     """Load and validate a fixture file; diagnostics name the bad field."""
     data, duration, fps = _read_header(path)
-
-    frames = []
-    for i, (where, entry) in enumerate(_objects(data, "frames", path)):
-        t = _parse_time_field(entry.get("t"), f"{where}.t")
-        caption = entry.get("caption", "")
-        if not isinstance(caption, str):
-            raise FixtureError(f"{where}.caption: expected a string")
-        frames.append(FrameRef(index=i, t=float(t), caption=caption))
+    frames = _frames(data, path)
 
     events = []
     for where, entry in _objects(data, "events", path):
@@ -256,7 +318,7 @@ def load_fixture(path: str) -> VideoFixture:
         return VideoFixture(
             duration=duration,
             fps=fps,
-            frames=tuple(frames),
+            frames=frames,
             events=tuple(events),
             asr=tuple(asr),
             qa_facts=tuple(qa_facts),
@@ -294,12 +356,15 @@ def load_frames_directory(path: str) -> VideoFixture:
         name_by_index[index] = name
     if not name_by_index:
         raise FixtureError(f"{path}: no frame image files")
+    indices = sorted(name_by_index)
     return VideoFixture(
         duration=duration,
         fps=fps,
-        frames=tuple(
-            FrameRef(index=i, t=i / fps, path=os.path.join(path, name_by_index[i]))
-            for i in sorted(name_by_index)
+        frames=_frame_table(
+            indices,
+            (i / fps for i in indices),
+            repeat(None),
+            (os.path.join(path, name_by_index[i]) for i in indices),
         ),
         source=VideoSource.FRAMES_DIRECTORY,
     )

@@ -44,6 +44,28 @@ def test_parse_timestamp_rejects_malformed(text):
         parse_timestamp(text)
 
 
+NON_ASCII_TIMES = (
+    "\u0660\u0661:\u0660\u0662",  # Arabic-Indic 01:02
+    "\uff10\uff11:\uff10\uff12",  # fullwidth 01:02
+    "00:\u0660\u0665",
+    "1:00:0\uff15",
+)
+
+
+@pytest.mark.parametrize("text", NON_ASCII_TIMES)
+def test_parse_timestamp_takes_only_ascii_digits(text):
+    # these are digits to int() and to a regex's \d, but not to MM:SS
+    with pytest.raises(TimestampError):
+        parse_timestamp(text)
+
+
+def test_parse_final_answer_ranges_read_only_ascii_digits():
+    raw = "Final Answer: [\u0660\u0661:\u0660\u0662, \u0660\u0661:\u0660\u0665]"
+    assert parse_final_answer(raw, TaskKind.TEMPORAL_RANGE) == Unparsed(raw)
+    mixed = raw + ", [00:03, 00:04]"
+    assert parse_final_answer(mixed, TaskKind.TEMPORAL_RANGE) == Ranges((VideoSegment(3, 4),))
+
+
 def test_format_timestamp_always_two_fields():
     assert format_timestamp(2450) == "40:50"
     assert format_timestamp(5100) == "85:00"

@@ -1,18 +1,28 @@
 """Fixture loading, uniform frame sampling, and frame windowing."""
 
+import dataclasses
 import json
 import math
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clipcritic.core import VideoSegment, VideoSource
+from clipcritic.core import VideoSegment, VideoSource, format_timestamp, parse_timestamp
 from clipcritic.fixtures import (
+    AsrLine,
+    Event,
     FixtureError,
     FrameRef,
+    QaFact,
     VideoFixture,
+    _canonical_times,
+    _frame_table,
+    _parse_time_field,
+    _read_header,
+    _segment_field,
     load_fixture,
     load_frames_directory,
     sample_frames,
@@ -169,6 +179,13 @@ def test_load_fixture_diagnostics(tmp_path, mutate, fragment):
         except FixtureError as exc:
             assert fragment in str(exc)
             raise
+
+
+@pytest.mark.parametrize("t", ["\u0660\u0661:\u0660\u0662", "\uff10\uff11:\uff10\uff12"])
+def test_load_fixture_rejects_non_ascii_digits(tmp_path, t):
+    doc = {**FIXTURE_DOC, "frames": [{"t": "00:00"}, {"t": t}]}
+    with pytest.raises(FixtureError, match=r"clip\.json: frames\[1\]\.t: malformed timestamp"):
+        load_fixture(write_fixture(tmp_path, doc))
 
 
 def test_load_fixture_missing_file():
@@ -349,3 +366,203 @@ def test_load_frames_directory_never_raises_another_error(tmp_path_factory, meta
         (frame_dir / name).write_bytes(b"\xff\xd8\xff")
     (frame_dir / "metadata.json").write_text(json.dumps(meta))
     loads_or_fixture_error(load_frames_directory, str(frame_dir))
+
+
+# --- column passes against the per-entry loader ---
+
+
+def reference_load_fixture(path):
+    """The loader as it was before column passes: every entry checked in
+    turn, every time through `_parse_time_field`, every frame built by
+    `FrameRef(...)`."""
+    data, duration, fps = _read_header(path)
+
+    def objects(key):
+        entries = data.get(key, [])
+        if not isinstance(entries, list):
+            raise FixtureError(f"{path}: {key}: expected a list")
+        for i, entry in enumerate(entries):
+            where = f"{path}: {key}[{i}]"
+            if not isinstance(entry, dict):
+                raise FixtureError(f"{where}: expected an object")
+            yield where, entry
+
+    frames = []
+    for i, (where, entry) in enumerate(objects("frames")):
+        t = _parse_time_field(entry.get("t"), f"{where}.t")
+        caption = entry.get("caption", "")
+        if not isinstance(caption, str):
+            raise FixtureError(f"{where}.caption: expected a string")
+        frames.append(FrameRef(index=i, t=float(t), caption=caption))
+    events = []
+    for where, entry in objects("events"):
+        segment = _segment_field(entry, where, duration)
+        label = entry.get("label")
+        if not isinstance(label, str) or not label:
+            raise FixtureError(f"{where}.label: expected a nonempty string")
+        justification = entry.get("justification", "")
+        if not isinstance(justification, str):
+            raise FixtureError(f"{where}.justification: expected a string")
+        events.append(Event(segment, label, justification))
+    asr = []
+    prev_t = -1
+    for where, entry in objects("asr"):
+        t = _parse_time_field(entry.get("t"), f"{where}.t")
+        if t > duration:
+            raise FixtureError(f"{where}: t beyond video duration")
+        if t < prev_t:
+            raise FixtureError(f"{where}: transcript times must be non-decreasing")
+        text = entry.get("text")
+        if not isinstance(text, str):
+            raise FixtureError(f"{where}.text: expected a string")
+        asr.append(AsrLine(t, text))
+        prev_t = t
+    qa_facts = []
+    for where, entry in objects("qa_facts"):
+        evidence = _segment_field(entry, where, duration)
+        keywords = entry.get("keywords")
+        if (
+            not isinstance(keywords, list)
+            or not keywords
+            or not all(isinstance(k, str) and k for k in keywords)
+        ):
+            raise FixtureError(f"{where}.keywords: expected a nonempty string list")
+        answer = entry.get("answer")
+        if not isinstance(answer, str) or not answer:
+            raise FixtureError(f"{where}.answer: expected a nonempty string")
+        qa_facts.append(QaFact(evidence, tuple(keywords), answer))
+    try:
+        return VideoFixture(
+            duration=duration,
+            fps=fps,
+            frames=tuple(frames),
+            events=tuple(events),
+            asr=tuple(asr),
+            qa_facts=tuple(qa_facts),
+        )
+    except FixtureError as exc:
+        raise FixtureError(f"{path}: {exc}") from exc
+
+
+OVER_LONG = "1" * (sys.get_int_max_str_digits() + 1)  # more digits than int() takes
+
+# Strings the fast path must decline or parse exactly as parse_timestamp does:
+# lenient forms, whitespace, newlines, non-ASCII digits and over-long runs.
+time_texts = st.one_of(
+    st.from_regex(r"[0-9]{1,4}:[0-9]{2}", fullmatch=True),
+    st.text(alphabet="0123456789:\n \t\u0660\u0665\uff10\uff15x", max_size=12),
+    st.sampled_from(("00:00\n00:01", " 00:05", "00:05\n", "0:05", "1:00:00", "00:60")),
+    st.sampled_from((OVER_LONG + ":00", "00:" + OVER_LONG, OVER_LONG[:-2] + ":00")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(time_texts, max_size=6))
+def test_canonical_times_equal_parse_timestamp(values):
+    got = _canonical_times(values)
+    if got is not None:
+        assert got == [parse_timestamp(v) for v in values]
+    # a list is taken whole or declined whole
+    for v in values:
+        if _canonical_times([v]) is None:
+            assert got is None
+
+
+def test_canonical_times_decline_what_they_cannot_read_exactly():
+    assert _canonical_times(["00:00", "0:05", "119:59", "007:07"]) == [0, 5, 7199, 427]
+    assert _canonical_times([]) == []
+    for value in [
+        "00:00\n00:01", " 00:05", "00:05\n", "1:00:00", "00:60", "\u0660\u0661:\u0660\u0662",
+        OVER_LONG + ":00", 5, None,
+    ]:
+        assert _canonical_times(["00:00", value]) is None, value
+
+
+def rendered(seconds, form):
+    canonical = format_timestamp(seconds)
+    return {
+        "canonical": canonical,
+        "short": f"{seconds // 60}:{seconds % 60:02d}",
+        "hours": f"{seconds // 3600}:{seconds // 60 % 60:02d}:{seconds % 60:02d}",
+        "padded": f" {canonical}\t",
+    }[form]
+
+
+BAD_ENTRIES = (
+    7, None, "00:01", [],
+    {"t": 5}, {"t": None}, {}, {"t": "1:60"}, {"t": "00:60"}, {"t": "1:2:3"}, {"t": ""},
+    {"t": "\u0660\u0661:\u0660\u0662"}, {"t": "\uff10\uff11:\uff10\uff12"},
+    {"t": "00:00\n00:01"}, {"t": OVER_LONG + ":00"}, {"t": "99:00"},
+)
+
+
+@st.composite
+def fixture_docs(draw):
+    """FIXTURE_DOC with frames and a transcript over a 10 minute video, in
+    canonical and lenient times, and at most one bad entry."""
+    forms = st.sampled_from(("canonical", "canonical", "short", "hours", "padded"))
+    frame_times = sorted(draw(st.sets(st.integers(0, 600), max_size=12)))
+    frames = [
+        {"t": rendered(t, draw(forms)), "caption": draw(st.text(max_size=3))}
+        for t in frame_times
+    ]
+    asr_times = sorted(draw(st.lists(st.integers(0, 600), max_size=8)))
+    asr = [{"t": rendered(t, draw(forms)), "text": draw(st.text(max_size=3))} for t in asr_times]
+    doc = {**FIXTURE_DOC, "duration": "10:00", "frames": frames, "asr": asr}
+    target = draw(st.sampled_from((None, "frames", "asr")))
+    entries = doc[target] if target else []
+    if entries:
+        i = draw(st.integers(0, len(entries) - 1))
+        fault = draw(st.sampled_from(("replace", "reorder", "field")))
+        if fault == "replace":
+            entries[i] = draw(st.sampled_from(BAD_ENTRIES))
+        elif fault == "reorder" and i:
+            # frames must strictly increase; transcript lines must not go back
+            entries[i]["t"] = format_timestamp(max(0, parse_timestamp(entries[i - 1]["t"]) - 1))
+        else:
+            text_key = "caption" if target == "frames" else "text"
+            entries[i][text_key] = draw(st.sampled_from((3, None, ["x"])))
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=fixture_docs())
+def test_load_fixture_matches_per_entry_loader(tmp_path_factory, doc):
+    path = str(tmp_path_factory.getbasetemp() / "column_clip.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    try:
+        want = reference_load_fixture(path)
+    except FixtureError as exc:
+        with pytest.raises(FixtureError) as err:
+            load_fixture(path)
+        assert str(err.value) == str(exc)
+        return
+    got = load_fixture(path)
+    assert got == want
+    assert [repr(f) for f in got.frames] == [repr(f) for f in want.frames]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.floats(allow_nan=False),
+            st.none() | st.text(max_size=4),
+            st.none() | st.text(max_size=4),
+        ),
+        max_size=8,
+    )
+)
+def test_frame_table_refs_are_constructed_refs(rows):
+    columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
+    table = _frame_table(*columns)
+    assert isinstance(table, tuple) and len(table) == len(rows)
+    for ref, row in zip(table, rows):
+        want = FrameRef(*row)
+        assert ref == want and hash(ref) == hash(want) and repr(ref) == repr(want)
+        assert ref.key == want.key
+        for name in ("index", "t", "caption", "path", "_key"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ref, name, None)
