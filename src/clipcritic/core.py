@@ -1,4 +1,4 @@
-"""Foundational domain types shared by every module.
+"""Foundational domain types shared by every module, and the input-file reader.
 
 Timestamps are whole seconds rendered as MM:SS strings (minutes unbounded,
 so a two hour mark renders "120:00"). Hour-form strings like "01:25:00" are
@@ -10,6 +10,7 @@ of time ranges, or the raw unparsed text.
 from __future__ import annotations
 
 import enum
+import json
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
@@ -39,6 +40,42 @@ class DataError(FatalError):
 
 class ReplayDivergence(FatalError):
     exit_code, label = 3, "replay divergence"
+
+
+def input_error(exc: Exception, path: str, what: str, error=DataError) -> DataError:
+    """The error for an input path that `open` or `listdir` failed on."""
+    if isinstance(exc, (FileNotFoundError, ValueError)):  # ValueError: a NUL in the path
+        return error(f"{what} not found: {path}")
+    return error(f"{path}: cannot read {what}: {exc.strerror}")
+
+
+def read_bytes(path: str, what: str, error=DataError) -> bytes:
+    """The bytes of an input file; any fault is an `error` naming the file."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        raise input_error(exc, path, what, error) from exc
+
+
+def _decode_json(data: bytes, where: str, error=DataError):
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
+        raise error(f"{where}: invalid JSON: {exc}") from exc
+
+
+def read_json(path: str, what: str, error=DataError):
+    """The JSON value of an input file, read as `read_bytes` reads it."""
+    return _decode_json(read_bytes(path, what, error), path, error)
+
+
+def read_json_lines(path: str, what: str):
+    """(`path:n`, value) for each nonblank line n of a JSON-lines input file."""
+    for n, line in enumerate(read_bytes(path, what).split(b"\n"), start=1):
+        if line.strip():
+            where = f"{path}:{n}"
+            yield where, _decode_json(line, where)
 
 
 class TimestampError(ValueError):
@@ -153,7 +190,7 @@ class Unparsed:
 
 FinalAnswer = Union[Choice, Ranges, Unparsed]
 
-_CHOICE_PATTERN = re.compile(r"Final Answer:\s*\((\d+)\)")
+_CHOICE_PATTERN = re.compile(r"Final Answer:\s*\(([0-9]+)\)")
 _FINAL_MARKER = re.compile(r"Final Answer:")
 _RANGE_PAIR = re.compile(
     r"\[\s*[\"']?([0-9]+:[0-9]{2}(?::[0-9]{2})?)[\"']?\s*,"

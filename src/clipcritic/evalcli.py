@@ -39,8 +39,12 @@ from .core import (
     UsageError,
     VideoSegment,
     answers_equal,
+    input_error,
     interval_union_iou,
     parse_timestamp,
+    read_bytes,
+    read_json,
+    read_json_lines,
 )
 from .critic import load_examples, load_examples_file, run_agent_critic
 from .fixtures import video_ref_for
@@ -167,11 +171,7 @@ _CONFIG_CHOICES = {"mode": MODES, "backend": BACKENDS, "profile": tuple(sorted(P
 
 
 def load_config_file(path: str) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    data = read_json(path, "config")
     if not isinstance(data, dict):
         raise DataError(f"{path}: config must be a JSON object")
     config = RunConfig()
@@ -243,74 +243,58 @@ def load_dataset(
     the first row (so only its video is loaded); every row still gets its
     JSON and id checks.
     """
-    if not os.path.exists(path):
-        raise DataError(f"dataset not found: {path}")
     base_dir = os.path.dirname(os.path.abspath(path))
     items: list[DatasetItem] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{line_no}"
+    for where, data in read_json_lines(path, "dataset"):
+        if not isinstance(data, dict):
+            raise DataError(f"{where}: expected an object")
+        for key in ("id", "video", "question", "answer"):
+            if key not in data:
+                raise DataError(f"{where}: missing required key '{key}'")
+        row_id = data["id"]
+        if not isinstance(row_id, str) or not row_id:
+            raise DataError(f"{where}: id must be a nonempty string")
+        if "/" in row_id:
+            raise DataError(f"{where}: id '{row_id}' must not contain '/'")
+        if row_id in seen_ids:
+            raise DataError(f"{where}: duplicate id '{row_id}'")
+        seen_ids.add(row_id)
+        if (task_id is not None and row_id != task_id) or (first and items):
+            continue
+        question = data["question"]
+        if not isinstance(question, str) or not question:
+            raise DataError(f"{where}: question must be a nonempty string")
+        options = data.get("options")
+        if options is not None and not (
+            isinstance(options, list) and all(isinstance(o, str) and o for o in options)
+        ):
+            raise DataError(f"{where}: options must be nonempty strings")
+        allow_asr = data.get("allow_asr", False)
+        if not isinstance(allow_asr, bool):
+            raise DataError(f"{where}: allow_asr must be a boolean")
+        video_path = data["video"]
+        if not isinstance(video_path, str):
+            raise DataError(f"{where}: video must be a path string")
+        try:  # join keeps an absolute path, and resolves a relative one from base_dir
+            video = video_ref_for(os.path.join(base_dir, video_path))
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from exc
+        kind = TaskKind.MULTIPLE_CHOICE if options else TaskKind.TEMPORAL_RANGE
+        task = TaskQuery(
+            id=row_id,
+            question=question,
+            kind=kind,
+            video=video,
+            options=tuple(options) if options else None,
+            allow_asr=allow_asr,
+        )
+        if profile is not None:
             try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(data, dict):
-                raise DataError(f"{where}: expected an object")
-            for key in ("id", "video", "question", "answer"):
-                if key not in data:
-                    raise DataError(f"{where}: missing required key '{key}'")
-            row_id = data["id"]
-            if not isinstance(row_id, str) or not row_id:
-                raise DataError(f"{where}: id must be a nonempty string")
-            if "/" in row_id:
-                raise DataError(f"{where}: id '{row_id}' must not contain '/'")
-            if row_id in seen_ids:
-                raise DataError(f"{where}: duplicate id '{row_id}'")
-            seen_ids.add(row_id)
-            if (task_id is not None and row_id != task_id) or (first and items):
-                continue
-            question = data["question"]
-            if not isinstance(question, str) or not question:
-                raise DataError(f"{where}: question must be a nonempty string")
-            options = data.get("options")
-            if options is not None:
-                if not isinstance(options, list) or not all(
-                    isinstance(o, str) and o for o in options
-                ):
-                    raise DataError(f"{where}: options must be nonempty strings")
-            allow_asr = data.get("allow_asr", False)
-            if not isinstance(allow_asr, bool):
-                raise DataError(f"{where}: allow_asr must be a boolean")
-            video_path = data["video"]
-            if not isinstance(video_path, str):
-                raise DataError(f"{where}: video must be a path string")
-            if not os.path.isabs(video_path):
-                video_path = os.path.join(base_dir, video_path)
-            try:
-                video = video_ref_for(video_path)
-            except DataError as exc:
+                profile_for_task(task, profile)
+            except ValueError as exc:
                 raise DataError(f"{where}: {exc}") from exc
-            kind = (
-                TaskKind.MULTIPLE_CHOICE if options else TaskKind.TEMPORAL_RANGE
-            )
-            task = TaskQuery(
-                id=row_id,
-                question=question,
-                kind=kind,
-                video=video,
-                options=tuple(options) if options else None,
-                allow_asr=allow_asr,
-            )
-            if profile is not None:
-                try:
-                    profile_for_task(task, profile)
-                except ValueError as exc:
-                    raise DataError(f"{where}: {exc}") from exc
-            items.append(DatasetItem(task, _truth_for(data, task, where)))
+        items.append(DatasetItem(task, _truth_for(data, task, where)))
     if not items and seen_ids:  # every row was another task's
         raise DataError(f"no task with id '{task_id}'")
     if not items:
@@ -496,6 +480,14 @@ def _normalized_report_bytes(report: dict) -> bytes:
     return (json.dumps(trimmed, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _trace_names(directory: str, what: str) -> list[str]:
+    try:
+        names = os.listdir(directory)
+    except OSError as exc:
+        raise input_error(exc, directory, what) from exc
+    return sorted(n for n in names if n.endswith(".json"))
+
+
 def replay_run(
     items: list[DatasetItem],
     config: RunConfig,
@@ -506,30 +498,28 @@ def replay_run(
 ) -> None:
     """Re-run from a cassette and compare against persisted outputs.
 
-    Raises ReplayDivergence naming the first divergent artifact.
+    The baseline is read before the run, so a bad one fails fast as a
+    DataError. Raises ReplayDivergence naming the first divergent artifact.
     """
+    baseline_report = read_json(baseline_report_path, "baseline report")
+    if not isinstance(baseline_report, dict):
+        raise DataError(f"{baseline_report_path}: report must be a JSON object")
+    baseline_files = _trace_names(baseline_traces_dir, "baseline traces directory")
     model = CassetteClient(Cassette.open(cassette_path, CassetteMode.REPLAY))
+    os.makedirs(out_dir, exist_ok=True)  # a run that persists nothing lists as empty
     replay_config = RunConfig(**{**config.__dict__, "traces_dir": out_dir})
     report = evaluate(items, replay_config, model)
-    with open(baseline_report_path, "rb") as fh:
-        baseline_report = json.loads(fh.read().decode("utf-8"))
     if _normalized_report_bytes(report) != _normalized_report_bytes(baseline_report):
         raise ReplayDivergence(
             f"report differs from {baseline_report_path} (ignoring timing)"
         )
-    baseline_files = sorted(
-        n for n in os.listdir(baseline_traces_dir) if n.endswith(".json")
-    )
-    replay_files = sorted(n for n in os.listdir(out_dir) if n.endswith(".json"))
+    replay_files = _trace_names(out_dir, "replayed traces directory")
     if baseline_files != replay_files:
         missing = set(baseline_files) ^ set(replay_files)
         raise ReplayDivergence(f"trace file sets differ: {sorted(missing)}")
     for name in baseline_files:
-        with open(os.path.join(baseline_traces_dir, name), "rb") as fh:
-            want = fh.read()
-        with open(os.path.join(out_dir, name), "rb") as fh:
-            got = fh.read()
-        if want != got:
+        want = read_bytes(os.path.join(baseline_traces_dir, name), "baseline trace")
+        if read_bytes(os.path.join(out_dir, name), "replayed trace") != want:
             raise ReplayDivergence(f"trace file '{name}' differs")
 
 
@@ -684,13 +674,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval":
             report = evaluate(items, config, model)
             report_path = args.report or os.path.join(config.traces_dir, "report.json")
-            os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)
             shown = report["aggregate"]
         else:
             report = ablate_fixed_subsets(items, config, model)
             report_path = args.report
             shown = report
         if report_path:
+            os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)
             with open(report_path, "w", encoding="utf-8") as fh:
                 json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -699,9 +689,6 @@ def main(argv: list[str] | None = None) -> int:
     except FatalError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"{DataError.label}: {exc}", file=sys.stderr)
-        return DataError.exit_code
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ loads as a `VideoFixture` with no annotations, for model-backed tools.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
@@ -32,6 +31,7 @@ from .core import (
     VideoSource,
     format_timestamp,
     parse_timestamp,
+    read_json,
 )
 
 
@@ -161,15 +161,9 @@ def _segment_field(obj: dict, where: str, duration: int) -> VideoSegment:
     return VideoSegment(start, end)
 
 
-def _read_header(path: str) -> tuple[dict, int, float]:
+def _read_header(path: str, what: str = "fixture") -> tuple[dict, int, float]:
     """A JSON object file and its video's duration and fps (default 1)."""
-    if not os.path.isfile(path):
-        raise FixtureError(f"file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-            raise FixtureError(f"{path}: invalid JSON: {exc}") from exc
+    data = read_json(path, what, FixtureError)
     if not isinstance(data, dict):
         raise FixtureError(f"{path}: top level must be an object")
     if "duration" not in data:
@@ -266,6 +260,8 @@ def _frames(data: dict, path: str) -> tuple[FrameRef, ...]:
             if not isinstance(caption, str):
                 raise FixtureError(f"{where}.caption: expected a string")
             captions.append(caption)
+    if max(times, default=0) > sys.float_info.max:  # past float range, so past the video
+        times = [t if t <= sys.float_info.max else math.inf for t in times]
     return _frame_table(range(len(times)), map(float, times), captions, repeat(None))
 
 
@@ -334,9 +330,7 @@ def load_frames_directory(path: str) -> VideoFixture:
     is allowed, but two files may not share an index and no frame may lie
     past the duration. The video carries no annotations.
     """
-    if not os.path.isdir(path):
-        raise FixtureError(f"frames directory not found: {path}")
-    _, duration, fps = _read_header(os.path.join(path, "metadata.json"))
+    _, duration, fps = _read_header(os.path.join(path, "metadata.json"), "frames metadata")
     name_by_index: dict[int, str] = {}
     for name in sorted(os.listdir(path)):
         stem = os.path.splitext(name)[0]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Union
 
-from .core import DataError, FatalError, ReplayDivergence
+from .core import DataError, FatalError, ReplayDivergence, read_bytes, read_json_lines
 from .fixtures import FrameRef
 
 FRAME_BUDGET = 120  # frames per request, the context-size proxy
@@ -244,29 +244,22 @@ class Cassette:
 
     @classmethod
     def open(cls, path: str, mode: CassetteMode) -> "Cassette":
-        """A replay cassette is read and checked here, one pass per entry;
-        a missing file or a malformed line is a DataError naming path:line."""
+        """Replay reads and checks every line in one pass; record opens the file
+        for append once, so a path it cannot write fails before any model call."""
         entries = []
-        if mode is CassetteMode.REPLAY:
-            if not os.path.exists(path):
-                raise DataError(f"cassette not found: {path}")
-            with open(path, "rb") as fh:
-                for line_no, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    where = f"{path}:{line_no}"
-                    try:
-                        entry = json.loads(line.decode("utf-8"))
-                    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-                        raise DataError(f"{where}: invalid cassette line: {exc}") from exc
-                    if not isinstance(entry, dict):
-                        raise DataError(f"{where}: cassette entry must be an object")
-                    for key in ("fingerprint", "tag", "response"):
-                        if not isinstance(entry.get(key), str):
-                            raise DataError(
-                                f"{where}: cassette entry needs a string '{key}'"
-                            )
-                    entries.append(entry)
+        if mode is CassetteMode.RECORD:
+            try:
+                open(path, "a", encoding="utf-8").close()
+            except OSError as exc:
+                raise DataError(f"{path}: cannot write cassette: {exc.strerror}") from exc
+        else:
+            for where, entry in read_json_lines(path, "cassette"):
+                if not isinstance(entry, dict):
+                    raise DataError(f"{where}: cassette entry must be an object")
+                for key in ("fingerprint", "tag", "response"):
+                    if not isinstance(entry.get(key), str):
+                        raise DataError(f"{where}: cassette entry needs a string '{key}'")
+                entries.append(entry)
         return cls(path=path, mode=mode, entries=entries)
 
 
@@ -426,14 +419,13 @@ class HttpModelClient(ModelClient):
                             f"request '{req.tag}': frame {ref.index} has no "
                             "image path to upload"
                         )
-                    with open(ref.path, "rb") as fh:
-                        data = base64.b64encode(fh.read()).decode("ascii")
+                    data = base64.b64encode(read_bytes(ref.path, "frame image"))
                     content.append(
                         {
                             "type": "image",
                             "index": ref.index,
                             "timestamp": ref.label(),
-                            "data": data,
+                            "data": data.decode("ascii"),
                         }
                     )
         return {

@@ -66,6 +66,13 @@ def test_parse_final_answer_ranges_read_only_ascii_digits():
     assert parse_final_answer(mixed, TaskKind.TEMPORAL_RANGE) == Ranges((VideoSegment(3, 4),))
 
 
+def test_parse_final_answer_choice_reads_only_ascii_digits():
+    raw = "Final Answer: (\u0662)"
+    assert parse_final_answer(raw, TaskKind.MULTIPLE_CHOICE) == Unparsed(raw)
+    mixed = "Final Answer: (1)\nFinal Answer: (\uff12)"
+    assert parse_final_answer(mixed, TaskKind.MULTIPLE_CHOICE) == Choice(1)
+
+
 def test_format_timestamp_always_two_fields():
     assert format_timestamp(2450) == "40:50"
     assert format_timestamp(5100) == "85:00"

@@ -493,6 +493,14 @@ def test_ablate_rejects_items_of_another_profile(tmp_path, suite_paths, all_item
     assert main(["--traces-dir", str(tmp_path / "t"), "ablate", suite_paths["all"]]) == 2
 
 
+def test_cli_ablate_report_creates_its_directory(tmp_path, suite_paths, capsys, monkeypatch):
+    monkeypatch.setattr(evalcli, "build_model", lambda config: oracle_suite.scripted_model())
+    report = tmp_path / "new" / "ablate.json"
+    argv = ["--traces-dir", str(tmp_path / "t"), "ablate", suite_paths["temporal"], "--report", str(report)]
+    assert main(argv) == 0
+    assert json.loads(report.read_text()) == json.loads(capsys.readouterr().out)
+
+
 def test_explicit_profile_mismatch_is_a_data_error(tmp_path, all_items):
     # visual_mcq takes multiple-choice tasks only; the `all` file has temporal ones
     temporal = next(i for i in all_items if i.task.kind is TaskKind.TEMPORAL_RANGE)
@@ -884,6 +892,26 @@ def test_cli_data_errors_exit_2(tmp_path, suite_paths, capsys):
         ]
     )
     assert code == 2
+
+
+def test_cli_unwritable_recording_stops_before_any_model_call(tmp_path, suite_paths, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(HttpModelClient, "_complete", lambda self, req: calls.append(req) or "")
+    config_path = tmp_path / "config.json"
+    transport = {"endpoint": "http://localhost:9/v1", "model_name": "m"}
+    config_path.write_text(json.dumps({"transport": transport}))
+    cassette = tmp_path / "nodir" / "run.cassette.jsonl"
+    argv = [
+        "--config", str(config_path),
+        "--cassette", f"record:{cassette}",
+        "--mode", "agent",
+        "--traces-dir", str(tmp_path / "traces"),
+        "eval", suite_paths["all"],
+    ]
+    assert main(argv) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err == f"data error: {cassette}: cannot write cassette: No such file or directory\n"
 
 
 @pytest.mark.parametrize(

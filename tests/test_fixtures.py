@@ -167,6 +167,10 @@ PAST_FLOAT = "1" + "0" * 400 + ":00"  # a frame time float() cannot hold
             lambda d: d.update(duration=PAST_FLOAT, frames=[{"t": PAST_FLOAT}]),
             "duration must be positive and fit a float",
         ),
+        (
+            lambda d: d.update(duration="01:00", frames=[{"t": PAST_FLOAT}]),
+            "frames[0]: t inf outside the video",
+        ),
     ],
 )
 def test_load_fixture_diagnostics(tmp_path, mutate, fragment):

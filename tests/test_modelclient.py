@@ -372,7 +372,7 @@ def test_cassette_replay_exhaustion(tmp_path):
         (json.dumps(["fingerprint", "tag", "response"]), "entry must be an object"),
         (json.dumps({"fingerprint": "f", "tag": 3, "response": "r"}), "needs a string 'tag'"),
         (json.dumps({"fingerprint": "f", "tag": "t", "response": None}), "string 'response'"),
-        (b"\xff\xfe", "invalid cassette line"),
+        (b"\xff\xfe", "invalid JSON"),
     ],
     ids=["list", "int-tag", "null-response", "not-utf8"],
 )
@@ -390,6 +390,19 @@ def test_malformed_cassette_is_a_data_error(tmp_path, line, fragment):
 def test_missing_replay_cassette_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match="cassette not found"):
         Cassette.open(str(tmp_path / "absent.jsonl"), CassetteMode.REPLAY)
+
+
+def test_unwritable_recording_is_a_data_error(tmp_path):
+    path = tmp_path / "nodir" / "run.jsonl"
+    with pytest.raises(DataError, match=f"^{path}: cannot write cassette: No such file"):
+        Cassette.open(str(path), CassetteMode.RECORD)
+    # a writable one is created empty and keeps what it holds
+    path = tmp_path / "run.jsonl"
+    Cassette.open(str(path), CassetteMode.RECORD)
+    assert path.read_bytes() == b""
+    path.write_bytes(b"kept\n")
+    Cassette.open(str(path), CassetteMode.RECORD)
+    assert path.read_bytes() == b"kept\n"
 
 
 _json_values = st.recursive(
@@ -580,6 +593,16 @@ def test_http_payload_carries_frame_index(tmp_path, monkeypatch):
     assert [(c["index"], c["timestamp"]) for c in images] == [(7, "00:07"), (9, "00:09")]
     # the index goes on the wire only; recorded cassettes still match
     assert fingerprint(req) == "1af12b30c63464208c51dbff2fa53fc871427a28e33d011cacb28262376f18d0"
+
+
+def test_http_unreadable_frame_image_is_a_data_error(tmp_path):
+    missing = str(tmp_path / "f7.jpg")
+    req = ModelRequest(parts=(FramesPart((FrameRef(7, 7.0, path=missing),)),), tag="t1/C/0")
+    sent = []
+    client = HttpModelClient("http://localhost:9/v1", "m", transport=sent.append)
+    with pytest.raises(DataError, match=f"^frame image not found: {missing}$"):
+        client.complete(req)
+    assert sent == []
 
 
 def test_http_frame_without_image_is_fatal():
