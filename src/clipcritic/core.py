@@ -1,4 +1,5 @@
-"""Foundational domain types shared by every module, and the input-file reader.
+"""Foundational domain types shared by every module, the input-file reader,
+and its output twin.
 
 Timestamps are whole seconds rendered as MM:SS strings (minutes unbounded,
 so a two hour mark renders "120:00"). Hour-form strings like "01:25:00" are
@@ -9,6 +10,7 @@ of time ranges, or the raw unparsed text.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
 import re
@@ -56,6 +58,16 @@ def read_bytes(path: str, what: str, error=DataError) -> bytes:
             return fh.read()
     except (OSError, ValueError) as exc:
         raise input_error(exc, path, what, error) from exc
+
+
+@contextlib.contextmanager
+def writing(path: str, what: str):
+    """The output twin of `read_bytes`: an OSError raised in the block, by
+    making `path`'s directory or writing it, is a DataError naming `path`."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write {what}: {exc.strerror}") from exc
 
 
 def _decode_json(data: bytes, where: str, error=DataError):

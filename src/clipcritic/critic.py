@@ -25,7 +25,15 @@ from .agent import (
     run_episode,
     task_statement,
 )
-from .core import DataError, FinalAnswer, TaskQuery, Unparsed, answer_key, answers_equal
+from .core import (
+    DataError,
+    FinalAnswer,
+    TaskQuery,
+    Unparsed,
+    answer_key,
+    answers_equal,
+    read_json,
+)
 from .modelclient import ModelClient, ModelRequest, TextPart
 from .toolkit import Profile, load_prompt_text
 
@@ -88,10 +96,10 @@ def _packaged_examples(resource: str) -> tuple[CriticExample, ...]:
 
 def load_examples_file(path: str) -> list[CriticExample]:
     """A user's examples file; a missing or malformed one is a DataError."""
+    data = read_json(path, "critic examples")
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_examples_json(fh.read(), path)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a bad entry
+        return parse_examples(data, path)
+    except ValueError as exc:
         raise DataError(f"critic examples: {exc}") from exc
 
 
@@ -100,6 +108,11 @@ def parse_examples_json(text: str, where: str) -> list[CriticExample]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{where}: invalid JSON: {exc}") from exc
+    return parse_examples(data, where)
+
+
+def parse_examples(data, where: str) -> list[CriticExample]:
+    """Examples from a decoded JSON value; a bad entry is a ValueError."""
     if not isinstance(data, list) or not data:
         raise ValueError(f"{where}: expected a nonempty JSON array")
     examples = []
@@ -244,16 +257,22 @@ def sample_strategies(
     profile: Profile,
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> list[Trace]:
-    """Run all of the profile's strategies; always returns one trace each."""
-    traces = []
-    for subset in profile.strategies:
+    """Run all of the profile's strategies; returns one trace each, in the
+    profile's label order.
+
+    The episodes are independent until the critic reads them, so
+    `model.episodes` runs them side by side, their requests under the
+    model's one concurrency cap, when it takes more than one request at
+    once, and one after another on the calling thread at width 1.
+    """
+
+    def sample(subset):
         registry = registry_factory(subset)
         if subset.direct:
-            trace = run_direct(task, subset, model, registry)
-        else:
-            trace = run_episode(task, subset, model, registry, step_budget=step_budget)
-        traces.append(trace)
-    return traces
+            return run_direct(task, subset, model, registry)
+        return run_episode(task, subset, model, registry, step_budget=step_budget)
+
+    return model.episodes(sample, list(profile.strategies))
 
 
 def run_critic(

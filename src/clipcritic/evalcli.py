@@ -45,6 +45,7 @@ from .core import (
     read_bytes,
     read_json,
     read_json_lines,
+    writing,
 )
 from .critic import load_examples, load_examples_file, run_agent_critic
 from .fixtures import video_ref_for
@@ -355,11 +356,12 @@ def run_item(
 
 
 def persist_traces(traces: list[Trace], traces_dir: str) -> None:
-    os.makedirs(traces_dir, exist_ok=True)
+    with writing(traces_dir, "traces directory"):
+        os.makedirs(traces_dir, exist_ok=True)
     for trace in traces:
         name = f"{trace.task.id}.{trace.strategy.label}.json"
         path = os.path.join(traces_dir, name)
-        with open(path, "w", encoding="utf-8") as fh:
+        with writing(path, "trace"), open(path, "w", encoding="utf-8") as fh:
             json.dump(trace.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -506,7 +508,8 @@ def replay_run(
         raise DataError(f"{baseline_report_path}: report must be a JSON object")
     baseline_files = _trace_names(baseline_traces_dir, "baseline traces directory")
     model = CassetteClient(Cassette.open(cassette_path, CassetteMode.REPLAY))
-    os.makedirs(out_dir, exist_ok=True)  # a run that persists nothing lists as empty
+    with writing(out_dir, "replayed traces directory"):
+        os.makedirs(out_dir, exist_ok=True)  # a run that persists nothing lists as empty
     replay_config = RunConfig(**{**config.__dict__, "traces_dir": out_dir})
     report = evaluate(items, replay_config, model)
     if _normalized_report_bytes(report) != _normalized_report_bytes(baseline_report):
@@ -588,7 +591,8 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--concurrency",
         type=int,
-        help="cap on model calls in flight, shared by items and a tool's windows",
+        help="cap on model calls in flight, shared by items, an item's strategies "
+        "and a tool's windows",
     )
     parser.add_argument(
         "--cassette", help="record:<path> or replay:<path> model cassette"
@@ -680,10 +684,11 @@ def main(argv: list[str] | None = None) -> int:
             report_path = args.report
             shown = report
         if report_path:
-            os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)
-            with open(report_path, "w", encoding="utf-8") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            with writing(report_path, "report"):
+                os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)
+                with open(report_path, "w", encoding="utf-8") as fh:
+                    json.dump(report, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
         print(json.dumps(shown, indent=2, sort_keys=True))
         return 0
     except FatalError as exc:

@@ -24,9 +24,17 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Callable, Union
 
-from .core import DataError, FatalError, ReplayDivergence, read_bytes, read_json_lines
+from .core import (
+    DataError,
+    FatalError,
+    ReplayDivergence,
+    read_bytes,
+    read_json_lines,
+    writing,
+)
 from .fixtures import FrameRef
 
 FRAME_BUDGET = 120  # frames per request, the context-size proxy
@@ -181,6 +189,20 @@ class ModelClient:
             raise error
         return responses
 
+    def episodes(self, run, items: list) -> list:
+        """`run(item)` for each of one task's independent episodes, results
+        in item order.
+
+        When this client takes more than one request at once, every episode
+        runs at the same time and their requests share its cap; at width 1
+        they run one after another on the calling thread. The first episode,
+        in order, that fails raises its error.
+        """
+        results, error = in_order(run, items, len(items) if self.width > 1 else 1)
+        if error is not None:
+            raise error
+        return results
+
     def _complete(self, req: ModelRequest) -> str:
         raise NotImplementedError
 
@@ -248,10 +270,8 @@ class Cassette:
         for append once, so a path it cannot write fails before any model call."""
         entries = []
         if mode is CassetteMode.RECORD:
-            try:
+            with writing(path, "cassette"):
                 open(path, "a", encoding="utf-8").close()
-            except OSError as exc:
-                raise DataError(f"{path}: cannot write cassette: {exc.strerror}") from exc
         else:
             for where, entry in read_json_lines(path, "cassette"):
                 if not isinstance(entry, dict):
@@ -268,16 +288,22 @@ class CassetteClient(ModelClient):
 
     Replay partitions the recorded entries by episode (task id + strategy
     label from the tag) so concurrent episodes each replay their own slice
-    in order. Recording keeps request order: `complete_all` fans out
-    through the inner client, then appends the batch on the calling thread
-    in request order, so each episode's lines read as a serial run's would
-    (episodes run side by side may interleave). Replay is serial (width 1).
+    in order. Replay is serial (width 1).
+
+    Recording writes one task's lines in the order a serial run writes
+    them. `complete_all` fans out through the inner client, then records
+    the batch on the calling thread in request order. `episodes` runs a
+    task's strategies side by side, each recording into its own buffer;
+    after the join the buffers are appended in item order, up to and
+    including the first episode that failed. Only the lines of tasks run
+    side by side may interleave.
     """
 
     def __init__(self, cassette: Cassette, inner: ModelClient | None = None):
         self.cassette = cassette
         self.inner = inner
         self._lock = threading.Lock()
+        self._local = threading.local()  # `buffer`: the running episode's lines
         if cassette.mode is CassetteMode.RECORD and inner is None:
             raise ValueError("record mode needs an inner client")
         self._slices: dict[str, deque] = {}
@@ -304,18 +330,43 @@ class CassetteClient(ModelClient):
             raise error
         return responses
 
+    def episodes(self, run, items: list) -> list:
+        if self.width == 1:  # replay, or a narrow recording: serial
+            return super().episodes(run, items)
+        buffers = [[] for _ in items]
+
+        def buffered(job):
+            self._local.buffer, item = job
+            try:
+                return run(item)
+            finally:
+                self._local.buffer = None
+
+        results, error = in_order(buffered, list(zip(buffers, items)), len(items))
+        # as in complete_all: what a serial run records before it stops
+        self._append("".join(chain.from_iterable(buffers[: len(results) + 1])))
+        if error is not None:
+            raise error
+        return results
+
     def _record(self, requests, responses) -> None:
         entries = [
             {"fingerprint": fingerprint(req), "tag": req.tag, "response": response}
             for req, response in zip(requests, responses)
         ]
-        if not entries:
-            return
-        # the file only: nothing reads a recording's entries back, and a long
-        # recording would hold every response in memory
-        lines = "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries)
-        with self._lock, open(self.cassette.path, "a", encoding="utf-8") as fh:
-            fh.write(lines)
+        self._append("".join(json.dumps(entry, sort_keys=True) + "\n" for entry in entries))
+
+    def _append(self, lines: str) -> None:
+        """Lines go to the running episode's buffer, or else to the file
+        alone: nothing reads a recording's entries back, and a long
+        recording would hold every response in memory."""
+        buffer = getattr(self._local, "buffer", None)
+        if buffer is not None:
+            buffer.append(lines)
+        elif lines:
+            path = self.cassette.path
+            with self._lock, writing(path, "cassette"), open(path, "a", encoding="utf-8") as fh:
+                fh.write(lines)
 
     def _complete(self, req: ModelRequest) -> str:
         if self.cassette.mode is CassetteMode.RECORD:

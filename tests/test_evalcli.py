@@ -5,12 +5,13 @@ import os
 import sys
 import threading
 import time
+import zlib
 from importlib import resources
 
 import pytest
 
 import oracle_suite
-from clipcritic import evalcli
+from clipcritic import critic, evalcli
 from clipcritic.core import Choice, Ranges, TaskKind, UsageError
 from clipcritic.evalcli import (
     DataError,
@@ -329,7 +330,7 @@ def test_transport_failure_after_retries_is_an_item_error(tmp_path, all_items):
 @pytest.mark.parametrize(
     "content, fragment",
     [
-        (None, "No such file"),
+        (None, "^critic examples not found: .*examples.json$"),
         ("not json", "invalid JSON"),
         ("{}", "expected a nonempty JSON array"),
         ('[{"input_block": 1, "winners": ["A"]}]', "input_block string"),
@@ -745,6 +746,135 @@ def test_concurrent_recording_matches_serial_per_episode(tmp_path, all_items):
 
     assert per_episode(fanned_path) == per_episode(serial_path)
     replay_run(all_items, cfg, fanned_path, cfg.traces_dir, report_path, str(tmp_path / "replayed"))
+
+
+# --- strategies side by side ---
+
+
+def first_requests_meet(parties):
+    """A model wrapper whose first request of each episode (critic aside)
+    waits until `parties` of them are in flight together."""
+    barrier = threading.Barrier(parties, timeout=5)
+    lock, seen = threading.Lock(), set()
+
+    def wrap(reply):
+        def respond(req):
+            key = episode_key(req.tag)
+            with lock:
+                first = key not in seen and not key.endswith("/critic")
+                seen.add(key)
+            if first:
+                barrier.wait()
+            return reply(req)
+
+        return respond
+
+    return wrap
+
+
+def test_strategies_run_side_by_side_when_the_model_is_wide(tmp_path):
+    """Every strategy's first request is in flight before any of them returns."""
+    items = long_asr_item(tmp_path)
+    meet = first_requests_meet(3)
+    model = ConcurrencyLimitedClient(CallableModel(meet(WindowedModel())), 3)
+    cfg = RunConfig(mode="agent_critic", backend="model", traces_dir=str(tmp_path / "traces"))
+    record = evaluate(items, cfg, model)["items"][0]
+    assert "error" not in record, record["error"]
+    assert record["trace_files"] == ["t1.A.json", "t1.B.json", "t1.C.json"]
+
+
+def test_side_by_side_strategies_keep_the_cap(tmp_path):
+    windowed = WindowedModel()
+    model = ConcurrencyLimitedClient(CallableModel(windowed), 2)
+    cfg = RunConfig(mode="agent_critic", backend="model", traces_dir=str(tmp_path / "traces"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        record = evaluate(long_asr_item(tmp_path), cfg, model)["items"][0]
+    finally:
+        sys.setswitchinterval(interval)
+    assert "error" not in record
+    assert windowed.peak == 2
+
+
+def jittered(reply):
+    """`reply` after a short sleep that varies by request, so the requests
+    of episodes run side by side finish out of order."""
+    return lambda req: time.sleep(0.0005 * (zlib.crc32(req.tag.encode()) % 4)) or reply(req)
+
+
+def test_wide_recording_is_byte_identical_to_a_serial_one(tmp_path, all_items):
+    """A cap-3 recording of the agent_critic items writes the cassette, the
+    traces and the report a width-1 recording writes."""
+    outputs = {}
+    for cap in (1, 3):
+        out = tmp_path / f"cap{cap}"
+        scripted = oracle_suite.scripted_model()
+        inner = scripted if cap == 1 else ConcurrencyLimitedClient(
+            CallableModel(jittered(scripted.complete)), cap
+        )
+        model = CassetteClient(Cassette.open(str(tmp_path / f"cap{cap}.jsonl"), CassetteMode.RECORD), inner)
+        report = evaluate(all_items, config("agent_critic", out), model)
+        del report["timing"]
+        outputs[cap] = (
+            (tmp_path / f"cap{cap}.jsonl").read_bytes(),
+            report,
+            {n: (out / "traces" / n).read_bytes() for n in sorted(os.listdir(out / "traces"))},
+        )
+    assert len(outputs[1][2]) == 60
+    assert outputs[3] == outputs[1]
+
+
+def test_a_failed_strategy_records_what_a_serial_run_records(tmp_path, all_items):
+    """Strategy A's transport error is the item's error, as in a serial run,
+    and the cassette holds A's lines before it: none from B or C, though
+    they ran beside it."""
+    item = all_items[0]
+    results = {}
+    for cap in (1, 3):
+        scripted = oracle_suite.scripted_model()
+        others_served = threading.Event()
+
+        def reply(req, cap=cap, scripted=scripted, others_served=others_served):
+            if req.tag == f"{item.task.id}/A/1":
+                if cap > 1:  # C, beside A, has recorded a line first
+                    assert others_served.wait(5)
+                raise ModelTransportError(f"request '{req.tag}': connection reset")
+            response = scripted.complete(req)
+            if req.tag.startswith(f"{item.task.id}/C/"):
+                others_served.set()
+            return response
+
+        path = tmp_path / f"cap{cap}.jsonl"
+        inner = CallableModel(reply)
+        if cap > 1:
+            inner = ConcurrencyLimitedClient(inner, cap)
+        model = CassetteClient(Cassette.open(str(path), CassetteMode.RECORD), inner)
+        record = evaluate([item], config("agent_critic", tmp_path / f"cap{cap}"), model)["items"][0]
+        results[cap] = record, path.read_bytes()
+    record, lines = results[1]
+    assert record["error_type"] == "ModelTransportError"
+    assert [json.loads(line)["tag"] for line in lines.splitlines()] == [f"{item.task.id}/A/0"]
+    assert results[3] == results[1]
+
+
+def test_narrow_models_run_strategies_on_the_calling_thread(tmp_path, all_items, monkeypatch):
+    threads = []
+    for name in ("run_episode", "run_direct"):
+        run = getattr(critic, name)
+        monkeypatch.setattr(
+            critic, name, lambda *a, run=run, **k: threads.append(threading.current_thread()) or run(*a, **k)
+        )
+    cfg, cassette_path, _ = record_baseline(tmp_path, all_items[:1])
+    models = [
+        oracle_suite.scripted_model(),
+        ConcurrencyLimitedClient(oracle_suite.scripted_model(), 1),
+        CassetteClient(Cassette.open(cassette_path, CassetteMode.REPLAY)),
+    ]
+    for model in models:
+        record = evaluate(all_items[:1], cfg, model, persist=False)["items"][0]
+        assert "error" not in record
+    assert threads == [threading.current_thread()] * 3 * (1 + len(models))
 
 
 # --- command line ---

@@ -1,5 +1,6 @@
 """The one reader of input files: its three outcomes, and that every loader
-built on it returns or raises a DataError, whatever bytes the file holds."""
+built on it returns or raises a DataError, whatever bytes the file holds;
+and its output twin: a file a run cannot write is a DataError naming it."""
 
 import json
 import re
@@ -229,3 +230,40 @@ def test_cli_bad_input_file_is_a_data_error(tmp_path, replay_inputs, capsys, rol
     assert len(err.splitlines()) == 1
     assert err.startswith("data error: ")
     assert paths[role] in err and FAULT_TEXT[kind] in err
+
+
+# --- output files ---
+
+
+@pytest.mark.parametrize(
+    "what, strerror",
+    [
+        ("traces directory", "File exists"),
+        ("trace", "Is a directory"),
+        ("report", "Is a directory"),
+        ("replayed traces directory", "File exists"),
+    ],
+)
+def test_cli_unwritable_output_is_a_data_error(tmp_path, replay_inputs, capsys, what, strerror):
+    """An output path that cannot be written stops the run with one line
+    naming it, the output twin of the input faults above."""
+    traces, report = tmp_path / "traces", tmp_path / "report.json"
+    if what == "trace":  # a directory where v01's direct trace goes
+        path = traces / "v01.B.json"
+        path.mkdir(parents=True)
+    elif what == "report":
+        report.mkdir()
+        path = report
+    else:
+        path = tmp_path / "taken"
+        path.write_text("")
+        traces = path
+    if what == "replayed traces directory":
+        argv = replay_argv(replay_inputs, str(path))
+    else:
+        argv = [
+            "--mode", "direct", "--traces-dir", str(traces),
+            "eval", replay_inputs["dataset"], "--report", str(report),
+        ]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"data error: {path}: cannot write {what}: {strerror}\n"
