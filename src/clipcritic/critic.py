@@ -124,13 +124,13 @@ def parse_examples(data, where: str) -> list[CriticExample]:
             isinstance(w, str) for w in winners
         ):
             raise ValueError(f"{where}[{i}]: winners must be a nonempty list of labels")
-        examples.append(
-            CriticExample(
-                input_block=entry["input_block"],
-                critique=entry.get("critique"),
-                winners=tuple(winners),
-            )
-        )
+        critique = entry.get("critique")
+        if critique is not None and not isinstance(critique, str):
+            raise ValueError(f"{where}[{i}]: critique must be a string or null")
+        try:
+            examples.append(CriticExample(entry["input_block"], critique, tuple(winners)))
+        except ValueError as exc:  # the example's own label check
+            raise ValueError(f"{where}[{i}]: {exc}") from exc
     return examples
 
 

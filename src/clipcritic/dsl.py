@@ -11,18 +11,19 @@ closed allowlist induced from observed traces:
   - a single-level if with an == or != comparison and an indented block
 
 Anything else is a parse error carrying the physical line and column of
-the offending lexeme. One lexer pass splits the source into statements
-before any is parsed, so a program's first lexical error (bad character,
-unterminated string, nesting too deep) is reported before any syntax
-error. Errors are values: execution wraps every failure into the step
-result text shown back to the agent, never an uncaught exception.
+the offending lexeme. One lexer pass, one compiled scanner match per
+token, splits the source into statements before any is parsed, so a
+program's first lexical error (bad character, unterminated string, nesting
+too deep) is reported before any syntax error. Errors are values:
+execution wraps every failure into the step result text shown back to the
+agent, never an uncaught exception.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .core import VideoSegment
 
@@ -160,8 +161,7 @@ def extract_code_block(model_text: str) -> str | None:
 # --- lexer ---
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT NONE IF STRING FSTRING INT punctuation kinds
     value: object
     line: int  # physical line and column of the first character, 1-based
@@ -196,14 +196,31 @@ def _is_ident(ch: str) -> bool:
 
 _DIGITS = "0123456789"  # str.isdigit also takes other scripts' digits and "²"
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
+_KEYWORDS = {"None": "NONE", "if": "IF"}
+
+# One alternative per token class; `m.lastindex` says which one matched.
+# `\w` is exactly `_is_ident`, and `[^\S\n]` exactly `str.isspace()`
+# without "\n". A string runs to the next unescaped quote on its line, so a
+# quote no alternative takes starts an unterminated string. A word is a name
+# when `_is_ident_start` takes its first character; `_read_token` reads
+# every other word (a number), and every position no alternative takes.
+_SCAN = re.compile(
+    r"""(\n)"""  # 1: end of a physical line
+    r"""|([^\S\n]+|#[^\n]*)"""  # 2: blanks or a comment
+    r"""|(==|!=|[()\[\],=:])"""  # 3: punctuation
+    r"""|([fF]?)(?:'((?:[^'\\\n]|\\[\s\S])*)'|"((?:[^"\\\n]|\\[\s\S])*)")"""  # 4: prefix, 5-6: body
+    r"""|(\w+)"""  # 7: a word
+)
 
 
 def _unescape(raw: str) -> str:
+    if "\\" not in raw:
+        return raw
     return re.sub(r"\\(.)", lambda m: _ESCAPES.get(m[1], m[0]), raw, flags=re.S)
 
 
 def _lex(source: str) -> list[_Line]:
-    """Split source into logical lines of tokens in one pass.
+    """Split source into logical lines of tokens in one pass of `_SCAN`.
 
     A newline ends the statement unless brackets are open; comments are
     dropped. The first lexical error in source order is raised.
@@ -213,38 +230,51 @@ def _lex(source: str) -> list[_Line]:
     depth = 0
     lead = ""
     line, line_start = 1, 0
-    i = 0
-    while i < len(source):
-        ch = source[i]
-        if ch == "\n":
+    i, n = 0, len(source)
+    match = _SCAN.match
+    new = tuple.__new__  # a _Token without the Python-level NamedTuple.__new__
+    while i < n:
+        m = match(source, i)
+        group = m.lastindex if m else 0
+        if group == 2:
+            i = m.end()
+            continue
+        if group == 1:
             if depth == 0 and tokens:
                 lines.append(_Line(tokens, lead))
                 tokens = []
-            line, line_start = line + 1, i + 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
-            end = source.find("\n", i)
-            i = len(source) if end < 0 else end
+            line += 1
+            i = line_start = i + 1
             continue
         if not tokens:
             blank = source[line_start:i]
             lead = blank[: len(blank) - len(blank.lstrip(" \t"))]
         column = i - line_start + 1
-        kind, value, end = _read_token(source, i, line, column)
-        if kind in ("(", "["):
-            depth += 1
-            if depth > NESTING_CAP:
-                raise DslParseError("brackets nested too deeply", line, column, kind)
-        elif kind in (")", "]"):
-            depth = max(0, depth - 1)
-        tokens.append(_Token(kind, value, line, column, i, end))
-        newlines = source.count("\n", i, end)  # a string's escaped newlines
-        if newlines:
-            line, line_start = line + newlines, source.rindex("\n", i, end) + 1
+        end = m.end() if m else i
+        if group == 7 and _is_ident_start(source[i]):
+            value = m[7]
+            kind = _KEYWORDS.get(value, "IDENT")
+        elif group == 3:
+            kind = value = m[3]
+            if kind in "([":
+                depth += 1
+                if depth > NESTING_CAP:
+                    raise DslParseError("brackets nested too deeply", line, column, kind)
+            elif kind in ")]":
+                depth = max(0, depth - 1)
+        elif group == 5 or group == 6:
+            if m[4]:
+                kind = "FSTRING"
+                value = _fstring_parts(source, i + 2, end - 1, line, line_start)
+            else:
+                kind, value = "STRING", _unescape(m[group])
+        else:  # numbers, and whatever the scanner does not take
+            kind, value, end = _read_token(source, i, line, column)
+        tokens.append(new(_Token, (kind, value, line, column, i, end)))
+        if group == 5 or group == 6:
+            newlines = source.count("\n", i, end)  # a string's escaped newlines
+            if newlines:
+                line, line_start = line + newlines, source.rindex("\n", i, end) + 1
         i = end
     if tokens:
         lines.append(_Line(tokens, lead))
@@ -252,24 +282,13 @@ def _lex(source: str) -> list[_Line]:
 
 
 def _read_token(source: str, i: int, line: int, column: int) -> tuple[str, object, int]:
-    """Kind, value and end offset of the token that starts at source[i]."""
+    """Kind, value and end offset of a number at source[i], or the error
+    for a token `_SCAN` does not take there."""
     ch = source[i]
-    n = len(source)
-    if ch in "'\"" or (ch in "fF" and source[i + 1 : i + 2] in ("'", '"')):
-        quote_at = i + (ch in "fF")
-        quote = source[quote_at]
-        j = quote_at + 1
-        while j < n and source[j] not in (quote, "\n"):
-            j += 2 if source[j] == "\\" else 1
-        if j >= n or source[j] != quote:
-            raise DslParseError(
-                "unterminated string literal", line, column + quote_at - i, quote
-            )
-        if ch in "fF":
-            parts = _fstring_parts(source, quote_at + 1, j, line, i - column + 1)
-            return "FSTRING", parts, j + 1
-        return "STRING", _unescape(source[quote_at + 1 : j]), j + 1
+    if ch in "'\"":
+        raise DslParseError("unterminated string literal", line, column, ch)
     if ch in _DIGITS:
+        n = len(source)
         j = i
         while j < n and source[j] in _DIGITS:
             j += 1
@@ -279,17 +298,6 @@ def _read_token(source: str, i: int, line: int, column: int) -> tuple[str, objec
             return "INT", int(source[i:j]), j
         except ValueError:  # more digits than the interpreter converts
             raise DslParseError("integer literal too long", line, column) from None
-    if _is_ident_start(ch):
-        j = i
-        while j < n and _is_ident(source[j]):
-            j += 1
-        word = source[i:j]
-        return {"None": "NONE", "if": "IF"}.get(word, "IDENT"), word, j
-    two = source[i : i + 2]
-    if two in ("==", "!="):
-        return two, two, i + 2
-    if ch in "()[],=:":
-        return ch, ch, i + 1
     raise DslParseError("unexpected character", line, column, ch)
 
 

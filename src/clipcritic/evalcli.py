@@ -361,9 +361,9 @@ def persist_traces(traces: list[Trace], traces_dir: str) -> None:
     for trace in traces:
         name = f"{trace.task.id}.{trace.strategy.label}.json"
         path = os.path.join(traces_dir, name)
+        text = json.dumps(trace.to_dict(), indent=2, sort_keys=True) + "\n"
         with writing(path, "trace"), open(path, "w", encoding="utf-8") as fh:
-            json.dump(trace.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
 
 
 def evaluate(

@@ -194,6 +194,30 @@ def test_parse_examples_json_validates_labels():
         parse_examples_json(bad, "inline")
 
 
+GOOD_EXAMPLE = {"input_block": "Strategy A (x):\nsteps\n", "critique": "c", "winners": ["A"]}
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({**GOOD_EXAMPLE, "winners": ["Z"]}, "winner 'Z' does not appear in the example's strategies"),
+        ({**GOOD_EXAMPLE, "critique": 5}, "critique must be a string or null"),
+        ({**GOOD_EXAMPLE, "critique": ["c"]}, "critique must be a string or null"),
+    ],
+    ids=["absent-winner", "int-critique", "list-critique"],
+)
+def test_parse_examples_names_the_entry_at_fault(entry, message):
+    with pytest.raises(ValueError) as exc_info:
+        parse_examples_json(json.dumps([GOOD_EXAMPLE, entry]), "inline")
+    assert str(exc_info.value) == f"inline[1]: {message}"
+
+
+def test_a_critique_may_be_null_or_absent():
+    absent = {k: v for k, v in GOOD_EXAMPLE.items() if k != "critique"}
+    examples = parse_examples_json(json.dumps([absent, {**GOOD_EXAMPLE, "critique": None}]), "x")
+    assert [e.critique for e in examples] == [None, None]
+
+
 def test_elide_middle():
     short = "short text"
     assert elide_middle(short, ELIDE_OVER) == short

@@ -1,6 +1,8 @@
 """Program parsing, execution semantics, and the golden program corpus."""
 
 import json
+import re
+import sys
 import time
 from pathlib import Path
 
@@ -271,3 +273,48 @@ def test_program_ast_shape():
     call = program.statements[0].value
     assert isinstance(call, Call)
     assert call.callee == "think"
+
+
+@pytest.mark.parametrize("blank", ["\xa0", "\x1c", "\r", "　"])  # any str.isspace but \n
+def test_unicode_blanks_separate_tokens(blank):
+    program = parse_program(f"x{blank}= 1")
+    assert program.statements[0].name == "x"
+    assert program.statements[0].value.value == 1
+
+
+@pytest.mark.parametrize("char", ["²", "١", "!"])  # superscript two, Arabic-Indic one
+def test_a_statement_cannot_start_with_a_digit_like_or_stray_character(char):
+    assert parse_error(f"{char} = 1") == ("unexpected character", 1, 1, char)
+
+
+def test_names_continue_with_any_alphanumeric():
+    assert parse_program("x² = 1").statements[0].name == "x²"
+    assert parse_program("café_1 = 1").statements[0].name == "café_1"
+
+
+def test_string_lexing_edges():
+    program = parse_program("x = 'a\\\nb'\ny = F\"{y}\"")
+    assert [s.line for s in program.statements] == [1, 3]
+    assert program.statements[1].value.parts[0].name == "y"
+    assert parse_error("x = 'ab\\") == ("unterminated string literal", 1, 5, "'")
+    assert parse_error("x = f'ab\\'") == ("unterminated string literal", 1, 6, "'")
+    # only f and F prefix a string: "elf" is a name, then a string
+    assert parse_error("elf'x'") == ("trailing tokens after expression", 1, 4, "x")
+    assert parse_program("x = ''").statements[0].value.value == ""
+    assert parse_program("x = 'a\\qb'").statements[0].value.value == "a\\qb"
+
+
+def test_number_lexing_edges():
+    assert parse_error("x = 12abc") == ("malformed number", 1, 5, "12a")
+    assert parse_error("x = 1_0") == ("malformed number", 1, 5, "1_")
+    assert parse_error("x = 1²") == ("unexpected character", 1, 6, "²")
+    assert parse_error("x = " + "7" * 5000) == ("integer literal too long", 1, 5, "")
+    assert parse_program("x = 007").statements[0].value.value == 7
+
+
+def test_scanner_classes_are_the_hand_written_predicates():
+    # _SCAN's `\w` and `[^\S\n]` must take exactly the characters that
+    # `_is_ident` and `str.isspace()` without "\n" take, in every code point
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\w", every) == [c for c in every if c.isalnum() or c == "_"]
+    assert re.findall(r"[^\S\n]", every) == [c for c in every if c.isspace() and c != "\n"]

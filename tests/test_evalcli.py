@@ -334,8 +334,16 @@ def test_transport_failure_after_retries_is_an_item_error(tmp_path, all_items):
         ("not json", "invalid JSON"),
         ("{}", "expected a nonempty JSON array"),
         ('[{"input_block": 1, "winners": ["A"]}]', "input_block string"),
+        (
+            '[{"input_block": "Strategy A (x):", "winners": ["Z"]}]',
+            r"^critic examples: .*examples\.json\[0\]: winner 'Z' does not appear",
+        ),
+        (
+            '[{"input_block": "Strategy A (x):", "critique": 5, "winners": ["A"]}]',
+            r"^critic examples: .*examples\.json\[0\]: critique must be a string",
+        ),
     ],
-    ids=["missing", "not-json", "object", "int-block"],
+    ids=["missing", "not-json", "object", "int-block", "absent-winner", "int-critique"],
 )
 def test_bad_examples_file_stops_the_run(tmp_path, all_items, content, fragment):
     path = tmp_path / "examples.json"
@@ -1042,6 +1050,18 @@ def test_cli_unwritable_recording_stops_before_any_model_call(tmp_path, suite_pa
     assert calls == []
     err = capsys.readouterr().err
     assert err == f"data error: {cassette}: cannot write cassette: No such file or directory\n"
+
+
+def test_a_trace_that_cannot_be_encoded_leaves_no_file(tmp_path):
+    from test_critic import fake_trace
+
+    good, bad = fake_trace("A", Choice(1)), fake_trace("B", Choice(2))
+    bad.steps[0].result = object()  # not JSON
+    with pytest.raises(TypeError):
+        evalcli.persist_traces([good, bad], str(tmp_path))
+    assert os.listdir(tmp_path) == ["t1.A.json"]
+    written = (tmp_path / "t1.A.json").read_text(encoding="utf-8")
+    assert written == json.dumps(good.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clipcritic.agent import StopReason, run_episode
-from clipcritic.dsl import DslParseError, StepResult, parse_program, run_source
+from clipcritic.dsl import DslParseError, StepResult, _lex, parse_program, run_source
 from clipcritic.modelclient import CallableModel
 from clipcritic.toolkit import PROFILES
 from clipcritic.tools import build_registry
@@ -103,3 +103,30 @@ def test_lexical_errors_point_at_their_lexeme(source):
             # the source from the error's line on: a lexeme may span lines
             rest = "\n".join(source.split("\n")[err.line - 1 :])
             assert rest[err.column - 1 :].startswith(err.lexeme), (err, source)
+
+
+LEX_ALPHABET = "aFf_x²١é \t\xa0\x1c\n#'\"\\{}()[]=!,:09"
+
+
+@settings(max_examples=400, deadline=None)
+@given(source=st.one_of(st.text(), st.text(alphabet=LEX_ALPHABET, max_size=60)))
+@example("x = 'a\\\nb'\ny = F\"{y}\" # c\nz = [1,\n  2]")
+def test_lexed_tokens_are_spans_of_the_source(source):
+    try:
+        lines = _lex(source)
+    except DslParseError:
+        return
+    end = 0
+    for ll in lines:
+        for tok in ll.tokens:
+            text = source[tok.start : tok.end]
+            assert end <= tok.start < tok.end, (tok, source)
+            end = tok.end
+            assert tok.line == source.count("\n", 0, tok.start) + 1
+            assert tok.column == tok.start - source.rfind("\n", 0, tok.start)
+            if tok.kind == "INT":
+                assert int(text) == tok.value
+            elif tok.kind in ("STRING", "FSTRING"):
+                assert text[-1] in "'\"" and text.lstrip("fF")[0] == text[-1]
+            else:
+                assert text == tok.value
