@@ -1,5 +1,5 @@
 """Foundational domain types shared by every module, the input-file reader,
-and its output twin.
+its output twin, and the JSON writer of every trace and report.
 
 Timestamps are whole seconds rendered as MM:SS strings (minutes unbounded,
 so a two hour mark renders "120:00"). Hour-form strings like "01:25:00" are
@@ -15,6 +15,7 @@ import enum
 import json
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Sequence, Union
 
 if TYPE_CHECKING:  # fixtures imports this module
@@ -68,6 +69,56 @@ def writing(path: str, what: str):
         yield
     except OSError as exc:
         raise DataError(f"{path}: cannot write {what}: {exc.strerror}") from exc
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # keyed by float.__repr__
+
+
+def pretty_json(value) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True) + "\\n"`, the text of every
+    trace and report a run writes, built without the pure-Python encoder
+    `json` falls back to when `indent` is set. A value `json` cannot write,
+    or a dict key that is not a `str`, raises TypeError.
+    """
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    # the stdlib's type tests in its order: bool and IntEnum write as ints,
+    # and a str, int or float subclass as its base type
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append(_LITERALS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(value, (list, tuple, dict)) and not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):  # a key that is not a str raises TypeError
+            out += (sep, encode_basestring_ascii(key), ": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _decode_json(data: bytes, where: str, error=DataError):

@@ -9,7 +9,6 @@ task per strategy so runs can be audited and replayed byte-for-byte.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import threading
@@ -42,6 +41,7 @@ from .core import (
     input_error,
     interval_union_iou,
     parse_timestamp,
+    pretty_json,
     read_bytes,
     read_json,
     read_json_lines,
@@ -356,14 +356,15 @@ def run_item(
 
 
 def persist_traces(traces: list[Trace], traces_dir: str) -> None:
-    with writing(traces_dir, "traces directory"):
-        os.makedirs(traces_dir, exist_ok=True)
+    if not os.path.isdir(traces_dir):  # one stat once the directory is there
+        with writing(traces_dir, "traces directory"):
+            os.makedirs(traces_dir, exist_ok=True)
     for trace in traces:
         name = f"{trace.task.id}.{trace.strategy.label}.json"
         path = os.path.join(traces_dir, name)
-        text = json.dumps(trace.to_dict(), indent=2, sort_keys=True) + "\n"
-        with writing(path, "trace"), open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        data = pretty_json(trace.to_dict()).encode("ascii")
+        with writing(path, "trace"), open(path, "wb") as fh:
+            fh.write(data)
 
 
 def evaluate(
@@ -479,7 +480,7 @@ def ablate_fixed_subsets(
 
 def _normalized_report_bytes(report: dict) -> bytes:
     trimmed = {k: v for k, v in report.items() if k != "timing"}
-    return (json.dumps(trimmed, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return pretty_json(trimmed).encode("ascii")
 
 
 def _trace_names(directory: str, what: str) -> list[str]:
@@ -673,7 +674,7 @@ def main(argv: list[str] | None = None) -> int:
             for name in record.get("trace_files", ()):
                 with open(os.path.join(config.traces_dir, name), encoding="utf-8") as fh:
                     sys.stdout.write(fh.read())
-            print(json.dumps({"result": record}, indent=2, sort_keys=True))
+            sys.stdout.write(pretty_json({"result": record}))
             return 0
         if args.command == "eval":
             report = evaluate(items, config, model)
@@ -684,12 +685,12 @@ def main(argv: list[str] | None = None) -> int:
             report_path = args.report
             shown = report
         if report_path:
+            text = pretty_json(report)  # first, so a report that cannot be encoded writes no file
             with writing(report_path, "report"):
                 os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)
                 with open(report_path, "w", encoding="utf-8") as fh:
-                    json.dump(report, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-        print(json.dumps(shown, indent=2, sort_keys=True))
+                    fh.write(text)
+        sys.stdout.write(pretty_json(shown))
         return 0
     except FatalError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)

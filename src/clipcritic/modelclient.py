@@ -70,6 +70,22 @@ class ScriptExhaustedError(RuntimeError):
     """A scripted backend ran out of responses (a test setup bug)."""
 
 
+class EpisodeStopped(RuntimeError):
+    """An earlier episode of the same task failed, so this one stopped at
+    its next request: a serial run would not have started it."""
+
+
+# `stop`, on a thread running one of `ModelClient.episodes`' side-by-side
+# episodes: whether an episode before it, in item order, has failed
+_episode = threading.local()
+
+
+def _stop_if_an_earlier_episode_failed() -> None:
+    stop = getattr(_episode, "stop", None)
+    if stop is not None and stop():
+        raise EpisodeStopped("an earlier episode of this task failed")
+
+
 @dataclass(frozen=True)
 class TextPart:
     text: str
@@ -171,6 +187,7 @@ class ModelClient:
     width = 1  # requests complete_all keeps in flight at once
 
     def complete(self, req: ModelRequest) -> str:
+        _stop_if_an_earlier_episode_failed()
         used = budget_frames(req.parts)
         if used > FRAME_BUDGET:
             raise BudgetExceededError(
@@ -184,6 +201,7 @@ class ModelClient:
         Responses come back in request order. The first request, in order,
         that fails raises its error; requests still queued are cancelled.
         """
+        _stop_if_an_earlier_episode_failed()
         responses, error = in_order(self.complete, requests, self.width)
         if error is not None:
             raise error
@@ -194,14 +212,34 @@ class ModelClient:
         in item order.
 
         When this client takes more than one request at once, every episode
-        runs at the same time and their requests share its cap; at width 1
-        they run one after another on the calling thread. The first episode,
-        in order, that fails raises its error.
+        runs at the same time and their requests share its cap; once one
+        fails, the episodes after it stop at their next `complete` or
+        `complete_all`. At width 1 they run one after another on the calling
+        thread. The first episode, in order, that fails raises its error.
         """
-        results, error = in_order(run, items, len(items) if self.width > 1 else 1)
+        results, error = self._run_episodes(run, items)
         if error is not None:
             raise error
         return results
+
+    def _run_episodes(self, run, items: list) -> tuple[list, Exception | None]:
+        """`in_order` over `episodes`' items: what they returned before the
+        first, in order, that failed, and its error."""
+        if self.width == 1:
+            return in_order(run, items, 1)
+        failed = [False] * len(items)
+
+        def guarded(position: int):
+            _episode.stop = lambda: any(failed[:position])
+            try:
+                return run(items[position])
+            except Exception:
+                failed[position] = True
+                raise
+            finally:
+                _episode.stop = None
+
+        return in_order(guarded, list(range(len(items))), len(items))
 
     def _complete(self, req: ModelRequest) -> str:
         raise NotImplementedError
@@ -322,6 +360,7 @@ class CassetteClient(ModelClient):
     def complete_all(self, requests: list[ModelRequest]) -> list[str]:
         if self.cassette.mode is not CassetteMode.RECORD:
             return super().complete_all(requests)
+        _stop_if_an_earlier_episode_failed()
         responses, error = in_order(self.inner.complete, requests, self.width)
         # after a failure only the responses before it are recorded, as in
         # a serial run
@@ -342,7 +381,7 @@ class CassetteClient(ModelClient):
             finally:
                 self._local.buffer = None
 
-        results, error = in_order(buffered, list(zip(buffers, items)), len(items))
+        results, error = self._run_episodes(buffered, list(zip(buffers, items)))
         # as in complete_all: what a serial run records before it stops
         self._append("".join(chain.from_iterable(buffers[: len(results) + 1])))
         if error is not None:

@@ -1,9 +1,12 @@
-"""Timestamp parsing, answer parsing, and interval IOU scoring."""
+"""Timestamp parsing, answer parsing, interval IOU scoring, and the JSON
+writer of traces and reports."""
 
+import enum
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clipcritic.core import (
@@ -21,6 +24,7 @@ from clipcritic.core import (
     merge_segments,
     parse_final_answer,
     parse_timestamp,
+    pretty_json,
 )
 from clipcritic.fixtures import VideoFixture
 
@@ -235,3 +239,48 @@ def test_answers_equal_and_keys():
     assert not answers_equal(Choice(2), whole)
     assert answers_equal(Unparsed("zz"), Unparsed("zz"))
     assert answer_key(Choice(2)) == ("choice", 2)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+_json_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | st.floats()  # NaN, both infinities and -0.0 among them
+    | st.sampled_from(list(_Level))
+    # every code point: non-ASCII text, control characters, lone surrogates
+    | st.text(st.characters(exclude_categories=()))
+)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(st.characters(exclude_categories=()), max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_json_value)
+@settings(max_examples=300)
+@example(float("nan"))
+@example([float("inf"), float("-inf"), -0.0, 0.0])
+@example({"big": 2**64, "neg": -(2**70), "level": _Level.HIGH, "flag": True, "none": None})
+@example({"": [], "a": {}, "b": (), "c": [[{}], {"d": ["\ud800", "\u00e9\n\u2028"]}]})
+def test_pretty_json_writes_what_json_dumps_writes(value):
+    assert pretty_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [object(), [1, {"a": object()}], {1: "one"}, {"a": {("a",): 1}}, {"x": {1, 2}}],
+    ids=["object", "nested-object", "int-key", "tuple-key", "set"],
+)
+def test_pretty_json_rejects_what_it_cannot_write(value):
+    with pytest.raises(TypeError):
+        pretty_json(value)

@@ -866,6 +866,75 @@ def test_a_failed_strategy_records_what_a_serial_run_records(tmp_path, all_items
     assert results[3] == results[1]
 
 
+def test_episodes_after_a_failed_one_stop_at_their_next_request(tmp_path, all_items, monkeypatch):
+    """Under a cap-3 model, C starts no model request once A's error has left
+    A's episode: a serial run would not have started C at all."""
+    item = all_items[0]
+    scripted = oracle_suite.scripted_model()
+    c_served, a_left = threading.Event(), threading.Event()
+    started_late = []
+
+    def episode(*args, **kwargs):
+        try:
+            return run_episode(*args, **kwargs)
+        except ModelTransportError:
+            a_left.set()
+            raise
+
+    run_episode = critic.run_episode
+    monkeypatch.setattr(critic, "run_episode", episode)
+
+    def reply(req):
+        if a_left.is_set():
+            started_late.append(req.tag)
+        if req.tag == f"{item.task.id}/A/1":
+            assert c_served.wait(5)
+            raise ModelTransportError(f"request '{req.tag}': connection reset")
+        response = scripted.complete(req)
+        if req.tag.startswith(f"{item.task.id}/C/") and not c_served.is_set():
+            c_served.set()  # C has more turns to take when A fails
+            assert a_left.wait(5)
+            time.sleep(0.05)  # A's thread marks its episode failed
+        return response
+
+    model = ConcurrencyLimitedClient(CallableModel(reply), 3)
+    record = evaluate([item], config("agent_critic", tmp_path), model)["items"][0]
+    assert record["error_type"] == "ModelTransportError"
+    assert record["error"] == f"request '{item.task.id}/A/1': connection reset"
+    assert started_late == []
+
+
+def test_a_failed_episode_lets_the_ones_before_it_finish(tmp_path, all_items, monkeypatch):
+    """Under a cap-3 model, C fails while A is between requests: A runs on to
+    its end, so the item's error is C's, as in a serial run."""
+    item = all_items[0]
+    scripted = oracle_suite.scripted_model()
+    c_left = threading.Event()
+
+    def episode(*args, **kwargs):
+        try:
+            return run_episode(*args, **kwargs)
+        except ModelTransportError:
+            c_left.set()
+            raise
+
+    run_episode = critic.run_episode
+    monkeypatch.setattr(critic, "run_episode", episode)
+
+    def reply(req):
+        if req.tag == f"{item.task.id}/C/0":
+            raise ModelTransportError(f"request '{req.tag}': connection reset")
+        if req.tag == f"{item.task.id}/A/0":
+            assert c_left.wait(5)
+            time.sleep(0.05)  # C's thread marks its episode failed
+        return scripted.complete(req)
+
+    model = ConcurrencyLimitedClient(CallableModel(reply), 3)
+    record = evaluate([item], config("agent_critic", tmp_path), model)["items"][0]
+    assert record["error_type"] == "ModelTransportError"
+    assert record["error"] == f"request '{item.task.id}/C/0': connection reset"
+
+
 def test_narrow_models_run_strategies_on_the_calling_thread(tmp_path, all_items, monkeypatch):
     threads = []
     for name in ("run_episode", "run_direct"):
@@ -1062,6 +1131,15 @@ def test_a_trace_that_cannot_be_encoded_leaves_no_file(tmp_path):
     assert os.listdir(tmp_path) == ["t1.A.json"]
     written = (tmp_path / "t1.A.json").read_text(encoding="utf-8")
     assert written == json.dumps(good.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def test_a_report_that_cannot_be_encoded_leaves_no_file(tmp_path, suite_paths, monkeypatch):
+    report = {"aggregate": {"count": 1}, "items": [{"id": "v01", "result": object()}]}
+    monkeypatch.setattr(evalcli, "evaluate", lambda *args, **kwargs: report)
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        main(["--mode", "direct", "eval", suite_paths["all"], "--report", str(path)])
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
