@@ -1,5 +1,5 @@
 """Foundational domain types shared by every module, the input-file reader,
-its output twin, and the JSON writer of every trace and report.
+its output twins, and the JSON writer of every trace and report.
 
 Timestamps are whole seconds rendered as MM:SS strings (minutes unbounded,
 so a two hour mark renders "120:00"). Hour-form strings like "01:25:00" are
@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import json
+import os
 import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -69,6 +70,23 @@ def writing(path: str, what: str):
         yield
     except OSError as exc:
         raise DataError(f"{path}: cannot write {what}: {exc.strerror}") from exc
+
+
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC
+
+
+def write_bytes(path: str, data: bytes, what: str) -> None:
+    """Create or truncate the output file `path` and write `data` to it, on
+    a raw descriptor: no buffer, and none of the fstat, isatty and lseek
+    calls `open` makes. A fault is `writing`'s DataError."""
+    with writing(path, what):
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            os.close(fd)
 
 
 _LITERALS = {None: "null", True: "true", False: "false"}
@@ -266,11 +284,16 @@ def parse_final_answer(text: str, kind: TaskKind) -> FinalAnswer:
 
     Multiple choice: the last "Final Answer: (N)" occurrence wins.
     Temporal range: every bracketed [MM:SS, MM:SS] pair after the last
-    "Final Answer:" marker. Anything else comes back as Unparsed.
+    "Final Answer:" marker. Anything else comes back as Unparsed. An
+    occurrence whose digits `int` will not convert (more than
+    `sys.get_int_max_str_digits()` of them) is skipped.
     """
     if kind is TaskKind.MULTIPLE_CHOICE:
         for m in reversed(list(_CHOICE_PATTERN.finditer(text))):
-            index = int(m.group(1))
+            try:
+                index = int(m.group(1))
+            except ValueError:
+                continue
             if index >= 1:
                 return Choice(index)
         return Unparsed(text)
@@ -282,7 +305,7 @@ def parse_final_answer(text: str, kind: TaskKind) -> FinalAnswer:
     for m in _RANGE_PAIR.finditer(tail):
         try:
             start, end = parse_timestamp(m.group(1)), parse_timestamp(m.group(2))
-        except TimestampError:
+        except ValueError:  # a TimestampError, or too many digits for int
             continue
         if start <= end:
             segments.append(VideoSegment(start, end))

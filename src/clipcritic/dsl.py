@@ -12,9 +12,11 @@ closed allowlist induced from observed traces:
 
 Anything else is a parse error carrying the physical line and column of
 the offending lexeme. One lexer pass, one compiled scanner match per
-token, splits the source into statements before any is parsed, so a
-program's first lexical error (bad character, unterminated string, nesting
-too deep) is reported before any syntax error. Errors are values:
+token together with the blanks and comment before it, splits the source
+into statements before any is parsed, so a program's first lexical error
+(bad character, unterminated string, nesting too deep) is reported before
+any syntax error. The parser has no parser object: module functions walk
+a statement's token list by index. Errors are values:
 execution wraps every failure into the step result text shown back to the
 agent, never an uncaught exception.
 """
@@ -170,8 +172,7 @@ class _Token(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True)
-class _Line:
+class _Line(NamedTuple):
     """One logical line: a statement's tokens, joined across brackets."""
 
     tokens: list[_Token]
@@ -198,18 +199,24 @@ _DIGITS = "0123456789"  # str.isdigit also takes other scripts' digits and "²"
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", "'": "'", '"': '"'}
 _KEYWORDS = {"None": "NONE", "if": "IF"}
 
-# One alternative per token class; `m.lastindex` says which one matched.
-# `\w` is exactly `_is_ident`, and `[^\S\n]` exactly `str.isspace()`
-# without "\n". A string runs to the next unescaped quote on its line, so a
-# quote no alternative takes starts an unterminated string. A word is a name
-# when `_is_ident_start` takes its first character; `_read_token` reads
-# every other word (a number), and every position no alternative takes.
+# One match per token: the blanks and comment before it, then one
+# alternative per token class; `m.lastindex` says which one matched, and
+# some alternative matches at every offset. `\w` is exactly `_is_ident`, and
+# `[^\S\n]` exactly `str.isspace()` without "\n". A string runs to the next
+# unescaped quote on its line (the unrolled `[^q\\\n]*(?:\\[\s\S][^q\\\n]*)*`
+# takes what `(?:[^q\\\n]|\\[\s\S])*` does, in fewer steps), so a quote no
+# alternative takes starts an unterminated string. A word is a name when
+# `_is_ident_start` takes its first character; `_read_token` reads every
+# other word (a number), and every character no other alternative takes.
 _SCAN = re.compile(
-    r"""(\n)"""  # 1: end of a physical line
-    r"""|([^\S\n]+|#[^\n]*)"""  # 2: blanks or a comment
-    r"""|(==|!=|[()\[\],=:])"""  # 3: punctuation
-    r"""|([fF]?)(?:'((?:[^'\\\n]|\\[\s\S])*)'|"((?:[^"\\\n]|\\[\s\S])*)")"""  # 4: prefix, 5-6: body
-    r"""|(\w+)"""  # 7: a word
+    r"""[^\S\n]*(?:#[^\n]*)?"""  # blanks, then a comment
+    r"""(?:(\n)"""  # 1: end of a physical line
+    r"""|(==|!=|[()\[\],=:])"""  # 2: punctuation
+    r"""|([fF]?(?:'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*'"""  # 3: a string
+    r"""|"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"))"""
+    r"""|(\w+)"""  # 4: a word
+    r"""|(\Z)"""  # 5: end of source
+    r"""|(.))"""  # 6: any other character
 )
 
 
@@ -230,54 +237,53 @@ def _lex(source: str) -> list[_Line]:
     depth = 0
     lead = ""
     line, line_start = 1, 0
-    i, n = 0, len(source)
     match = _SCAN.match
-    new = tuple.__new__  # a _Token without the Python-level NamedTuple.__new__
-    while i < n:
+    new = tuple.__new__  # a named tuple without the Python-level NamedTuple.__new__
+    i = 0
+    while True:
         m = match(source, i)
-        group = m.lastindex if m else 0
-        if group == 2:
-            i = m.end()
-            continue
+        group = m.lastindex
+        i = m.end()
         if group == 1:
             if depth == 0 and tokens:
-                lines.append(_Line(tokens, lead))
+                lines.append(new(_Line, (tokens, lead)))
                 tokens = []
             line += 1
-            i = line_start = i + 1
+            line_start = i
             continue
+        if group == 5:
+            break
+        start = m.start(group)
         if not tokens:
-            blank = source[line_start:i]
+            blank = source[line_start:start]
             lead = blank[: len(blank) - len(blank.lstrip(" \t"))]
-        column = i - line_start + 1
-        end = m.end() if m else i
-        if group == 7 and _is_ident_start(source[i]):
-            value = m[7]
+        column = start - line_start + 1
+        if group == 4 and _is_ident_start(source[start]):
+            value = m[4]
             kind = _KEYWORDS.get(value, "IDENT")
-        elif group == 3:
-            kind = value = m[3]
+        elif group == 2:
+            kind = value = m[2]
             if kind in "([":
                 depth += 1
                 if depth > NESTING_CAP:
                     raise DslParseError("brackets nested too deeply", line, column, kind)
             elif kind in ")]":
                 depth = max(0, depth - 1)
-        elif group == 5 or group == 6:
-            if m[4]:
+        elif group == 3:
+            if source[start] in "fF":
                 kind = "FSTRING"
-                value = _fstring_parts(source, i + 2, end - 1, line, line_start)
+                value = _fstring_parts(source, start + 2, i - 1, line, line_start)
             else:
-                kind, value = "STRING", _unescape(m[group])
+                kind, value = "STRING", _unescape(source[start + 1 : i - 1])
         else:  # numbers, and whatever the scanner does not take
-            kind, value, end = _read_token(source, i, line, column)
-        tokens.append(new(_Token, (kind, value, line, column, i, end)))
-        if group == 5 or group == 6:
-            newlines = source.count("\n", i, end)  # a string's escaped newlines
+            kind, value, i = _read_token(source, start, line, column)
+        tokens.append(new(_Token, (kind, value, line, column, start, i)))
+        if group == 3:
+            newlines = source.count("\n", start, i)  # a string's escaped newlines
             if newlines:
-                line, line_start = line + newlines, source.rindex("\n", i, end) + 1
-        i = end
+                line, line_start = line + newlines, source.rindex("\n", start, i) + 1
     if tokens:
-        lines.append(_Line(tokens, lead))
+        lines.append(new(_Line, (tokens, lead)))
     return lines
 
 
@@ -301,6 +307,12 @@ def _read_token(source: str, i: int, line: int, column: int) -> tuple[str, objec
     raise DslParseError("unexpected character", line, column, ch)
 
 
+# one match per piece of an f-string body, every character in one: 1:
+# literal text, no group: {{ or }}, 2: a braced name, 3: an escaped
+# character, 4-5: a brace with no partner
+_PIECE = re.compile(r"([^{}\\]+)|\{\{|\}\}|\{([^}]*)\}|\\([\s\S]?)|(\{)|(\})")
+
+
 def _fstring_parts(source: str, i: int, end: int, line: int, line_start: int) -> tuple:
     """Split the f-string body source[i:end] into literal text and
     bare-variable parts; `line_start` is the offset of `line`'s start."""
@@ -313,150 +325,106 @@ def _fstring_parts(source: str, i: int, end: int, line: int, line_start: int) ->
 
     parts: list[Union[str, Var]] = []
     text: list[str] = []
-    while i < end:
-        ch = source[i]
-        if ch == "{":
-            if i + 1 < end and source[i + 1] == "{":
-                text.append("{")
-                i += 2
-                continue
-            j = source.find("}", i + 1, end)
-            if j < 0:
-                raise fault("unclosed brace in f-string", i, "{")
-            inner = source[i + 1 : j]
+    for m in _PIECE.finditer(source, i, end):
+        piece = m.lastindex
+        if piece == 1:
+            text.append(m[1])
+        elif piece == 2:
+            inner = m[2]
             name = inner.strip()
             if not (name and _is_ident_start(name[0]) and all(map(_is_ident, name))):
-                at = i + 1 + len(inner) - len(inner.lstrip())
+                at = m.start(2) + len(inner) - len(inner.lstrip())
                 raise fault("only bare variable names may be interpolated", at, name)
             if text:
                 parts.append("".join(text))
                 text = []
             parts.append(Var(name))
-            i = j + 1
-            continue
-        if ch == "}":
-            if i + 1 < end and source[i + 1] == "}":
-                text.append("}")
-                i += 2
-                continue
-            raise fault("single '}' in f-string", i, "}")
-        if ch == "\\" and i + 1 < end:
-            text.append(_ESCAPES.get(source[i + 1], "\\" + source[i + 1]))
-            i += 2
-            continue
-        text.append(ch)
-        i += 1
+        elif piece == 3:
+            text.append(_ESCAPES.get(m[3], "\\" + m[3]))
+        elif piece == 4:
+            raise fault("unclosed brace in f-string", m.start(), "{")
+        elif piece == 5:
+            raise fault("single '}' in f-string", m.start(), "}")
+        else:
+            text.append(m[0][0])
     if text:
         parts.append("".join(text))
     return tuple(parts)
 
 
 # --- parser ---
+# Token fields are read by position: 0 kind, 1 value, 2 line, 3 column. An
+# error at the end of a statement is reported at its `line`, column 0.
 
 
-class _ExprParser:
-    def __init__(self, tokens: list[_Token], line: int):
-        self.tokens = tokens
-        self.line = line
-        self.pos = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def at(self, tok: _Token | None) -> tuple[int, int]:
-        """Where an error at tok is reported; column 0 at the statement's end."""
-        return (tok.line, tok.column) if tok else (self.line, 0)
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise DslParseError("unexpected end of statement", self.line, 0)
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            found = "end of statement" if tok is None else repr(str(tok.value))
-            raise DslParseError(
-                f"expected {kind!r}, found {found}",
-                *self.at(tok),
-                str(tok.value) if tok else "",
-            )
-        return self.next()
-
-    def expect_end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise DslParseError(
-                "trailing tokens after expression", tok.line, tok.column, str(tok.value)
-            )
-
-    def parse_expr(self) -> Expr:
-        tok = self.next()
-        if tok.kind == "STRING":
-            return StringLit(tok.value)
-        if tok.kind == "FSTRING":
-            return FStringLit(tok.value)
-        if tok.kind == "INT":
-            return IntLit(tok.value)
-        if tok.kind == "NONE":
-            return NoneLit()
-        if tok.kind == "[":
-            items = []
-            while True:
-                nxt = self.peek()
-                if nxt is not None and nxt.kind == "]":
-                    self.next()
-                    break
-                items.append(self.parse_expr())
-                nxt = self.peek()
-                if nxt is not None and nxt.kind == ",":
-                    self.next()
-                    continue
-                self.expect("]")
+def _parse_expr(tokens: list[_Token], i: int, line: int) -> tuple[Expr, int]:
+    """The expression at tokens[i] and the index after it."""
+    if i >= len(tokens):
+        raise DslParseError("unexpected end of statement", line, 0)
+    tok = tokens[i]
+    kind = tok[0]
+    i += 1
+    if kind == "IDENT":
+        if i < len(tokens) and tokens[i][0] == "(":
+            return _parse_call(tokens, i + 1, line, tok[1])
+        return Var(tok[1]), i
+    if kind == "STRING":
+        return StringLit(tok[1]), i
+    if kind == "FSTRING":
+        return FStringLit(tok[1]), i
+    if kind == "INT":
+        return IntLit(tok[1]), i
+    if kind == "NONE":
+        return NoneLit(), i
+    if kind == "[":
+        items = []
+        while i >= len(tokens) or tokens[i][0] != "]":
+            item, i = _parse_expr(tokens, i, line)
+            items.append(item)
+            if i >= len(tokens) or tokens[i][0] != ",":
                 break
-            return ListLit(tuple(items))
-        if tok.kind == "IDENT":
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "(":
-                return self.parse_call(tok.value)
-            return Var(tok.value)
-        raise DslParseError(
-            "expected an expression", tok.line, tok.column, str(tok.value)
-        )
+            i += 1
+        return ListLit(tuple(items)), _expect(tokens, i, "]", line)
+    raise DslParseError("expected an expression", tok[2], tok[3], str(tok[1]))
 
-    def parse_call(self, callee: str) -> Call:
-        self.expect("(")
-        args: list[Expr] = []
-        kwargs: list[tuple[str, Expr]] = []
-        while True:
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == ")":
-                self.next()
-                break
-            if (
-                nxt is not None
-                and nxt.kind == "IDENT"
-                and self.pos + 1 < len(self.tokens)
-                and self.tokens[self.pos + 1].kind == "="
-            ):
-                name = self.next().value
-                self.next()  # '='
-                kwargs.append((name, self.parse_expr()))
-            else:
-                if kwargs:
-                    raise DslParseError(
-                        "positional argument after keyword argument", *self.at(nxt)
-                    )
-                args.append(self.parse_expr())
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == ",":
-                self.next()
-                continue
-            self.expect(")")
+
+def _parse_call(tokens: list[_Token], i: int, line: int, callee: str) -> tuple[Call, int]:
+    """The call whose arguments start at tokens[i], after its '('."""
+    args: list[Expr] = []
+    kwargs: list[tuple[str, Expr]] = []
+    n = len(tokens)
+    while i >= n or tokens[i][0] != ")":
+        tok = tokens[i] if i < n else None
+        if i + 1 < n and tok[0] == "IDENT" and tokens[i + 1][0] == "=":
+            value, i = _parse_expr(tokens, i + 2, line)
+            kwargs.append((tok[1], value))
+        else:
+            if kwargs:
+                at = (tok[2], tok[3]) if tok else (line, 0)
+                raise DslParseError("positional argument after keyword argument", *at)
+            value, i = _parse_expr(tokens, i, line)
+            args.append(value)
+        if i >= n or tokens[i][0] != ",":
             break
-        return Call(callee, tuple(args), tuple(kwargs))
+        i += 1
+    return Call(callee, tuple(args), tuple(kwargs)), _expect(tokens, i, ")", line)
+
+
+def _expect(tokens: list[_Token], i: int, kind: str, line: int) -> int:
+    """The index after tokens[i], which must be a `kind` token."""
+    if i < len(tokens):
+        tok = tokens[i]
+        if tok[0] == kind:
+            return i + 1
+        found = str(tok[1])
+        raise DslParseError(f"expected {kind!r}, found {found!r}", tok[2], tok[3], found)
+    raise DslParseError(f"expected {kind!r}, found end of statement", line, 0)
+
+
+def _expect_end(tokens: list[_Token], i: int) -> None:
+    if i < len(tokens):
+        tok = tokens[i]
+        raise DslParseError("trailing tokens after expression", tok[2], tok[3], str(tok[1]))
 
 
 def parse_program(text: str) -> Program:
@@ -493,37 +461,33 @@ def _line_text(source: str, ll: _Line) -> str:
 
 def _parse_statement(lines: list[_Line], i: int) -> tuple[Statement, int]:
     """Parse the statement on logical line i; return it and the next line's index."""
-    ll = lines[i]
-    tokens = ll.tokens
-    if tokens[0].kind == "IF":
+    tokens = lines[i].tokens
+    first = tokens[0]
+    if first[0] == "IF":
         return _parse_if(lines, i)
+    line = first[2]
     # assignment: IDENT '=' (not '==')
-    assign = len(tokens) >= 2 and tokens[0].kind == "IDENT" and tokens[1].kind == "="
-    parser = _ExprParser(tokens[2:] if assign else tokens, ll.line)
-    expr = parser.parse_expr()
-    parser.expect_end()
+    assign = len(tokens) >= 2 and first[0] == "IDENT" and tokens[1][0] == "="
+    expr, j = _parse_expr(tokens, 2 if assign else 0, line)
+    _expect_end(tokens, j)
     if assign:
-        return Assign(tokens[0].value, expr, ll.line), i + 1
+        return Assign(first[1], expr, line), i + 1
     if isinstance(expr, Var):
-        raise DslParseError(
-            "a bare name is not a statement", ll.line, tokens[0].column, expr.name
-        )
-    return ExprStmt(expr, ll.line), i + 1
+        raise DslParseError("a bare name is not a statement", line, first[3], expr.name)
+    return ExprStmt(expr, line), i + 1
 
 
 def _parse_if(lines: list[_Line], i: int) -> tuple[If, int]:
     ll = lines[i]
-    tokens = ll.tokens
-    if tokens[-1].kind != ":":
+    if ll.tokens[-1][0] != ":":
         raise DslParseError("if header must end with ':'", ll.line, ll.indent + 1)
-    parser = _ExprParser(tokens[1:-1], ll.line)
-    left = parser.parse_expr()
-    op_tok = parser.peek()
-    if op_tok is None or op_tok.kind not in ("==", "!="):
-        raise DslParseError("if condition must compare with == or !=", *parser.at(op_tok))
-    parser.next()
-    right = parser.parse_expr()
-    parser.expect_end()
+    head = ll.tokens[:-1]  # the condition is head[1:]
+    left, k = _parse_expr(head, 1, ll.line)
+    if k >= len(head) or head[k][0] not in ("==", "!="):
+        at = (head[k][2], head[k][3]) if k < len(head) else (ll.line, 0)
+        raise DslParseError("if condition must compare with == or !=", *at)
+    right, end = _parse_expr(head, k + 1, ll.line)
+    _expect_end(head, end)
     j = i + 1
     if j >= len(lines) or lines[j].indent <= ll.indent:
         raise DslParseError("if statement needs an indented block", ll.line, ll.indent + 1)
@@ -538,7 +502,7 @@ def _parse_if(lines: list[_Line], i: int) -> tuple[If, int]:
         if isinstance(statement, If):
             raise DslParseError("nested if is not supported", inner.line, inner.indent + 1)
         body.append(statement)
-    return If(Comparison(left, op_tok.value, right), tuple(body), ll.line), j
+    return If(Comparison(left, head[k][1], right), tuple(body), ll.line), j
 
 
 # --- execution ---

@@ -45,6 +45,7 @@ from .core import (
     read_bytes,
     read_json,
     read_json_lines,
+    write_bytes,
     writing,
 )
 from .critic import load_examples, load_examples_file, run_agent_critic
@@ -362,9 +363,7 @@ def persist_traces(traces: list[Trace], traces_dir: str) -> None:
     for trace in traces:
         name = f"{trace.task.id}.{trace.strategy.label}.json"
         path = os.path.join(traces_dir, name)
-        data = pretty_json(trace.to_dict()).encode("ascii")
-        with writing(path, "trace"), open(path, "wb") as fh:
-            fh.write(data)
+        write_bytes(path, pretty_json(trace.to_dict()).encode("ascii"), "trace")
 
 
 def evaluate(
@@ -685,11 +684,11 @@ def main(argv: list[str] | None = None) -> int:
             report_path = args.report
             shown = report
         if report_path:
-            text = pretty_json(report)  # first, so a report that cannot be encoded writes no file
+            # encoded first, so a report that cannot be encoded writes no file
+            data = pretty_json(report).encode("ascii")
             with writing(report_path, "report"):
                 os.makedirs(os.path.dirname(report_path) or ".", exist_ok=True)
-                with open(report_path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+            write_bytes(report_path, data, "report")
         sys.stdout.write(pretty_json(shown))
         return 0
     except FatalError as exc:

@@ -43,6 +43,7 @@ RETRIEVAL_CAP = 64
 CONTEXT_FRAMES = 56
 ASR_CHUNK_CHARS = 4000  # transcript characters per asr_understanding chunk
 _INDEX = attrgetter("index")
+_FRAME_INDEX = re.compile("[0-9]+")  # ASCII only: `\d` also takes other scripts' digits
 
 # articles, pronouns, and bare interrogatives never count as content
 STOPWORDS = frozenset(
@@ -234,11 +235,15 @@ class ToolSuite:
             refs = window.refs
             for line in response.split("\n"):
                 line = line.strip()
-                if re.fullmatch(r"\d+", line):
+                if not _FRAME_INDEX.fullmatch(line):
+                    continue
+                try:
                     idx = int(line)
-                    j = bisect_left(refs, idx, key=_INDEX)
-                    if j < len(refs) and refs[j].index == idx:
-                        retrieved[idx] = refs[j]
+                except ValueError:  # more digits than int converts: no frame
+                    continue
+                j = bisect_left(refs, idx, key=_INDEX)
+                if j < len(refs) and refs[j].index == idx:
+                    retrieved[idx] = refs[j]
         if retrieved:
             chosen = [retrieved[i] for i in sorted(retrieved)[:RETRIEVAL_CAP]]
         else:

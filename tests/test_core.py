@@ -77,6 +77,26 @@ def test_parse_final_answer_choice_reads_only_ascii_digits():
     assert parse_final_answer(mixed, TaskKind.MULTIPLE_CHOICE) == Choice(1)
 
 
+LONG = "9" * 5000  # past the interpreter's default int conversion limit
+
+
+def test_parse_final_answer_skips_a_choice_too_long_to_convert():
+    raw = f"Final Answer: ({LONG})"
+    assert parse_final_answer(raw, TaskKind.MULTIPLE_CHOICE) == Unparsed(raw)
+    earlier = "Final Answer: (2)\n" + raw
+    assert parse_final_answer(earlier, TaskKind.MULTIPLE_CHOICE) == Choice(2)
+
+
+@pytest.mark.parametrize(
+    "pair", [f"[{LONG}:00, 00:04]", f"[00:01, {LONG}:00:00]"], ids=["minutes", "hours"]
+)
+def test_parse_final_answer_skips_a_range_too_long_to_convert(pair):
+    raw = f"Final Answer: {pair}"
+    assert parse_final_answer(raw, TaskKind.TEMPORAL_RANGE) == Unparsed(raw)
+    mixed = raw + ", [00:03, 00:04]"
+    assert parse_final_answer(mixed, TaskKind.TEMPORAL_RANGE) == Ranges((VideoSegment(3, 4),))
+
+
 def test_format_timestamp_always_two_fields():
     assert format_timestamp(2450) == "40:50"
     assert format_timestamp(5100) == "85:00"

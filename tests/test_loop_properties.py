@@ -4,7 +4,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clipcritic.agent import StopReason, run_episode
-from clipcritic.dsl import DslParseError, StepResult, _lex, parse_program, run_source
+from clipcritic.dsl import (
+    Assign,
+    Call,
+    Comparison,
+    DslParseError,
+    ExprStmt,
+    FStringLit,
+    If,
+    IntLit,
+    ListLit,
+    NoneLit,
+    Program,
+    StepResult,
+    StringLit,
+    Var,
+    _lex,
+    parse_program,
+    run_source,
+)
 from clipcritic.modelclient import CallableModel
 from clipcritic.toolkit import PROFILES
 from clipcritic.tools import build_registry
@@ -130,3 +148,155 @@ def test_lexed_tokens_are_spans_of_the_source(source):
                 assert text[-1] in "'\"" and text.lstrip("fF")[0] == text[-1]
             else:
                 assert text == tok.value
+
+
+# --- the front end parses what a grammar AST renders to ---
+
+NAMES = st.builds(str.__add__, st.sampled_from("abfFx_é"), st.text("ab0_9", max_size=3))
+TEXT = st.text(alphabet="ab {}'\"\\\n\té#", max_size=8)
+
+
+def fstring(pieces) -> FStringLit:
+    """The f-string of text and names, adjacent text joined as the parser joins it."""
+    parts: list = []
+    for piece in pieces:
+        if piece == "":
+            continue
+        if isinstance(piece, str) and parts and isinstance(parts[-1], str):
+            parts[-1] += piece
+        else:
+            parts.append(piece)
+    return FStringLit(tuple(parts))
+
+
+EXPRS = st.recursive(
+    st.one_of(
+        st.builds(StringLit, TEXT),
+        st.builds(IntLit, st.integers(0, 10**12)),
+        st.just(NoneLit()),
+        st.builds(Var, NAMES),
+        st.builds(fstring, st.lists(st.one_of(TEXT, st.builds(Var, NAMES)), max_size=4)),
+    ),
+    lambda inner: st.one_of(
+        st.builds(lambda items: ListLit(tuple(items)), st.lists(inner, max_size=3)),
+        st.builds(
+            lambda callee, args, kwargs: Call(callee, tuple(args), tuple(kwargs)),
+            NAMES,
+            st.lists(inner, max_size=3),
+            st.lists(st.tuples(NAMES, inner), max_size=2),
+        ),
+    ),
+    max_leaves=8,
+)
+# a statement without its line: ("=", name, expr), ("expr", expr) or
+# ("if", left, op, right, body)
+SIMPLE = st.one_of(
+    st.tuples(st.just("="), NAMES, EXPRS),
+    st.tuples(st.just("expr"), EXPRS.filter(lambda e: not isinstance(e, Var))),
+)
+STATEMENTS = st.one_of(
+    SIMPLE,
+    st.tuples(
+        st.just("if"), EXPRS, st.sampled_from(["==", "!="]), EXPRS,
+        st.lists(SIMPLE, min_size=1, max_size=3),
+    ),
+)
+GAPS = ["", " ", "  ", "\t", "\xa0"]
+# inside brackets a statement may also run on over newlines and comments
+BRACKET_GAPS = GAPS + ["\n", " # (note\n   ", "\n\t  "]
+LINE_ENDS = ["", "  # done", "\t#'"]
+BETWEEN = ["", "", "\n", "   # aside\n", "\t\n"]  # blank and comment-only lines
+
+
+@st.composite
+def rendered_programs(draw):
+    """A program's source, with random blanks and comments, and its AST."""
+    out: list[str] = []
+    choice = draw(st.randoms(use_true_random=True)).choice  # the layout, not shrunk
+
+    def gap(inside: bool) -> str:
+        return choice(BRACKET_GAPS if inside else GAPS)
+
+    def blank() -> str:
+        return choice(["", " ", "  "])
+
+    def text(value: str, quote: str, fstring: bool) -> str:
+        chars = []
+        for ch in value:
+            if ch == "\\" or ch == quote:
+                chars.append("\\" + ch)
+            elif ch == "\n":
+                chars.append("\\n")
+            elif ch == "\t":
+                chars.append(choice(["\\t", "\t"]))
+            elif fstring and ch in "{}":
+                chars.append(ch + ch)
+            else:
+                chars.append(ch)
+        return "".join(chars)
+
+    def expr(e, inside: bool) -> str:
+        if isinstance(e, StringLit):
+            quote = choice("'\"")
+            return quote + text(e.value, quote, False) + quote
+        if isinstance(e, FStringLit):
+            quote = choice("'\"")
+            body = [
+                "{" + blank() + p.name + blank() + "}" if isinstance(p, Var) else text(p, quote, True)
+                for p in e.parts
+            ]
+            return choice("fF") + quote + "".join(body) + quote
+        if isinstance(e, IntLit):
+            return choice(["", "0", "00"]) + str(e.value)
+        if isinstance(e, NoneLit):
+            return "None"
+        if isinstance(e, Var):
+            return e.name
+        if isinstance(e, ListLit):
+            return "[" + items([expr(x, True) for x in e.items]) + "]"
+        args = [expr(a, True) for a in e.args]
+        args += [f"{k}{gap(True)}={gap(True)}{expr(v, True)}" for k, v in e.kwargs]
+        return e.callee + gap(inside) + "(" + items(args) + ")"
+
+    def items(rendered: list[str]) -> str:
+        if not rendered:
+            return gap(True)
+        trailing = choice(["", ","])
+        sep = [gap(True) + "," + gap(True) for _ in rendered[1:]]
+        body = rendered[0] + "".join(s + r for s, r in zip(sep, rendered[1:]))
+        return gap(True) + body + gap(True) + trailing + gap(True)
+
+    def simple(shape, indent: str):
+        out.append(choice(BETWEEN))
+        line = "".join(out).count("\n") + 1
+        if shape[0] == "=":
+            out.append(f"{indent}{shape[1]}{gap(False)}={gap(False)}{expr(shape[2], False)}")
+            statement = Assign(shape[1], shape[2], line)
+        else:
+            out.append(indent + expr(shape[1], False))
+            statement = ExprStmt(shape[1], line)
+        out.append(choice(LINE_ENDS) + "\n")
+        return statement
+
+    statements = []
+    for shape in draw(st.lists(STATEMENTS, min_size=1, max_size=4)):
+        if shape[0] != "if":
+            statements.append(simple(shape, ""))
+            continue
+        _, left, op, right, body = shape
+        out.append(choice(BETWEEN))
+        line = "".join(out).count("\n") + 1
+        condition = expr(left, False) + gap(False) + op + gap(False) + expr(right, False)
+        out.append(f"if {gap(False)}{condition}{gap(False)}:")
+        out.append(choice(LINE_ENDS) + "\n")
+        indent = choice(["  ", "    ", "\t", " \t"])
+        block = tuple(simple(inner, indent) for inner in body)
+        statements.append(If(Comparison(left, op, right), block, line))
+    return "".join(out), Program(tuple(statements))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rendered_programs())
+def test_rendered_grammar_asts_parse_back(case):
+    source, program = case
+    assert parse_program(source) == program, source

@@ -269,7 +269,7 @@ def reference_retrieved(phase1, replies):
         allowed = {ref.index for ref in refs}
         for line in reply.split("\n"):
             line = line.strip()
-            if re.fullmatch(r"\d+", line) and int(line) in allowed:
+            if re.fullmatch("[0-9]+", line) and int(line) in allowed:
                 retrieved.add(int(line))
     return tuple(ref_by_index[i] for i in sorted(retrieved)[:RETRIEVAL_CAP])
 
@@ -295,7 +295,7 @@ def test_retrieval_picks_frames_by_the_reference_rule():
                 *map(str, neighbours),  # the neighbouring windows' frames
                 str(indices[1]), str(indices[1]),  # a repeat
                 f"  {indices[3]:06d}  ",  # padded
-                arabic,  # non-ASCII digits are digits too
+                arabic,  # non-ASCII digits name no frame
                 f"frame {indices[4]}", f"{indices[5]}.", f"-{indices[6]}", "", "none",
             ]
         )
@@ -310,7 +310,45 @@ def test_retrieval_picks_frames_by_the_reference_rule():
     assert len(phase1) > 1
     chosen = log[-1].parts[1].frames
     assert chosen == reference_retrieved(phase1, replies)
-    assert len(chosen) == 4 * len(phase1)
+    assert len(chosen) == 3 * len(phase1)
+
+
+def retrieval_with_replies(window_reply):
+    """The answer of retrieval_qa and the frames its answer request carried,
+    when every phase 1 window is answered with window_reply(indices)."""
+    log = []
+
+    def respond(req):
+        log.append(req)
+        if "/retrieval_qa/window/" in req.tag:
+            return window_reply([r.index for r in req.parts[1].frames])
+        return "ANSWER"
+
+    suite = ToolSuite(
+        make_task(plain_fixture(300)), backend="model", model=CallableModel(respond),
+        tag_prefix="t1/A",
+    )
+    return suite.retrieval_qa("question?"), log[-1].parts[1].frames
+
+
+@pytest.mark.parametrize("zero", ["\u0660", "\uff10"])  # Arabic-Indic, fullwidth
+def test_retrieval_takes_only_ascii_digit_lines(zero):
+    def digits(i):
+        return "".join(chr(ord(zero) + int(d)) for d in str(i))
+
+    answer, _ = retrieval_with_replies(lambda shown: "\n".join(map(digits, shown[:10])))
+    assert answer == FALLBACK_NOTE + "\nANSWER"
+    # beside an ASCII line, the other line changes nothing
+    ascii_only = retrieval_with_replies(lambda shown: str(shown[1]))
+    assert ascii_only[0] == "ANSWER"
+    mixed = retrieval_with_replies(lambda shown: f"{digits(shown[0])}\n{shown[1]}")
+    assert mixed == ascii_only
+
+
+def test_retrieval_skips_a_line_too_long_to_convert():
+    ascii_only = retrieval_with_replies(lambda shown: str(shown[2]))
+    assert ascii_only[0] == "ANSWER"
+    assert retrieval_with_replies(lambda shown: f"{'9' * 5000}\n{shown[2]}") == ascii_only
 
 
 def test_asr_model_chunks_and_consolidates():
