@@ -16,6 +16,7 @@ import json
 import os
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Sequence, Union
 
@@ -153,10 +154,52 @@ def read_json(path: str, what: str, error=DataError):
 
 def read_json_lines(path: str, what: str):
     """(`path:n`, value) for each nonblank line n of a JSON-lines input file."""
-    for n, line in enumerate(read_bytes(path, what).split(b"\n"), start=1):
+    return json_lines(read_bytes(path, what), path)
+
+
+def json_lines(data: bytes, path: str):
+    """`read_json_lines` over `data`, the bytes read from `path`. A line is
+    blank when `bytes.strip` empties it."""
+    for n, line in enumerate(data.split(b"\n"), start=1):
         if line.strip():
             where = f"{path}:{n}"
             yield where, _decode_json(line, where)
+
+
+_SCAN = json.JSONDecoder().scan_once  # the C scanner behind `json.loads`
+
+
+def scan_json_lines(data: bytes) -> list | None:
+    """The values `json_lines` reads from `data`, decoded in C-level passes:
+    the blank lines are dropped as bytes, the rest decoded as one text and
+    each line scanned once. None when a nonblank line is not one UTF-8 JSON
+    value that fills it; `json_lines` then decodes it or names the line."""
+    lines = list(filter(bytes.strip, data.split(b"\n")))
+    if not lines:
+        return []
+    try:
+        texts = b"\n".join(lines).decode("utf-8").split("\n")
+        scanned = list(map(_SCAN, texts, repeat(0)))
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or too deep
+        return None
+    # a line that starts with no value raises StopIteration, which ends the map
+    if len(scanned) < len(texts):
+        return None
+    values, ends = zip(*scanned)
+    return list(values) if list(ends) == list(map(len, texts)) else None
+
+
+# Column passes: a list of decoded entries is checked one field at a time, in
+# C-level loops; a failed pass falls back to the per-entry checks, which
+# build the message naming the first bad entry.
+
+
+def all_instances(check_type: type, values: list) -> bool:
+    return all(map(isinstance, values, repeat(check_type)))
+
+
+def column(entries: list, key: str, default=None) -> list:
+    return list(map(dict.get, entries, repeat(key), repeat(default)))
 
 
 class TimestampError(ValueError):
@@ -171,26 +214,31 @@ _THREE_FIELD = re.compile(r"^([0-9]+):([0-9]{2}):([0-9]{2})$")
 def parse_timestamp(text: str) -> Timestamp:
     """Parse "MM:SS" (canonical) or lenient "H:MM:SS" into whole seconds."""
     token = text.strip()
-    m = _TWO_FIELD.match(token)
-    if m:
-        minutes, seconds = int(m.group(1)), int(m.group(2))
+    m = _TWO_FIELD.match(token) or _THREE_FIELD.match(token)
+    if not m:
+        raise TimestampError(f"malformed timestamp {token!r}")
+    try:
+        fields = [int(g) for g in m.groups()]
+    except ValueError:  # a leading field of more digits than int() converts
+        raise TimestampError(
+            f"leading field has too many digits ({len(m.group(1))}) in a timestamp"
+        ) from None
+    if len(fields) == 2:
+        minutes, seconds = fields
         if seconds >= 60:
             raise TimestampError(f"seconds field out of range in {token!r}")
         return minutes * 60 + seconds
-    m = _THREE_FIELD.match(token)
-    if m:
-        hours, minutes, seconds = (int(g) for g in m.groups())
-        if minutes >= 60 or seconds >= 60:
-            raise TimestampError(f"field out of range in {token!r}")
-        return hours * 3600 + minutes * 60 + seconds
-    raise TimestampError(f"malformed timestamp {token!r}")
+    hours, minutes, seconds = fields
+    if minutes >= 60 or seconds >= 60:
+        raise TimestampError(f"field out of range in {token!r}")
+    return hours * 3600 + minutes * 60 + seconds
 
 
 def format_timestamp(t: Timestamp) -> str:
     """Render whole seconds as zero-padded MM:SS with unbounded minutes."""
     if t < 0:
         raise TimestampError(f"negative timestamp {t!r}")
-    return f"{t // 60:02d}:{t % 60:02d}"
+    return "%02d:%02d" % divmod(t, 60)
 
 
 @dataclass(frozen=True)
@@ -305,7 +353,7 @@ def parse_final_answer(text: str, kind: TaskKind) -> FinalAnswer:
     for m in _RANGE_PAIR.finditer(tail):
         try:
             start, end = parse_timestamp(m.group(1)), parse_timestamp(m.group(2))
-        except ValueError:  # a TimestampError, or too many digits for int
+        except TimestampError:
             continue
         if start <= end:
             segments.append(VideoSegment(start, end))

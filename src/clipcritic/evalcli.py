@@ -501,7 +501,8 @@ def replay_run(
     """Re-run from a cassette and compare against persisted outputs.
 
     The baseline is read before the run, so a bad one fails fast as a
-    DataError. Raises ReplayDivergence naming the first divergent artifact.
+    DataError. Raises ReplayDivergence naming the first divergent artifact,
+    or the first episode with recorded calls the run did not replay.
     """
     baseline_report = read_json(baseline_report_path, "baseline report")
     if not isinstance(baseline_report, dict):
@@ -512,6 +513,13 @@ def replay_run(
         os.makedirs(out_dir, exist_ok=True)  # a run that persists nothing lists as empty
     replay_config = RunConfig(**{**config.__dict__, "traces_dir": out_dir})
     report = evaluate(items, replay_config, model)
+    unconsumed = model.unconsumed()
+    if unconsumed is not None:
+        episode, count = unconsumed
+        raise ReplayDivergence(
+            f"{cassette_path}: {count} recorded calls of episode '{episode}' "
+            "were not replayed"
+        )
     if _normalized_report_bytes(report) != _normalized_report_bytes(baseline_report):
         raise ReplayDivergence(
             f"report differs from {baseline_report_path} (ignoring timing)"

@@ -27,8 +27,11 @@ from typing import Sequence
 
 from .core import (
     DataError,
+    TimestampError,
     VideoSegment,
     VideoSource,
+    all_instances,
+    column,
     format_timestamp,
     parse_timestamp,
     read_json,
@@ -144,7 +147,7 @@ def _parse_time_field(value, where: str) -> int:
         raise FixtureError(f"{where}: expected an MM:SS string, got {value!r}")
     try:
         return parse_timestamp(value)
-    except ValueError as exc:  # a TimestampError, or too many digits for int()
+    except TimestampError as exc:
         raise FixtureError(f"{where}: {exc}") from exc
 
 
@@ -199,18 +202,9 @@ def _objects(data: dict, key: str, path: str):
         yield where, entry
 
 
-# Column passes: a list's entries are checked one field at a time, in C-level
-# loops, and the `where` of a message is built only by the per-entry checks
-# that a failed pass falls back to, so each error names the first bad entry
-# with the same text as before.
-
-
-def _all(check_type: type, values: list) -> bool:
-    return all(map(isinstance, values, repeat(check_type)))
-
-
-def _column(entries: list, key: str, default=None) -> list:
-    return list(map(dict.get, entries, repeat(key), repeat(default)))
+# Column passes (`core.all_instances`, `core.column`): the `where` of a
+# message is built only by the per-entry checks that a failed pass falls back
+# to, so each error names the first bad entry with the same text as before.
 
 
 _CANONICAL_TIMES = re.compile(r"(?:[0-9]+:[0-5][0-9]\n)*[0-9]+:[0-5][0-9]")
@@ -222,7 +216,7 @@ def _canonical_times(values: list) -> list[int] | None:
     so a value holding a newline of its own fails on the newline count."""
     if not values:
         return []
-    if not _all(str, values):
+    if not all_instances(str, values):
         return None
     joined = "\n".join(values)
     if joined.count("\n") != len(values) - 1 or not _CANONICAL_TIMES.fullmatch(joined):
@@ -250,9 +244,9 @@ def _frame_table(indices: Sequence[int], times, captions, paths) -> tuple[FrameR
 def _frames(data: dict, path: str) -> tuple[FrameRef, ...]:
     entries = _object_list(data, "frames", path)
     times = captions = None
-    if _all(dict, entries):
-        times, captions = _canonical_times(_column(entries, "t")), _column(entries, "caption", "")
-    if times is None or not _all(str, captions):
+    if all_instances(dict, entries):
+        times, captions = _canonical_times(column(entries, "t")), column(entries, "caption", "")
+    if times is None or not all_instances(str, captions):
         times, captions = [], []
         for where, entry in _objects(data, "frames", path):
             times.append(_parse_time_field(entry.get("t"), f"{where}.t"))

@@ -25,14 +25,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Union
 
 from .core import (
     DataError,
     FatalError,
     ReplayDivergence,
+    all_instances,
+    column,
+    json_lines,
     read_bytes,
-    read_json_lines,
+    scan_json_lines,
     writing,
 )
 from .fixtures import FrameRef
@@ -127,21 +131,22 @@ def fingerprint(req: ModelRequest) -> str:
 
     The sha256 of the parts as `json.dumps` writes them, sorted keys and no
     spaces: `[{"text":...},{"frames":[<key>,...]},...]`. The bytes are fed
-    piece by piece, a frames part's keys from its fragment when it has one.
+    piece by piece, each string through `json.dumps`' own C escaper, and a
+    frames part's keys from its fragment when it has one.
     """
     digest = hashlib.sha256(b"[")
     for i, part in enumerate(req.parts):
         if i:
             digest.update(b",")
         if isinstance(part, TextPart):
-            digest.update(b'{"text":%s}' % json.dumps(part.text).encode("ascii"))
+            digest.update(b'{"text":%s}' % encode_basestring_ascii(part.text).encode("ascii"))
         elif part.fragment is not None:
             digest.update(b'{"frames":[')
             digest.update(part.fragment)
             digest.update(b"]}")
         else:
-            keys = json.dumps([r.key for r in part.frames], separators=(",", ":"))
-            digest.update(b'{"frames":%s}' % keys.encode("ascii"))
+            keys = ",".join([encode_basestring_ascii(r.key) for r in part.frames])
+            digest.update(b'{"frames":[%s]}' % keys.encode("ascii"))
     digest.update(b"]")
     return digest.hexdigest()
 
@@ -152,7 +157,7 @@ def text_request(text: str, tag: str = "") -> ModelRequest:
 
 def episode_key(tag: str) -> str:
     """The episode slice a tagged request belongs to (task id + strategy)."""
-    return "/".join(tag.split("/")[:2])
+    return "/".join(tag.split("/", 2)[:2])
 
 
 def in_order(call, items: list, width: int) -> tuple[list, Exception | None]:
@@ -294,6 +299,16 @@ class CassetteMode(Enum):
     REPLAY = "replay"
 
 
+_ENTRY_FIELDS = ("fingerprint", "tag", "response")
+
+
+def _well_formed(entries: list) -> bool:
+    """Whether every entry is an object with the three string fields."""
+    return all_instances(dict, entries) and all(
+        all_instances(str, column(entries, key)) for key in _ENTRY_FIELDS
+    )
+
+
 @dataclass
 class Cassette:
     """JSON-lines store of (fingerprint, tag, response) call records."""
@@ -304,17 +319,25 @@ class Cassette:
 
     @classmethod
     def open(cls, path: str, mode: CassetteMode) -> "Cassette":
-        """Replay reads and checks every line in one pass; record opens the file
-        for append once, so a path it cannot write fails before any model call."""
-        entries = []
+        """Replay reads and checks every line; record opens the file for
+        append once, so a path it cannot write fails before any model call.
+
+        Replay decodes the lines with `scan_json_lines` and checks the
+        entries in column passes. A file either pass finds irregular is
+        decoded again line by line, and a fault is a DataError naming its
+        line."""
         if mode is CassetteMode.RECORD:
             with writing(path, "cassette"):
                 open(path, "a", encoding="utf-8").close()
-        else:
-            for where, entry in read_json_lines(path, "cassette"):
+            return cls(path=path, mode=mode)
+        data = read_bytes(path, "cassette")
+        entries = scan_json_lines(data)
+        if entries is None or not _well_formed(entries):
+            entries = []
+            for where, entry in json_lines(data, path):
                 if not isinstance(entry, dict):
                     raise DataError(f"{where}: cassette entry must be an object")
-                for key in ("fingerprint", "tag", "response"):
+                for key in _ENTRY_FIELDS:
                     if not isinstance(entry.get(key), str):
                         raise DataError(f"{where}: cassette entry needs a string '{key}'")
                 entries.append(entry)
@@ -350,6 +373,11 @@ class CassetteClient(ModelClient):
                 self._slices.setdefault(episode_key(entry["tag"]), deque()).append(
                     entry
                 )
+
+    def unconsumed(self) -> tuple[str, int] | None:
+        """The first episode, in cassette order, whose recorded calls no
+        request replayed, and how many are left; None when every one was."""
+        return next(((key, len(queue)) for key, queue in self._slices.items() if queue), None)
 
     @property
     def width(self) -> int:

@@ -4,6 +4,7 @@ writer of traces and reports."""
 import enum
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -97,6 +98,14 @@ def test_parse_final_answer_skips_a_range_too_long_to_convert(pair):
     assert parse_final_answer(mixed, TaskKind.TEMPORAL_RANGE) == Ranges((VideoSegment(3, 4),))
 
 
+@pytest.mark.parametrize("text", [f"{LONG}:00", f"{LONG}:00:00"], ids=["minutes", "hours"])
+def test_parse_timestamp_too_long_to_convert_is_a_timestamp_error(text):
+    # not int()'s ValueError, whose text names an interpreter setting
+    with pytest.raises(TimestampError, match="^leading field has too many digits") as info:
+        parse_timestamp(text)
+    assert "int_max_str_digits" not in str(info.value)
+
+
 def test_format_timestamp_always_two_fields():
     assert format_timestamp(2450) == "40:50"
     assert format_timestamp(5100) == "85:00"
@@ -104,6 +113,24 @@ def test_format_timestamp_always_two_fields():
     assert format_timestamp(0) == "00:00"
     with pytest.raises(TimestampError):
         format_timestamp(-5)
+
+
+def f_string_timestamp(t):
+    """format_timestamp as it was first written."""
+    if t < 0:
+        raise TimestampError(f"negative timestamp {t!r}")
+    return f"{t // 60:02d}:{t % 60:02d}"
+
+
+@given(st.integers(min_value=-(10**6), max_value=10**30) | st.booleans())
+def test_format_timestamp_matches_the_f_string(t):
+    try:
+        want = f_string_timestamp(t)
+    except TimestampError as exc:
+        with pytest.raises(TimestampError, match=f"^{re.escape(str(exc))}$"):
+            format_timestamp(t)
+    else:
+        assert format_timestamp(t) == want
 
 
 @given(st.integers(min_value=0, max_value=360000))

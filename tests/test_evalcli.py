@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import sys
 import threading
 import time
@@ -549,6 +550,18 @@ def test_replay_reproduces_recorded_run(tmp_path, all_items):
         want = open(os.path.join(cfg.traces_dir, name), "rb").read()
         got = open(os.path.join(out_dir, name), "rb").read()
         assert want == got, name
+
+
+def test_replay_reports_recorded_calls_it_did_not_replay(tmp_path, all_items):
+    item = all_items[0]
+    assert item.task.id == "v01"
+    cfg, cassette_path, report_path = record_baseline(tmp_path, [item], mode="agent")
+    lines = open(cassette_path, "rb").read()
+    assert lines.count(b"\n") == 4
+    open(cassette_path, "wb").write(lines * 2)  # a second recording onto the same file
+    match = f"^{re.escape(cassette_path)}: 4 recorded calls of episode 'v01/C' were not replayed$"
+    with pytest.raises(ReplayDivergence, match=match):
+        replay_run([item], cfg, cassette_path, cfg.traces_dir, report_path, str(tmp_path / "replayed"))
 
 
 def test_replay_detects_tampered_trace(tmp_path, all_items):

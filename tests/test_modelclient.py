@@ -14,7 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clipcritic.core import DataError, FatalError, VideoSegment, VideoSource
+from clipcritic.core import (
+    DataError,
+    FatalError,
+    VideoSegment,
+    VideoSource,
+    json_lines,
+    read_json_lines,
+    scan_json_lines,
+)
 from clipcritic.fixtures import FrameRef, VideoFixture, windows
 from clipcritic.modelclient import (
     BACKOFF_BASE,
@@ -429,6 +437,108 @@ def test_cassette_open_returns_or_raises_data_error(tmp_path_factory, lines):
     except DataError:
         return
     CassetteClient(cassette)  # every entry it returns can be replayed from
+
+
+def per_line_entries(path):
+    """A replayed cassette's entries as the per-line reader loop reads them."""
+    entries = []
+    for where, entry in read_json_lines(path, "cassette"):
+        if not isinstance(entry, dict):
+            raise DataError(f"{where}: cassette entry must be an object")
+        for key in ("fingerprint", "tag", "response"):
+            if not isinstance(entry.get(key), str):
+                raise DataError(f"{where}: cassette entry needs a string '{key}'")
+        entries.append(entry)
+    return entries
+
+
+_entries = st.fixed_dictionaries(
+    {
+        "fingerprint": st.text(max_size=4),
+        "tag": st.sampled_from(["t1/A/0", "t1/B/1", "t2/critic", "solo", "a/b/c/d"]),
+        "response": st.text(max_size=6),
+    },
+    optional={"extra": _json_values},
+)
+_values_text = st.one_of(
+    _entries.map(json.dumps),
+    _entries.map(lambda e: json.dumps(e, separators=(",", ":"), ensure_ascii=False)),
+    _json_values.map(json.dumps),
+).map(str.encode)
+# blank to bytes.strip, or (from \xa0 on) blank only to str.strip
+_blanks = st.sampled_from(
+    [b"", b" ", b"\t", b"\r", b"\x0b\x0c"]
+    + [c.encode() for c in "\xa0\u3000\u2028\x85\x1f"]
+    + [b"\xa0"]
+)
+_DEEP = 5000  # past the interpreter's recursion limit
+_LINE_KINDS = ("plain", "blank", "crlf", "padded", "two", "split", "bom", "not-utf8", "deep")
+
+
+@st.composite
+def _reader_lines(draw):
+    text = draw(_values_text)
+    kind = draw(st.sampled_from(_LINE_KINDS))
+    if kind == "plain":
+        return text
+    if kind == "blank":
+        return draw(_blanks)
+    if kind == "crlf":
+        return text + b"\r"
+    if kind == "padded":
+        return draw(_blanks) + text + draw(_blanks)
+    if kind == "two":
+        return text + draw(st.sampled_from([b"", b" "])) + draw(_values_text)
+    if kind == "split":  # one object over two lines
+        cut = draw(st.integers(0, len(text)))
+        return text[:cut] + b"\n" + text[cut:]
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + text
+    if kind == "not-utf8":
+        cut = draw(st.integers(0, len(text)))
+        return text[:cut] + draw(st.sampled_from([b"\xff", b"\xa0", b"\xc3"])) + text[cut:]
+    depth = draw(st.sampled_from([3, _DEEP]))
+    return b'{"fingerprint":"f","tag":"t/A/0","response":"r","x":%s%s}' % (
+        b"[" * depth, b"]" * depth
+    )
+
+
+@given(st.lists(_reader_lines(), max_size=6), st.sampled_from([b"", b"\n", b"\r\n"]))
+@settings(max_examples=400, deadline=None)
+def test_cassette_reader_matches_the_per_line_reader(tmp_path_factory, lines, end):
+    path = tmp_path_factory.mktemp("cassette") / "run.jsonl"
+    data = b"\n".join(lines) + end
+    path.write_bytes(data)
+    try:
+        want = per_line_entries(str(path))
+    except DataError as exc:
+        want = str(exc)
+    try:
+        got = Cassette.open(str(path), CassetteMode.REPLAY).entries
+    except DataError as exc:
+        got = str(exc)
+    assert got == want
+    # the scanner either defers to the loop or reads what the loop reads
+    values = scan_json_lines(data)
+    if values is not None:
+        assert values == [value for _, value in json_lines(data, str(path))]
+
+
+def test_scan_json_lines_reads_regular_lines_and_defers_the_rest():
+    entry = json.dumps({"fingerprint": "f", "tag": "t1/A/0", "response": "r\nr"}).encode()
+    assert scan_json_lines(entry + b"\n\n \n" + entry + b"\n") == [json.loads(entry)] * 2
+    assert scan_json_lines(b"") == scan_json_lines(b"\n \t\n") == []
+    for irregular in (
+        entry + b"\r\n",  # a CRLF line end
+        b" " + entry,  # blanks around the value
+        entry + entry,  # two values on one line
+        entry[:9] + b"\n" + entry[9:],  # one value over two lines
+        b"\xef\xbb\xbf" + entry,  # a BOM
+        "\xa0".encode(),  # a blank only to str.strip
+        b"[" * _DEEP + b"]" * _DEEP,  # deeper than the recursion limit
+        b"\xff",
+    ):
+        assert scan_json_lines(irregular) is None, irregular
 
 
 def test_callable_model_wraps_function():

@@ -3,7 +3,8 @@
 `perfbench/spans.py` wraps clipcritic's functions by name at their call
 sites. A refactor that renames or bypasses one of them leaves its
 per-layer metric at zero without failing anything, so this runs one
-oracle item under the tracer and checks the span counts.
+oracle item, and one replay of it, under the tracer and checks the span
+counts.
 """
 
 import importlib.util
@@ -13,7 +14,9 @@ import pytest
 
 import oracle_suite
 from clipcritic import evalcli
+from clipcritic.core import pretty_json
 from clipcritic.evalcli import RunConfig, evaluate, load_dataset
+from clipcritic.modelclient import Cassette, CassetteClient, CassetteMode
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
@@ -25,11 +28,16 @@ def load_spans():
     return module
 
 
+def oracle_v01(tmp_path):
+    item = load_dataset(oracle_suite.write_suite(str(tmp_path / "suite"))["all"])[0]
+    assert item.task.id == "v01"
+    return item
+
+
 def traced_calls(tmp_path, mode):
     """Span counts of oracle item v01 evaluated in `mode` under the tracer."""
     spans = load_spans()
-    item = load_dataset(oracle_suite.write_suite(str(tmp_path / "suite"))["all"])[0]
-    assert item.task.id == "v01"
+    item = oracle_v01(tmp_path)
     config = RunConfig(mode=mode, traces_dir=str(tmp_path / "traces"))
     tracer = spans.Tracer()
     undo = spans.install(tracer)
@@ -84,3 +92,32 @@ def test_tracer_sees_the_episode_of_every_baseline_mode(tmp_path, mode):
     assert calls["agent.episode"] == 1
     assert calls["tools.build_registry"] == 1
     assert (calls["toolkit.call"], calls["dsl.run_source"]) == BASELINE_COUNTS[mode]
+
+
+def test_tracer_sees_the_cassette_layer_of_a_replay(tmp_path):
+    item = oracle_v01(tmp_path)
+    config = RunConfig(mode="agent_critic", traces_dir=str(tmp_path / "traces"))
+    cassette = str(tmp_path / "run.cassette.jsonl")
+    recorder = CassetteClient(
+        Cassette.open(cassette, CassetteMode.RECORD), oracle_suite.scripted_model()
+    )
+    report_path = tmp_path / "report.json"
+    report_path.write_text(pretty_json(evaluate([item], config, recorder)))
+    recorded = open(cassette, "rb").read().count(b"\n")
+    assert recorded > 0
+    spans = load_spans()
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        tracer.begin_item(item.task.id)
+        evalcli.replay_run(  # the module attribute is the one wrapped
+            [item], config, cassette, config.traces_dir, str(report_path),
+            str(tmp_path / "replayed"),
+        )
+        calls = tracer.end_item()["calls"]
+    finally:
+        undo()
+    assert calls["modelclient.cassette_open"] == 1
+    assert calls["evalcli.replay_run"] == 1
+    assert calls["modelclient.replay"] == recorded
+    assert calls["modelclient.fingerprint"] == recorded
