@@ -33,6 +33,9 @@ class FatalError(Exception):
 
     exit_code: int
     label: str
+    # when the fault stopped a run after some items finished: how many, and
+    # where their traces are (set by `evalcli.evaluate`)
+    finished: str | None = None
 
 
 class UsageError(FatalError):

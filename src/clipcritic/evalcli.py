@@ -404,14 +404,20 @@ def evaluate(
             return record, []
 
     results, fatal = in_order(one, items, config.concurrency)
-    if fatal is not None:
-        raise fatal
-
     records = []
     for record, traces in results:
         records.append(record)
         if persist and traces:
             persist_traces(traces, config.traces_dir)
+    # a fault that stops the run keeps the traces of the items before it,
+    # though no report is written
+    if fatal is not None:
+        if persist and results:
+            fatal.finished = (
+                f"{len(results)} of {len(items)} items finished; "
+                f"their traces are in {config.traces_dir}"
+            )
+        raise fatal
 
     mcq = [r for r in records if r["kind"] == "multiple_choice"]
     temporal = [r for r in records if r["kind"] == "temporal_range"]
@@ -701,6 +707,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except FatalError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
+        if exc.finished:
+            print(exc.finished, file=sys.stderr)
         return exc.exit_code
 
 

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, attrgetter, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     DataError,
@@ -131,12 +131,14 @@ class VideoFixture:
         return ",".join(encoded).encode("ascii"), starts
 
 
-@dataclass(frozen=True)
-class FrameWindow:
+class FrameWindow(NamedTuple):
+    """A run of consecutive frames, and the whole seconds it spans."""
+
     refs: tuple[FrameRef, ...]
-    segment: VideoSegment
+    start: int  # the first frame's time, rounded down
+    end: int  # the last frame's time, rounded up
     # the JSON list body of the refs' keys, a slice of the video's key table
-    fragment: memoryview = field(repr=False, compare=False)
+    fragment: memoryview
 
 
 # --- loading ---
@@ -441,17 +443,11 @@ def windows(video: VideoFixture, segment: VideoSegment, size: int) -> list[Frame
     lo, hi = _bounds(frames, segment)
     table, starts = video.key_table
     view = memoryview(table)
+    new = tuple.__new__  # a named tuple without the Python-level NamedTuple.__new__
     out: list[FrameWindow] = []
     for i in range(lo, hi, size):
         j = min(i + size, hi)
         chunk = frames[i:j]
-        out.append(
-            FrameWindow(
-                refs=chunk,
-                segment=VideoSegment(
-                    int(math.floor(chunk[0].t)), int(math.ceil(chunk[-1].t))
-                ),
-                fragment=view[starts[i] : starts[j] - 1],
-            )
-        )
+        start, end = math.floor(chunk[0].t), math.ceil(chunk[-1].t)
+        out.append(new(FrameWindow, (chunk, start, end, view[starts[i] : starts[j] - 1])))
     return out

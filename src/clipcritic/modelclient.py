@@ -10,7 +10,6 @@ transport, so the rest of the system never touches pixels.
 from __future__ import annotations
 
 import base64
-import functools
 import hashlib
 import http.client
 import json
@@ -99,8 +98,8 @@ class TextPart:
 class FramesPart:
     frames: tuple[FrameRef, ...]
     # the JSON list body of the frames' keys, when the frames are a run of
-    # their video's table (`FrameWindow.fragment`); it spares fingerprint
-    # encoding them one by one
+    # their video's table (the `fragment` of a window from
+    # `fixtures.windows`); it spares fingerprint encoding them one by one
     fragment: memoryview | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -156,8 +155,10 @@ def text_request(text: str, tag: str = "") -> ModelRequest:
 
 
 def episode_key(tag: str) -> str:
-    """The episode slice a tagged request belongs to (task id + strategy)."""
-    return "/".join(tag.split("/", 2)[:2])
+    """The episode slice a tagged request belongs to (task id + strategy):
+    the tag up to its second `/`, or the whole tag without one."""
+    end = tag.find("/", tag.find("/") + 1)
+    return tag if end < 0 else tag[:end]
 
 
 def in_order(call, items: list, width: int) -> tuple[list, Exception | None]:
@@ -165,24 +166,28 @@ def in_order(call, items: list, width: int) -> tuple[list, Exception | None]:
 
     Returns the results before the first item, in order, whose call raised,
     and that error (None when every call returned). Items not yet started
-    when it is reached are cancelled. At width 1, or for one item, no
-    thread is started.
+    when it is reached are cancelled. At width 1, or for one item, the items
+    run one after another on the calling thread, and none after the first
+    that raised.
     """
     workers = min(width, len(items))
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
     results = []
+    if workers < 2:
+        try:
+            for item in items:
+                results.append(call(item))
+        except Exception as exc:
+            return results, exc
+        return results, None
+    pool = ThreadPoolExecutor(workers)
     try:
-        pending = [
-            pool.submit(call, item).result if pool else functools.partial(call, item)
-            for item in items
-        ]
-        for result in pending:
-            results.append(result())
+        futures = [pool.submit(call, item) for item in items]
+        for future in futures:
+            results.append(future.result())
     except Exception as exc:
         return results, exc
     finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
     return results, None
 
 

@@ -168,21 +168,24 @@ class ToolSuite:
 
     def _find_when_model(self, query: str, segment: VideoSegment) -> str:
         template = load_prompt_text("find_when_window.txt")
+        prefix = self._tag("find_when/window/")
         requests = [
             ModelRequest(
-                parts=(
+                (
                     TextPart(
                         template.format(
                             query=query,
-                            start=format_timestamp(window.segment.start),
-                            end=format_timestamp(window.segment.end),
+                            start=format_timestamp(start),
+                            end=format_timestamp(end),
                         )
                     ),
-                    FramesPart(window.refs, window.fragment),
+                    FramesPart(refs, fragment),
                 ),
-                tag=self._tag(f"find_when/window/{i}"),
+                prefix + str(i),
             )
-            for i, window in enumerate(windows(self.video, segment, FIND_WHEN_WINDOW))
+            for i, (refs, start, end, fragment) in enumerate(
+                windows(self.video, segment, FIND_WHEN_WINDOW)
+            )
         ]
         parts_out = [
             line.rstrip()
@@ -214,16 +217,13 @@ class ToolSuite:
         return NOT_VISIBLE_SENTENCE
 
     def _retrieval_model(self, question, answer_options, segment: VideoSegment) -> str:
-        phase1 = load_prompt_text("retrieval_phase1.txt")
+        prompt = TextPart(load_prompt_text("retrieval_phase1.txt").format(question=question))
+        prefix = self._tag("retrieval_qa/window/")
         grid = windows(self.video, segment, RETRIEVAL_WINDOW)
-        prompt = phase1.format(question=question)
         responses = self.model.complete_all(
             [
-                ModelRequest(
-                    parts=(TextPart(prompt), FramesPart(window.refs, window.fragment)),
-                    tag=self._tag(f"retrieval_qa/window/{i}"),
-                )
-                for i, window in enumerate(grid)
+                ModelRequest((prompt, FramesPart(refs, fragment)), prefix + str(i))
+                for i, (refs, _, _, fragment) in enumerate(grid)
             ]
         )
         # a reply line names a frame by index; only frames of its own window

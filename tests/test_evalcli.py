@@ -32,6 +32,7 @@ from clipcritic.modelclient import (
     CassetteClient,
     CassetteMode,
     ConcurrencyLimitedClient,
+    FatalTransportError,
     FramesPart,
     HttpModelClient,
     ModelTransportError,
@@ -417,6 +418,56 @@ def test_fatal_error_cancels_queued_items(tmp_path, all_items):
     with pytest.raises(UsageError, match="stops the run"):
         evaluate(all_items, config("agent", tmp_path, concurrency=2), CallableModel(respond))
     assert len(started) <= 3  # the item that failed and those already running
+
+
+def failing_at(task_id):
+    """The oracle suite's scripted model, except that every request of
+    `task_id` meets a fault that stops the run."""
+    scripted = oracle_suite.scripted_model()
+
+    def respond(req):
+        if req.tag.startswith(f"{task_id}/"):
+            raise FatalTransportError(f"request '{req.tag}': HTTP Error 401: Unauthorized")
+        return scripted.complete(req)
+
+    return CallableModel(respond)
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_a_fatal_fault_keeps_the_traces_of_the_items_before_it(tmp_path, all_items, concurrency):
+    k = 11
+    cfg = config("agent_critic", tmp_path / "stopped", concurrency=concurrency)
+    with pytest.raises(FatalTransportError) as info:
+        evaluate(all_items, cfg, failing_at(all_items[k].task.id))
+    whole = config("agent_critic", tmp_path / "whole")
+    evaluate(all_items[:k], whole, oracle_suite.scripted_model())
+    kept = sorted(os.listdir(cfg.traces_dir))
+    assert len(kept) == 3 * k
+    assert kept == sorted(os.listdir(whole.traces_dir))
+    for name in kept:
+        with open(os.path.join(cfg.traces_dir, name), "rb") as got, open(
+            os.path.join(whole.traces_dir, name), "rb"
+        ) as want:
+            assert got.read() == want.read(), name
+    assert info.value.finished == (
+        f"{k} of 20 items finished; their traces are in {cfg.traces_dir}"
+    )
+
+
+def test_cli_fatal_fault_says_how_many_items_finished(tmp_path, suite_paths, all_items, capsys, monkeypatch):
+    stop = all_items[3].task.id
+    monkeypatch.setattr(evalcli, "build_model", lambda config: failing_at(stop))
+    traces = tmp_path / "traces"
+    argv = ["--mode", "agent_critic", "--traces-dir", str(traces), "eval", suite_paths["all"]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"model transport error: request '{stop}/A/0': HTTP Error 401: Unauthorized\n"
+        f"3 of 20 items finished; their traces are in {traces}\n"
+    )
+    # the finished items' traces, and no report
+    assert sorted(os.listdir(traces)) == sorted(
+        f"{item.task.id}.{label}.json" for item in all_items[:3] for label in "ABC"
+    )
 
 
 def test_one_item_runs_on_the_calling_thread(tmp_path, all_items, monkeypatch):

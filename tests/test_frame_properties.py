@@ -1,12 +1,25 @@
 """Properties of frame access: sampling, windowing and the frame budget."""
 
+import hashlib
+import json
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clipcritic.core import TaskKind, TaskQuery, VideoSegment
+from clipcritic.core import TaskKind, TaskQuery, VideoSegment, VideoSource, format_timestamp
 from clipcritic.fixtures import FrameRef, VideoFixture, sample_frames, windows
-from clipcritic.modelclient import FRAME_BUDGET, CallableModel, FramesPart, budget_frames
-from clipcritic.tools import ToolSuite
+from clipcritic.modelclient import (
+    FRAME_BUDGET,
+    CallableModel,
+    FramesPart,
+    ModelRequest,
+    TextPart,
+    budget_frames,
+    fingerprint,
+)
+from clipcritic.toolkit import load_prompt_text
+from clipcritic.tools import FIND_WHEN_WINDOW, RETRIEVAL_WINDOW, ToolSuite
 
 FPS = (0.3, 0.5, 1.0, 2.0, 3.0, 29.97)
 
@@ -28,6 +41,21 @@ def sources(draw):
         times = sorted(draw(st.sets(elements, max_size=40)))
     frames = tuple(FrameRef(i, float(t), caption=f"f{i}") for i, t in enumerate(times))
     return VideoFixture(duration, fps, frames), list(frames)
+
+
+@st.composite
+def frames_directories(draw):
+    """A frames directory as `load_frames_directory` reads one: files at
+    some indices, frame i at t = i / fps, fps often fractional."""
+    fps = draw(st.sampled_from(FPS + (0.7, 12.5, 23.976)))
+    indices = sorted(draw(st.sets(st.integers(0, 4000), min_size=1, max_size=300)))
+    duration = draw(st.integers(math.ceil(indices[-1] / fps), math.ceil(indices[-1] / fps) + 5))
+    frames = tuple(FrameRef(i, i / fps, path=f"frames/{i:05d}.jpg") for i in indices)
+    video = VideoFixture(max(duration, 1), fps, frames, source=VideoSource.FRAMES_DIRECTORY)
+    return video, list(frames)
+
+
+videos = st.one_of(sources(), frames_directories())
 
 
 @st.composite
@@ -78,6 +106,99 @@ def test_default_stride_windows_partition_segment_frames(data, source, size):
     assert [r for w in grid for r in w.refs] == inside
     assert all(len(w.refs) == size for w in grid[:-1])
     assert all(1 <= len(w.refs) <= size for w in grid)
+
+
+def reference_windows(frames, segment, size):
+    """Windows as a frozen record with a `VideoSegment` built them: the
+    segment's frames by a linear scan, cut every `size` frames, each
+    spanning the whole seconds from its first frame to its last, with its
+    frames' keys written one by one by `json.dumps`."""
+    inside = [r for r in frames if segment.start <= r.t <= segment.end]
+    out = []
+    for i in range(0, len(inside), size):
+        chunk = tuple(inside[i : i + size])
+        span = VideoSegment(int(math.floor(chunk[0].t)), int(math.ceil(chunk[-1].t)))
+        keys = ",".join(json.dumps(r.path or f"{r.index}@{r.t:g}") for r in chunk)
+        out.append((chunk, span, keys))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), source=videos, size=st.integers(1, 100))
+def test_windows_match_the_reference_record(data, source, size):
+    video, frames = source
+    segment = data.draw(segments(video.duration))
+    grid = windows(video, segment, size)
+    assert all(type(w.start) is int and type(w.end) is int for w in grid)
+    got = [(w.refs, VideoSegment(w.start, w.end), bytes(w.fragment).decode("ascii")) for w in grid]
+    assert got == reference_windows(frames, segment, size)
+
+
+def reference_fingerprint(req):
+    """sha256 of the parts written whole by `json.dumps`."""
+    parts = [
+        {"text": p.text} if isinstance(p, TextPart)
+        else {"frames": [r.path or f"{r.index}@{r.t:g}" for r in p.frames]}
+        for p in req.parts
+    ]
+    return hashlib.sha256(
+        json.dumps(parts, sort_keys=True, separators=(",", ":")).encode("ascii")
+    ).hexdigest()
+
+
+def reference_window_requests(frames, segment, query, question, prefix):
+    """The window requests of `find_when(query)` then `retrieval_qa(question)`,
+    each tag built whole and each prompt part built per window."""
+    tag = lambda suffix: f"{prefix}/{suffix}" if prefix else suffix
+    find = load_prompt_text("find_when_window.txt")
+    requests = [
+        ModelRequest(
+            parts=(
+                TextPart(
+                    find.format(
+                        query=query,
+                        start=format_timestamp(span.start),
+                        end=format_timestamp(span.end),
+                    )
+                ),
+                FramesPart(refs),
+            ),
+            tag=tag(f"find_when/window/{i}"),
+        )
+        for i, (refs, span, _) in enumerate(reference_windows(frames, segment, FIND_WHEN_WINDOW))
+    ]
+    phase1 = load_prompt_text("retrieval_phase1.txt")
+    requests += [
+        ModelRequest(
+            parts=(TextPart(phase1.format(question=question)), FramesPart(refs)),
+            tag=tag(f"retrieval_qa/window/{i}"),
+        )
+        for i, (refs, _, _) in enumerate(reference_windows(frames, segment, RETRIEVAL_WINDOW))
+    ]
+    return requests
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    source=videos,
+    prefix=st.sampled_from(("", "t1/A", "v07/C")),
+    query=st.text(min_size=1, max_size=12).filter(str.strip),
+)
+def test_tool_window_requests_match_the_reference(data, source, prefix, query):
+    video, frames = source
+    segment = data.draw(segments(video.duration))
+    sent = []
+    task = TaskQuery("t1", "What is shown?", TaskKind.MULTIPLE_CHOICE, video, ("a", "b"), False)
+    model = CallableModel(lambda req: sent.append(req) or "")
+    suite = ToolSuite(task, backend="model", model=model, tag_prefix=prefix)
+    suite.find_when(query, segment)
+    suite.retrieval_qa(query, ["a", "b"], segment)
+    got = [req for req in sent if "/window/" in req.tag]
+    want = reference_window_requests(frames, segment, query, query, prefix)
+    assert [req.tag for req in got] == [req.tag for req in want]
+    assert got == want  # texts and frames; a fragment takes no part in equality
+    assert [fingerprint(req) for req in got] == [reference_fingerprint(req) for req in want]
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clipcritic import modelclient
 from clipcritic.core import (
     DataError,
     FatalError,
@@ -46,6 +47,7 @@ from clipcritic.modelclient import (
     budget_frames,
     episode_key,
     fingerprint,
+    in_order,
     text_request,
 )
 
@@ -297,6 +299,40 @@ def test_episode_key_takes_first_two_components():
     assert episode_key("t1/A/3") == "t1/A"
     assert episode_key("t1/critic") == "t1/critic"
     assert episode_key("solo") == "solo"
+
+
+@settings(max_examples=500, deadline=None)
+@given(tag=st.text(st.sampled_from("/ab1·\u00e9"), max_size=12) | st.text(max_size=30))
+def test_episode_key_matches_split_and_join(tag):
+    assert episode_key(tag) == "/".join(tag.split("/", 2)[:2])
+
+
+def test_in_order_runs_serially_on_the_calling_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a serial in_order started a thread pool")
+
+    monkeypatch.setattr(modelclient, "ThreadPoolExecutor", no_pool)
+    called = []
+
+    def call(item):
+        called.append((item, threading.current_thread()))
+        if item == 3:
+            raise ValueError("item 3 failed")
+        return item * 10
+
+    here = threading.current_thread()
+    assert in_order(call, [0, 1, 2], 1) == ([0, 10, 20], None)
+    assert called == [(0, here), (1, here), (2, here)]
+    called.clear()
+    results, error = in_order(call, [1, 2, 3, 4, 5], 1)
+    assert results == [10, 20]
+    assert isinstance(error, ValueError) and str(error) == "item 3 failed"
+    assert [item for item, _ in called] == [1, 2, 3]  # nothing after the failing item
+    # one item at any width, or no item, starts no thread either
+    called.clear()
+    assert in_order(call, [3], 8)[0] == []
+    assert in_order(call, [], 8) == ([], None)
+    assert called == [(3, here)]
 
 
 def test_cassette_record_then_replay_identical(tmp_path):
