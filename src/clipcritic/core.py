@@ -205,6 +205,18 @@ def column(entries: list, key: str, default=None) -> list:
     return list(map(dict.get, entries, repeat(key), repeat(default)))
 
 
+def ascii_int(text: str) -> int | None:
+    """The int of a run of the ASCII digits 0-9, or None for any other text
+    and for a run of more digits than `int` converts
+    (`sys.get_int_max_str_digits()`)."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 class TimestampError(ValueError):
     """Raised for text that does not parse as a timestamp."""
 
@@ -220,21 +232,20 @@ def parse_timestamp(text: str) -> Timestamp:
     m = _TWO_FIELD.match(token) or _THREE_FIELD.match(token)
     if not m:
         raise TimestampError(f"malformed timestamp {token!r}")
-    try:
-        fields = [int(g) for g in m.groups()]
-    except ValueError:  # a leading field of more digits than int() converts
-        raise TimestampError(
-            f"leading field has too many digits ({len(m.group(1))}) in a timestamp"
-        ) from None
-    if len(fields) == 2:
-        minutes, seconds = fields
+    lead, *rest = m.groups()
+    whole = ascii_int(lead)
+    if whole is None:
+        raise TimestampError(f"leading field has too many digits ({len(lead)}) in a timestamp")
+    # the later fields are two ASCII digits each, which int() always converts
+    if len(rest) == 1:
+        seconds = int(rest[0])
         if seconds >= 60:
             raise TimestampError(f"seconds field out of range in {token!r}")
-        return minutes * 60 + seconds
-    hours, minutes, seconds = fields
+        return whole * 60 + seconds
+    minutes, seconds = map(int, rest)
     if minutes >= 60 or seconds >= 60:
         raise TimestampError(f"field out of range in {token!r}")
-    return hours * 3600 + minutes * 60 + seconds
+    return whole * 3600 + minutes * 60 + seconds
 
 
 def format_timestamp(t: Timestamp) -> str:
@@ -341,11 +352,8 @@ def parse_final_answer(text: str, kind: TaskKind) -> FinalAnswer:
     """
     if kind is TaskKind.MULTIPLE_CHOICE:
         for m in reversed(list(_CHOICE_PATTERN.finditer(text))):
-            try:
-                index = int(m.group(1))
-            except ValueError:
-                continue
-            if index >= 1:
+            index = ascii_int(m.group(1))
+            if index is not None and index >= 1:
                 return Choice(index)
         return Unparsed(text)
     markers = list(_FINAL_MARKER.finditer(text))

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
-from .core import VideoSegment
+from .core import VideoSegment, ascii_int
 
 TOOL_CALL_CAP = 20  # defensive bound per program, generous vs observed traces
 NESTING_CAP = 100  # brackets open at once; keeps parsing and evaluation shallow
@@ -300,10 +300,10 @@ def _read_token(source: str, i: int, line: int, column: int) -> tuple[str, objec
             j += 1
         if j < n and _is_ident_start(source[j]):
             raise DslParseError("malformed number", line, column, source[i : j + 1])
-        try:
-            return "INT", int(source[i:j]), j
-        except ValueError:  # more digits than the interpreter converts
-            raise DslParseError("integer literal too long", line, column) from None
+        value = ascii_int(source[i:j])
+        if value is None:
+            raise DslParseError("integer literal too long", line, column)
+        return "INT", value, j
     raise DslParseError("unexpected character", line, column, ch)
 
 

@@ -20,9 +20,9 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, attrgetter, mul
+from operator import add, attrgetter, le
 from typing import NamedTuple, Sequence
 
 from .core import (
@@ -36,6 +36,9 @@ from .core import (
     parse_timestamp,
     read_json,
 )
+
+
+ASR_CHUNK_CHARS = 4000  # transcript characters per asr_understanding chunk
 
 
 class FixtureError(DataError):
@@ -73,7 +76,7 @@ class Event:
     justification: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AsrLine:
     t: int
     text: str
@@ -129,6 +132,28 @@ class VideoFixture:
         encoded = [encode_basestring_ascii(ref.key) for ref in self.frames]
         starts = array("q", accumulate((len(e) + 1 for e in encoded), initial=0))
         return ",".join(encoded).encode("ascii"), starts
+
+    @cached_property
+    def asr_chunks(self) -> tuple[str, ...]:
+        """The transcript as `[MM:SS] text` lines, cut into chunks of whole
+        lines: a chunk takes lines while it stays within ASR_CHUNK_CHARS
+        (each line counting one more for its newline), and a line longer
+        than that is a chunk of its own. Built on first use, like
+        `key_table`."""
+        chunks: list[str] = []
+        current: list[str] = []
+        size = 0
+        for line in self.asr:
+            text = f"[{format_timestamp(line.t)}] {line.text}"
+            if current and size + len(text) + 1 > ASR_CHUNK_CHARS:
+                chunks.append("\n".join(current))
+                current = []
+                size = 0
+            current.append(text)
+            size += len(text) + 1
+        if current:
+            chunks.append("\n".join(current))
+        return tuple(chunks)
 
 
 class FrameWindow(NamedTuple):
@@ -210,6 +235,7 @@ def _objects(data: dict, key: str, path: str):
 
 
 _CANONICAL_TIMES = re.compile(r"(?:[0-9]+:[0-5][0-9]\n)*[0-9]+:[0-5][0-9]")
+_SECONDS = {f"{s:02d}": s for s in range(60)}  # every seconds field the regex takes
 
 
 def _canonical_times(values: list) -> list[int] | None:
@@ -223,24 +249,35 @@ def _canonical_times(values: list) -> list[int] | None:
     joined = "\n".join(values)
     if joined.count("\n") != len(values) - 1 or not _CANONICAL_TIMES.fullmatch(joined):
         return None
-    try:
-        parts = list(map(int, joined.replace("\n", ":").split(":")))
+    fields = joined.replace("\n", ":").split(":")
+    minutes = fields[0::2]
+    try:  # the times of one video share few minutes, so each is converted once
+        minute_seconds = {m: int(m) * 60 for m in set(minutes)}
     except ValueError:  # more digits than int() converts
         return None
-    return list(map(add, map(mul, parts[0::2], repeat(60)), parts[1::2]))
+    return list(
+        map(add, map(minute_seconds.__getitem__, minutes), map(_SECONDS.__getitem__, fields[1::2]))
+    )
 
 
-_FRAME_SLOTS = tuple(FrameRef.__dict__[f.name].__set__ for f in fields(FrameRef))
+_SLOTS = {
+    cls: tuple(cls.__dict__[f.name].__set__ for f in fields(cls)) for cls in (FrameRef, AsrLine)
+}
+
+
+def _rows(cls: type, n: int, *columns) -> tuple:
+    """n objects of the frozen slotted dataclass `cls`, one per row of the
+    columns of its field values, built slot by slot: each slot is set through
+    its descriptor in one map loop, with no `__init__` call per object."""
+    rows = tuple(map(object.__new__, repeat(cls, n)))
+    for set_slot, values in zip(_SLOTS[cls], columns, strict=True):
+        deque(map(set_slot, rows, values), maxlen=0)
+    return rows
 
 
 def _frame_table(indices: Sequence[int], times, captions, paths) -> tuple[FrameRef, ...]:
-    """The frames `FrameRef(i, t, caption, path)` for the rows of the columns,
-    built slot by slot: each slot is set through its descriptor in one map
-    loop, with no `__init__` call per frame. The refs stay frozen."""
-    refs = tuple(map(object.__new__, repeat(FrameRef, len(indices))))
-    for set_slot, column in zip(_FRAME_SLOTS, (indices, times, captions, paths, repeat(None))):
-        deque(map(set_slot, refs, column), maxlen=0)
-    return refs
+    """The frames `FrameRef(i, t, caption, path)` for the rows of the columns."""
+    return _rows(FrameRef, len(indices), indices, times, captions, paths, repeat(None))
 
 
 def _frames(data: dict, path: str) -> tuple[FrameRef, ...]:
@@ -261,6 +298,36 @@ def _frames(data: dict, path: str) -> tuple[FrameRef, ...]:
     return _frame_table(range(len(times)), map(float, times), captions, repeat(None))
 
 
+def _transcript(data: dict, path: str, duration: int) -> tuple[AsrLine, ...]:
+    entries = _object_list(data, "asr", path)
+    if not entries:  # most videos have no transcript
+        return ()
+    times = texts = None
+    if all_instances(dict, entries):
+        times, texts = _canonical_times(column(entries, "t")), column(entries, "text")
+    if (
+        times is None
+        or not all_instances(str, texts)
+        or not all(map(le, times, islice(times, 1, None)))
+        or times[-1] > duration  # the last time is the latest
+    ):
+        times, texts = [], []
+        prev_t = -1
+        for where, entry in _objects(data, "asr", path):
+            t = _parse_time_field(entry.get("t"), f"{where}.t")
+            if t > duration:
+                raise FixtureError(f"{where}: t beyond video duration")
+            if t < prev_t:
+                raise FixtureError(f"{where}: transcript times must be non-decreasing")
+            text = entry.get("text")
+            if not isinstance(text, str):
+                raise FixtureError(f"{where}.text: expected a string")
+            times.append(t)
+            texts.append(text)
+            prev_t = t
+    return _rows(AsrLine, len(times), times, texts)
+
+
 def load_fixture(path: str) -> VideoFixture:
     """Load and validate a fixture file; diagnostics name the bad field."""
     data, duration, fps = _read_header(path)
@@ -277,19 +344,7 @@ def load_fixture(path: str) -> VideoFixture:
             raise FixtureError(f"{where}.justification: expected a string")
         events.append(Event(segment, label, justification))
 
-    asr = []
-    prev_t = -1
-    for where, entry in _objects(data, "asr", path):
-        t = _parse_time_field(entry.get("t"), f"{where}.t")
-        if t > duration:
-            raise FixtureError(f"{where}: t beyond video duration")
-        if t < prev_t:
-            raise FixtureError(f"{where}: transcript times must be non-decreasing")
-        text = entry.get("text")
-        if not isinstance(text, str):
-            raise FixtureError(f"{where}.text: expected a string")
-        asr.append(AsrLine(t, text))
-        prev_t = t
+    asr = _transcript(data, path, duration)
 
     qa_facts = []
     for where, entry in _objects(data, "qa_facts", path):
@@ -312,7 +367,7 @@ def load_fixture(path: str) -> VideoFixture:
             fps=fps,
             frames=frames,
             events=tuple(events),
-            asr=tuple(asr),
+            asr=asr,
             qa_facts=tuple(qa_facts),
         )
     except FixtureError as exc:

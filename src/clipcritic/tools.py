@@ -19,6 +19,7 @@ from .core import (
     TaskQuery,
     VideoSegment,
     VideoSource,
+    ascii_int,
     format_timestamp,
     parse_timestamp,
 )
@@ -41,9 +42,7 @@ RETRIEVAL_WINDOW = 64  # frames per retrieval_qa phase-1 window request
 # modelclient.FRAME_BUDGET, so the answer request always fits.
 RETRIEVAL_CAP = 64
 CONTEXT_FRAMES = 56
-ASR_CHUNK_CHARS = 4000  # transcript characters per asr_understanding chunk
 _INDEX = attrgetter("index")
-_FRAME_INDEX = re.compile("[0-9]+")  # ASCII only: `\d` also takes other scripts' digits
 
 # articles, pronouns, and bare interrogatives never count as content
 STOPWORDS = frozenset(
@@ -234,12 +233,8 @@ class ToolSuite:
         for window, response in zip(grid, responses):
             refs = window.refs
             for line in response.split("\n"):
-                line = line.strip()
-                if not _FRAME_INDEX.fullmatch(line):
-                    continue
-                try:
-                    idx = int(line)
-                except ValueError:  # more digits than int converts: no frame
+                idx = ascii_int(line.strip())
+                if idx is None:
                     continue
                 j = bisect_left(refs, idx, key=_INDEX)
                 if j < len(refs) and refs[j].index == idx:
@@ -313,22 +308,9 @@ class ToolSuite:
         return NO_RELEVANT_SPEECH_SENTENCE
 
     def _asr_model(self, question, answer_options) -> str:
-        lines = self.video.asr
-        if not lines:
+        chunks = self.video.asr_chunks
+        if not chunks:
             return NO_SPEECH_SENTENCE
-        rendered = [f"[{format_timestamp(line.t)}] {line.text}" for line in lines]
-        chunks: list[str] = []
-        current: list[str] = []
-        size = 0
-        for line in rendered:
-            if current and size + len(line) + 1 > ASR_CHUNK_CHARS:
-                chunks.append("\n".join(current))
-                current = []
-                size = 0
-            current.append(line)
-            size += len(line) + 1
-        if current:
-            chunks.append("\n".join(current))
         options_block = _options_block(answer_options)
         chunk_template = load_prompt_text("asr_chunk.txt")
         responses = self.model.complete_all(

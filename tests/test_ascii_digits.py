@@ -7,6 +7,7 @@ anything but its documented error."""
 import ast
 import io
 import re
+import sys
 import tokenize
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from clipcritic.core import (
     TaskQuery,
     TimestampError,
     Unparsed,
+    ascii_int,
     parse_final_answer,
     parse_timestamp,
 )
@@ -60,6 +62,17 @@ def test_the_check_sees_every_spelling():
         assert DIGIT_CLASS.search(literal_text(token)), token
     for token in ['"[0-9]+"', 'r"\\\\d"', "'d'", 'f"{d}"']:
         assert not DIGIT_CLASS.search(literal_text(token)), token
+
+
+def test_ascii_int_reads_only_ascii_digit_runs_int_converts():
+    limit = sys.get_int_max_str_digits()
+    assert limit == 4300  # the interpreter's default, which the replies below also probe
+    assert ascii_int("9" * limit) == 10**limit - 1
+    assert ascii_int("9" * (limit + 1)) is None
+    assert ascii_int("0") == 0 and ascii_int("007") == 7
+    # int() reads each of these, but they are not runs of ASCII digits
+    for text in ["", " 7", "7 ", "+7", "-7", "1_000", "7\n", *OTHER_DIGITS, "1٢", "０7"]:
+        assert ascii_int(text) is None, text
 
 
 # --- every parser of model-written text, on long and non-ASCII digit runs ---

@@ -7,7 +7,7 @@ import os
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clipcritic.core import VideoSegment, VideoSource, format_timestamp, parse_timestamp
@@ -375,6 +375,36 @@ def test_load_frames_directory_never_raises_another_error(tmp_path_factory, meta
 # --- column passes against the per-entry loader ---
 
 
+def reference_objects(data, key, path):
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise FixtureError(f"{path}: {key}: expected a list")
+    for i, entry in enumerate(entries):
+        where = f"{path}: {key}[{i}]"
+        if not isinstance(entry, dict):
+            raise FixtureError(f"{where}: expected an object")
+        yield where, entry
+
+
+def reference_transcript(objects, duration):
+    """The transcript loop as it was before column passes, over the
+    (where, entry) pairs of the `asr` list."""
+    asr = []
+    prev_t = -1
+    for where, entry in objects:
+        t = _parse_time_field(entry.get("t"), f"{where}.t")
+        if t > duration:
+            raise FixtureError(f"{where}: t beyond video duration")
+        if t < prev_t:
+            raise FixtureError(f"{where}: transcript times must be non-decreasing")
+        text = entry.get("text")
+        if not isinstance(text, str):
+            raise FixtureError(f"{where}.text: expected a string")
+        asr.append(AsrLine(t, text))
+        prev_t = t
+    return asr
+
+
 def reference_load_fixture(path):
     """The loader as it was before column passes: every entry checked in
     turn, every time through `_parse_time_field`, every frame built by
@@ -382,14 +412,7 @@ def reference_load_fixture(path):
     data, duration, fps = _read_header(path)
 
     def objects(key):
-        entries = data.get(key, [])
-        if not isinstance(entries, list):
-            raise FixtureError(f"{path}: {key}: expected a list")
-        for i, entry in enumerate(entries):
-            where = f"{path}: {key}[{i}]"
-            if not isinstance(entry, dict):
-                raise FixtureError(f"{where}: expected an object")
-            yield where, entry
+        return reference_objects(data, key, path)
 
     frames = []
     for i, (where, entry) in enumerate(objects("frames")):
@@ -408,19 +431,7 @@ def reference_load_fixture(path):
         if not isinstance(justification, str):
             raise FixtureError(f"{where}.justification: expected a string")
         events.append(Event(segment, label, justification))
-    asr = []
-    prev_t = -1
-    for where, entry in objects("asr"):
-        t = _parse_time_field(entry.get("t"), f"{where}.t")
-        if t > duration:
-            raise FixtureError(f"{where}: t beyond video duration")
-        if t < prev_t:
-            raise FixtureError(f"{where}: transcript times must be non-decreasing")
-        text = entry.get("text")
-        if not isinstance(text, str):
-            raise FixtureError(f"{where}.text: expected a string")
-        asr.append(AsrLine(t, text))
-        prev_t = t
+    asr = reference_transcript(objects("asr"), duration)
     qa_facts = []
     for where, entry in objects("qa_facts"):
         evidence = _segment_field(entry, where, duration)
@@ -545,6 +556,59 @@ def test_load_fixture_matches_per_entry_loader(tmp_path_factory, doc):
     got = load_fixture(path)
     assert got == want
     assert [repr(f) for f in got.frames] == [repr(f) for f in want.frames]
+
+
+TRANSCRIPT_FAULTS = (
+    7, None, "00:01", [], {},
+    {"t": "00:05"}, {"t": "00:05", "text": 3}, {"t": "00:05", "text": None},
+    {"t": "00:05", "text": ["x"]}, {"text": "x"}, {"t": 5, "text": "x"},
+    {"t": "10:01", "text": "x"}, {"t": "99:00", "text": "x"}, {"t": "0:10:01", "text": "x"},
+    {"t": OVER_LONG + ":00", "text": "x"}, {"t": OVER_LONG[:-2] + ":00", "text": "x"},
+    {"t": "00:" + OVER_LONG, "text": "x"}, {"t": "00:60", "text": "x"},
+    {"t": "\u0660\u0661:\u0660\u0662", "text": "x"}, {"t": "00:00\n00:01", "text": "x"},
+)
+
+
+@st.composite
+def transcripts(draw):
+    """The `asr` list of a 10 minute video: lines in canonical and lenient
+    times, in order or not, with up to three entries replaced by faults."""
+    forms = st.sampled_from(("canonical", "canonical", "canonical", "short", "hours", "padded"))
+    times = draw(st.lists(st.integers(0, 600), max_size=10))
+    if draw(st.booleans()):
+        times.sort()
+    entries = [{"t": rendered(t, draw(forms)), "text": draw(st.text(max_size=3))} for t in times]
+    for _ in range(draw(st.integers(0, 3)) if entries else 0):
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(TRANSCRIPT_FAULTS))
+    return entries
+
+
+@settings(max_examples=400, deadline=None)
+@given(asr=transcripts())
+@example(asr=[{"t": "00:05", "text": "a"}, {"t": "00:05", "text": "b"}])
+@example(asr=[{"t": " 00:05", "text": "a"}, {"t": "0:01:00", "text": "b"}])
+@example(asr=[{"t": "00:05", "text": "a"}, {"t": "00:04", "text": "b"}])
+@example(asr=[{"t": "00:05", "text": "a"}, {"t": "10:01", "text": "b"}])
+def test_transcript_column_pass_matches_per_entry_loop(tmp_path_factory, asr):
+    path = str(tmp_path_factory.getbasetemp() / "transcript_clip.json")
+    doc = {"duration": "10:00", "frames": [], "asr": asr}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    try:
+        want = reference_transcript(reference_objects(doc, "asr", path), 600)
+    except FixtureError as exc:
+        with pytest.raises(FixtureError) as err:
+            load_fixture(path)
+        assert str(err.value) == str(exc)
+        return
+    got = load_fixture(path).asr
+    assert got == tuple(want)
+    assert [(repr(line), hash(line), type(line.t)) for line in got] == [
+        (repr(line), hash(line), int) for line in want
+    ]
+    for line in got[:1]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            line.text = "changed"
 
 
 @settings(max_examples=200, deadline=None)

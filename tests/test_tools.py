@@ -5,15 +5,18 @@ import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clipcritic.core import (
     TaskKind,
     TaskQuery,
     VideoSegment,
     VideoSource,
+    format_timestamp,
 )
 from clipcritic.dsl import DslExecutionError
-from clipcritic.fixtures import AsrLine, Event, FrameRef, QaFact, VideoFixture
+from clipcritic.fixtures import ASR_CHUNK_CHARS, AsrLine, Event, FrameRef, QaFact, VideoFixture
 from clipcritic.modelclient import CallableModel, FramesPart, budget_frames, fingerprint
 from clipcritic.toolkit import PROFILES, StrategySubset, api_listing
 from clipcritic.tools import (
@@ -374,6 +377,67 @@ def test_asr_model_chunks_and_consolidates():
     assert len(final_tags) == 1
     transcript_chars = sum(len(l.text) for l in lines)
     assert len(chunk_tags) == pytest.approx(transcript_chars / 4000, abs=2)
+
+
+def reference_chunks(lines):
+    """The chunking `_asr_model` did on every call before a video came to
+    keep its `asr_chunks`."""
+    rendered = [f"[{format_timestamp(line.t)}] {line.text}" for line in lines]
+    chunks = []
+    current = []
+    size = 0
+    for line in rendered:
+        if current and size + len(line) + 1 > ASR_CHUNK_CHARS:
+            chunks.append("\n".join(current))
+            current = []
+            size = 0
+        current.append(line)
+        size += len(line) + 1
+    if current:
+        chunks.append("\n".join(current))
+    return chunks
+
+
+# "[MM:SS] " is 8 characters, and each line counts one more for its newline:
+# text of 3991 characters fills a chunk alone, 1991 fills it in two lines and
+# 991 in four; 3992 and up make a line longer than a chunk
+TEXT_LENGTHS = st.integers(0, 60) | st.sampled_from(
+    (990, 991, 992, 1990, 1991, 1992, 3990, 3991, 3992, 4000, 9000)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lengths=st.lists(TEXT_LENGTHS, max_size=12), letters=st.text("ab é\n", min_size=1))
+@example(lengths=[], letters="a")
+@example(lengths=[1991, 1991, 1991], letters="a")
+@example(lengths=[991] * 8 + [0], letters="a")
+@example(lengths=[5, 9000, 5], letters="a")
+def test_asr_chunks_equal_the_per_call_chunking(lengths, letters):
+    text = letters * 9000
+    lines = tuple(AsrLine(10 * i, text[:n]) for i, n in enumerate(lengths))
+    video = plain_fixture(600, asr=lines)
+    assert video.asr_chunks == tuple(reference_chunks(lines))
+    assert video.asr_chunks is video.asr_chunks  # rendered once
+
+
+def test_two_suites_on_one_video_send_the_same_chunk_requests():
+    lines = tuple(AsrLine(t, f"line {t} " + "word " * 40) for t in range(0, 1000, 10))
+    video = plain_fixture(1000, asr=lines)
+    fresh = plain_fixture(1000, asr=lines)  # renders its own chunks
+
+    def chunk_requests(fixture):
+        log = []
+        model = CallableModel(lambda req: log.append(req) or "notes")
+        suite = ToolSuite(make_task(fixture), backend="model", model=model, tag_prefix="t1/A")
+        suite.asr_understanding("what was said?", ["yes", "no"])
+        return [r for r in log if "/asr_understanding/chunk/" in r.tag]
+
+    first, second, third = chunk_requests(video), chunk_requests(video), chunk_requests(fresh)
+    assert len(first) == len(reference_chunks(lines)) > 1
+    assert first == second == third
+    assert [fingerprint(r) for r in first] == [fingerprint(r) for r in third]
+    for req, chunk in zip(first, reference_chunks(lines)):
+        assert chunk in req.parts[0].text
 
 
 def test_model_retrieval_on_a_video_without_frames_is_not_visible():
