@@ -559,14 +559,13 @@ class _UnconfiguredModel(ModelClient):
 def build_model(config: RunConfig) -> ModelClient:
     inner: ModelClient | None = None
     if config.transport:
-        try:
-            inner = HttpModelClient(
-                endpoint=config.transport["endpoint"],
-                model_name=config.transport["model_name"],
-                api_key_env=config.transport.get("api_key_env", "MODEL_API_KEY"),
-            )
-        except KeyError as exc:
-            raise DataError(f"transport config missing {exc}") from exc
+        transport = {"api_key_env": "MODEL_API_KEY", **config.transport}
+        for key in ("endpoint", "model_name", "api_key_env"):
+            if not isinstance(transport.get(key), str):
+                raise DataError(f"transport config needs a string '{key}'")
+        if not transport["endpoint"].startswith(("http://", "https://")):
+            raise DataError("transport config 'endpoint' must be an http:// or https:// URL")
+        inner = HttpModelClient(transport["endpoint"], transport["model_name"], transport["api_key_env"])
         if config.concurrency > 1:
             inner = ConcurrencyLimitedClient(inner, config.concurrency)
     if config.cassette:

@@ -20,7 +20,7 @@ import time
 import urllib.error
 import urllib.request
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -74,19 +74,19 @@ class ScriptExhaustedError(RuntimeError):
 
 
 class EpisodeStopped(RuntimeError):
-    """An earlier episode of the same task failed, so this one stopped at
-    its next request: a serial run would not have started it."""
+    """An item or episode run side by side stopped at its next request, as
+    one before it failed: a serial run would not have started it."""
 
 
-# `stop`, on a thread running one of `ModelClient.episodes`' side-by-side
-# episodes: whether an episode before it, in item order, has failed
+# `stop`, on a thread running one of `in_order`'s side-by-side items:
+# whether an item before it has failed, or the item that called it must stop
 _episode = threading.local()
 
 
 def _stop_if_an_earlier_episode_failed() -> None:
     stop = getattr(_episode, "stop", None)
     if stop is not None and stop():
-        raise EpisodeStopped("an earlier episode of this task failed")
+        raise EpisodeStopped("an earlier item or episode failed")
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,22 @@ def episode_key(tag: str) -> str:
     return tag if end < 0 else tag[:end]
 
 
+def _gather(values, futures=()) -> tuple[list, Exception | None]:
+    """What the iterator `values` yields, in order, up to the first value
+    that raised, and its error (None when none did). On an error the
+    `futures` not yet started are cancelled, and the running ones awaited."""
+    results = []
+    try:
+        for value in values:
+            results.append(value)
+    except Exception as exc:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        return results, exc
+    return results, None
+
+
 def in_order(call, items: list, width: int) -> tuple[list, Exception | None]:
     """Apply `call` to each item, up to `width` at once, in item order.
 
@@ -168,33 +184,35 @@ def in_order(call, items: list, width: int) -> tuple[list, Exception | None]:
     and that error (None when every call returned). Items not yet started
     when it is reached are cancelled. At width 1, or for one item, the items
     run one after another on the calling thread, and none after the first
-    that raised.
+    that raised. Side by side, the items after one that raised, or all of
+    them once the caller's own `stop` is true, stop at their next request.
     """
     workers = min(width, len(items))
-    results = []
     if workers < 2:
+        return _gather(map(call, items))
+    failed = [False] * len(items)
+    outer = getattr(_episode, "stop", None) or (lambda: False)
+
+    def guarded(position: int):
+        _episode.stop = lambda: any(failed[:position]) or outer()
         try:
-            for item in items:
-                results.append(call(item))
-        except Exception as exc:
-            return results, exc
-        return results, None
+            return call(items[position])
+        except Exception:
+            failed[position] = True
+            raise
+
     pool = ThreadPoolExecutor(workers)
     try:
-        futures = [pool.submit(call, item) for item in items]
-        for future in futures:
-            results.append(future.result())
-    except Exception as exc:
-        return results, exc
+        futures = [pool.submit(guarded, position) for position in range(len(items))]
+        return _gather((future.result() for future in futures), futures)
     finally:
         pool.shutdown(cancel_futures=True)
-    return results, None
 
 
 class ModelClient:
     """Base client: enforces the frame budget then delegates."""
 
-    width = 1  # requests complete_all keeps in flight at once
+    width = 1  # above 1, `episodes` runs a task's episodes side by side
 
     def complete(self, req: ModelRequest) -> str:
         _stop_if_an_earlier_episode_failed()
@@ -206,50 +224,29 @@ class ModelClient:
         return self._complete(req)
 
     def complete_all(self, requests: list[ModelRequest]) -> list[str]:
-        """Complete independent requests, up to `width` at once.
-
-        Responses come back in request order. The first request, in order,
-        that fails raises its error; requests still queued are cancelled.
-        """
+        """Complete independent requests; responses come back in request
+        order. The first request, in order, that fails raises its error;
+        requests not yet sent are not sent."""
         _stop_if_an_earlier_episode_failed()
-        responses, error = in_order(self.complete, requests, self.width)
+        responses, error = self._complete_each(requests)
         if error is not None:
             raise error
         return responses
 
+    def _complete_each(self, requests: list[ModelRequest]) -> tuple[list, Exception | None]:
+        """`complete_all`'s responses up to the first failed request, and its error."""
+        return _gather(map(self.complete, requests))
+
     def episodes(self, run, items: list) -> list:
         """`run(item)` for each of one task's independent episodes, results
-        in item order.
-
-        When this client takes more than one request at once, every episode
-        runs at the same time and their requests share its cap; once one
-        fails, the episodes after it stop at their next `complete` or
-        `complete_all`. At width 1 they run one after another on the calling
-        thread. The first episode, in order, that fails raises its error.
-        """
-        results, error = self._run_episodes(run, items)
+        in item order, through `in_order`: all side by side, sharing this
+        client's cap, when its width is above 1, and else one after another
+        on the calling thread. The first episode, in order, that fails
+        raises its error."""
+        results, error = in_order(run, items, len(items) if self.width > 1 else 1)
         if error is not None:
             raise error
         return results
-
-    def _run_episodes(self, run, items: list) -> tuple[list, Exception | None]:
-        """`in_order` over `episodes`' items: what they returned before the
-        first, in order, that failed, and its error."""
-        if self.width == 1:
-            return in_order(run, items, 1)
-        failed = [False] * len(items)
-
-        def guarded(position: int):
-            _episode.stop = lambda: any(failed[:position])
-            try:
-                return run(items[position])
-            except Exception:
-                failed[position] = True
-                raise
-            finally:
-                _episode.stop = None
-
-        return in_order(guarded, list(range(len(items))), len(items))
 
     def _complete(self, req: ModelRequest) -> str:
         raise NotImplementedError
@@ -357,8 +354,8 @@ class CassetteClient(ModelClient):
     in order. Replay is serial (width 1).
 
     Recording writes one task's lines in the order a serial run writes
-    them. `complete_all` fans out through the inner client, then records
-    the batch on the calling thread in request order. `episodes` runs a
+    them. A `complete_all` batch goes out through the inner client, then is
+    recorded on the calling thread in request order. `episodes` runs a
     task's strategies side by side, each recording into its own buffer;
     after the join the buffers are appended in item order, up to and
     including the first episode that failed. Only the lines of tasks run
@@ -390,17 +387,13 @@ class CassetteClient(ModelClient):
             return 1
         return self.inner.width
 
-    def complete_all(self, requests: list[ModelRequest]) -> list[str]:
+    def _complete_each(self, requests: list[ModelRequest]) -> tuple[list, Exception | None]:
         if self.cassette.mode is not CassetteMode.RECORD:
-            return super().complete_all(requests)
-        _stop_if_an_earlier_episode_failed()
-        responses, error = in_order(self.inner.complete, requests, self.width)
-        # after a failure only the responses before it are recorded, as in
-        # a serial run
+            return super()._complete_each(requests)
+        responses, error = self.inner._complete_each(requests)
+        # after a failure, only the responses before it, as a serial run
         self._record(requests, responses)
-        if error is not None:
-            raise error
-        return responses
+        return responses, error
 
     def episodes(self, run, items: list) -> list:
         if self.width == 1:  # replay, or a narrow recording: serial
@@ -414,7 +407,7 @@ class CassetteClient(ModelClient):
             finally:
                 self._local.buffer = None
 
-        results, error = self._run_episodes(buffered, list(zip(buffers, items)))
+        results, error = in_order(buffered, list(zip(buffers, items)), len(items))
         # as in complete_all: what a serial run records before it stops
         self._append("".join(chain.from_iterable(buffers[: len(results) + 1])))
         if error is not None:
@@ -464,18 +457,26 @@ class CassetteClient(ModelClient):
 
 
 class ConcurrencyLimitedClient(ModelClient):
-    """Shared concurrency cap over an inner client."""
+    """Shared concurrency cap over an inner client: every request it serves
+    runs on its one pool of `max_concurrent` workers. A worker runs only the
+    inner client's request, so the pool cannot deadlock; its threads end
+    once the client is dropped."""
 
     def __init__(self, inner: ModelClient, max_concurrent: int):
         if max_concurrent < 1:
             raise ValueError("concurrency cap must be >= 1")
         self.inner = inner
         self.width = max_concurrent
-        self._semaphore = threading.BoundedSemaphore(max_concurrent)
+        self._pool = ThreadPoolExecutor(max_concurrent)
 
     def _complete(self, req: ModelRequest) -> str:
-        with self._semaphore:
-            return self.inner.complete(req)
+        # `complete` has checked the request here; a second `complete` on the
+        # worker would make one request look like two to a wrapper of it
+        return self._pool.submit(self.inner._complete, req).result()
+
+    def _complete_each(self, requests: list[ModelRequest]) -> tuple[list, Exception | None]:
+        futures = [self._pool.submit(self.inner.complete, req) for req in requests]
+        return _gather((future.result() for future in futures), futures)
 
 
 def _retryable(exc: Exception) -> bool:

@@ -1,5 +1,6 @@
 """Dataset loading, evaluation modes, ablation, replay, and the CLI."""
 
+import dataclasses
 import json
 import os
 import re
@@ -999,6 +1000,69 @@ def test_a_failed_episode_lets_the_ones_before_it_finish(tmp_path, all_items, mo
     assert record["error"] == f"request '{item.task.id}/C/0': connection reset"
 
 
+def test_items_after_a_fatal_one_stop_at_their_next_request(tmp_path, all_items, monkeypatch):
+    """At concurrency 2, item 1 starts no model request once item 0's fatal
+    fault has left item 0's thread: its result would be dropped."""
+    first, second = (item.task.id for item in all_items[:2])
+    scripted = oracle_suite.scripted_model()
+    second_served, first_left = threading.Event(), threading.Event()
+    started_late = []
+
+    def item(*args, **kwargs):
+        try:
+            return run_item(*args, **kwargs)
+        except FatalTransportError:
+            first_left.set()
+            raise
+
+    monkeypatch.setattr(evalcli, "run_item", item)
+
+    def reply(req):
+        if first_left.is_set():
+            started_late.append(req.tag)
+        if req.tag.startswith(f"{first}/"):
+            assert second_served.wait(5)
+            raise FatalTransportError(f"request '{req.tag}': HTTP Error 401: Unauthorized")
+        response = scripted.complete(req)
+        if req.tag.startswith(f"{second}/") and not second_served.is_set():
+            second_served.set()  # item 1 has more turns to take when item 0 fails
+            assert first_left.wait(5)
+            time.sleep(0.05)  # item 0's thread marks its item failed
+        return response
+
+    model = ConcurrencyLimitedClient(CallableModel(reply), 2)
+    with pytest.raises(FatalTransportError, match=f"request '{first}/"):
+        evaluate(all_items[:2], config("agent", tmp_path, concurrency=2), model)
+    assert second_served.is_set()
+    assert started_late == []
+
+
+def test_threads_stay_linear_in_the_cap(tmp_path):
+    """8 model-backed agent_critic items at concurrency 8 behind a cap-8
+    client: 8 item threads, 3 strategy threads per item and 8 request
+    workers at most, 5 * 8 beside the main thread."""
+    [item] = long_asr_item(tmp_path)
+    items = [
+        dataclasses.replace(item, task=dataclasses.replace(item.task, id=f"t{n}"))
+        for n in range(1, 9)
+    ]
+    before, peak, lock = threading.active_count(), [0], threading.Lock()
+
+    def reply(req):  # WindowedModel's replies, which are written for task t1
+        with lock:
+            peak[0] = max(peak[0], threading.active_count())
+        time.sleep(0.002)
+        return WindowedModel.reply(dataclasses.replace(req, tag="t1" + req.tag[req.tag.index("/"):]))
+
+    model = ConcurrencyLimitedClient(CallableModel(reply), 8)
+    cfg = RunConfig(mode="agent_critic", backend="model", concurrency=8,
+                    traces_dir=str(tmp_path / "traces"))
+    records = evaluate(items, cfg, model)["items"]
+    assert all("error" not in record for record in records)
+    assert peak[0] > before + 8
+    assert peak[0] <= before + 5 * 8
+
+
 def test_narrow_models_run_strategies_on_the_calling_thread(tmp_path, all_items, monkeypatch):
     threads = []
     for name in ("run_episode", "run_direct"):
@@ -1183,6 +1247,36 @@ def test_cli_unwritable_recording_stops_before_any_model_call(tmp_path, suite_pa
     assert calls == []
     err = capsys.readouterr().err
     assert err == f"data error: {cassette}: cannot write cassette: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "transport, fault",
+    [
+        ({"endpoint": 5, "model_name": "m"}, "needs a string 'endpoint'"),
+        ({"endpoint": "http://localhost:9/v1", "model_name": ["m"]}, "needs a string 'model_name'"),
+        ({"endpoint": "http://localhost:9/v1", "model_name": "m", "api_key_env": None},
+         "needs a string 'api_key_env'"),
+        ({"endpoint": "localhost:9/v1", "model_name": "m"},
+         "'endpoint' must be an http:// or https:// URL"),
+        ({"endpoint": "ftp://localhost/v1", "model_name": "m"},
+         "'endpoint' must be an http:// or https:// URL"),
+        ({"model_name": "m"}, "needs a string 'endpoint'"),
+    ],
+)
+def test_cli_bad_transport_is_a_data_error(tmp_path, suite_paths, capsys, monkeypatch, transport, fault):
+    calls = []
+    monkeypatch.setattr(HttpModelClient, "_complete", lambda self, req: calls.append(req) or "")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"transport": transport}))
+    argv = [
+        "--config", str(config_path),
+        "--traces-dir", str(tmp_path / "traces"),
+        "eval", suite_paths["all"],
+    ]
+    assert main(argv) == 2
+    assert calls == []
+    assert capsys.readouterr().err == f"data error: transport config {fault}\n"
+    assert not os.path.exists(tmp_path / "traces")
 
 
 def test_a_trace_that_cannot_be_encoded_leaves_no_file(tmp_path):

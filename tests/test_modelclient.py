@@ -890,6 +890,33 @@ def test_recorded_batch_matches_serial_recording(tmp_path):
     assert replayer.complete_all(requests) == [f"reply to {r.tag}" for r in requests]
 
 
+def test_a_capped_client_runs_every_request_on_one_pool(monkeypatch):
+    built = []
+    pool = modelclient.ThreadPoolExecutor
+    monkeypatch.setattr(modelclient, "ThreadPoolExecutor", lambda n: built.append(n) or pool(n))
+    model = InflightModel()
+    client = ConcurrencyLimitedClient(model, 3)
+    for _ in range(3):
+        assert client.complete(text_request("q", tag="t1/A/0")) == "reply to t1/A/0"
+        assert client.complete_all(window_requests(6)) == [f"reply to {r.tag}" for r in window_requests(6)]
+    assert built == [3]  # one pool, built with the client
+    assert len(model.threads) <= 3
+    assert threading.get_ident() not in model.threads
+
+
+def test_a_dropped_capped_client_releases_its_workers():
+    before = threading.active_count()
+    for _ in range(20):
+        client = ConcurrencyLimitedClient(InflightModel(overlap=4), 4)
+        client.complete_all(window_requests(4))
+        assert threading.active_count() >= before + 4
+    del client
+    deadline = time.monotonic() + 5
+    while threading.active_count() > before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= before
+
+
 def test_width_comes_from_the_client_chain(tmp_path):
     capped = ConcurrencyLimitedClient(InflightModel(), 5)
     path = str(tmp_path / "run.jsonl")

@@ -16,7 +16,13 @@ import oracle_suite
 from clipcritic import evalcli
 from clipcritic.core import pretty_json
 from clipcritic.evalcli import RunConfig, evaluate, load_dataset
-from clipcritic.modelclient import Cassette, CassetteClient, CassetteMode
+from clipcritic.modelclient import (
+    CallableModel,
+    Cassette,
+    CassetteClient,
+    CassetteMode,
+    ConcurrencyLimitedClient,
+)
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
 
@@ -121,3 +127,31 @@ def test_tracer_sees_the_cassette_layer_of_a_replay(tmp_path):
     assert calls["evalcli.replay_run"] == 1
     assert calls["modelclient.replay"] == recorded
     assert calls["modelclient.fingerprint"] == recorded
+
+
+def test_tracer_counts_each_model_request_once(tmp_path):
+    """The tracer counts a request at the outermost `ModelClient.complete`
+    on its thread, so each request must pass through `complete` once on one
+    thread, whether the capped client runs it alone or in a batch."""
+    from test_evalcli import WindowedModel, long_asr_item
+
+    items = long_asr_item(tmp_path)
+    windowed, served = WindowedModel(), []
+    model = CallableModel(lambda req: served.append(req.tag) or windowed(req))
+    recorder = CassetteClient(
+        Cassette.open(str(tmp_path / "run.cassette.jsonl"), CassetteMode.RECORD),
+        ConcurrencyLimitedClient(model, 2),
+    )
+    config = RunConfig(mode="agent_critic", backend="model", traces_dir=str(tmp_path / "traces"))
+    spans = load_spans()
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        tracer.begin_item(items[0].task.id)
+        report = evaluate(items, config, recorder)
+        counts = tracer.end_item()["counts"]
+    finally:
+        undo()
+    assert "error" not in report["items"][0]
+    assert any("/window/" in tag for tag in served)  # tool windows went out as batches
+    assert counts["requests"] == len(served)
