@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import threading
 import time
 import typing
 from dataclasses import dataclass, field, fields
@@ -104,22 +103,22 @@ class RunConfig:
 # Each runner returns (chosen trace, traces to persist, extra record fields).
 # Runners name the agent and critic entry points at call time, so a wrapper
 # installed on this module's attribute (as the benchmark tracer does) sees
-# every call.
+# every call. `examples` maps a profile name to its configured critic examples.
 
 
-def _direct(task, profile, factory, model, config, fixed_subset, read_examples):
+def _direct(task, profile, factory, model, config, fixed_subset, examples):
     subset = next(s for s in profile.strategies if s.direct)
     trace = run_direct(task, subset, model, factory(subset))
     return trace, [trace], {}
 
 
-def _single_program(task, profile, factory, model, config, fixed_subset, read_examples):
+def _single_program(task, profile, factory, model, config, fixed_subset, examples):
     subset = StrategySubset("single", profile.pool)
     trace = run_single_program(task, subset, model, factory(subset))
     return trace, [trace], {}
 
 
-def _agent(task, profile, factory, model, config, fixed_subset, read_examples):
+def _agent(task, profile, factory, model, config, fixed_subset, examples):
     """The given subset, or the profile's all-module non-direct subset."""
     subset = fixed_subset or next(
         s
@@ -132,21 +131,20 @@ def _agent(task, profile, factory, model, config, fixed_subset, read_examples):
     return trace, [trace], {}
 
 
-def _agent_critic(task, profile, factory, model, config, fixed_subset, read_examples):
-    path = config.examples_files.get(profile.name)
+def _agent_critic(task, profile, factory, model, config, fixed_subset, examples):
     selection, traces, verdict = run_agent_critic(
         task,
         model,
         factory,
         profile,
-        examples=read_examples(path) if path else load_examples(profile),
+        examples=examples.get(profile.name) or load_examples(profile),
         step_budget=config.step_budget,
     )
     extra = {"winners": list(verdict.winners), "fallback_used": selection.fallback_used}
     return selection.trace, traces, extra
 
 
-def _self_eval(task, profile, factory, model, config, fixed_subset, read_examples):
+def _self_eval(task, profile, factory, model, config, fixed_subset, examples):
     subset = StrategySubset("self", profile.pool)
     trace = run_self_eval(
         task,
@@ -172,6 +170,16 @@ MODES = tuple(_RUNNERS)
 _CONFIG_CHOICES = {"mode": MODES, "backend": BACKENDS, "profile": tuple(sorted(PROFILES))}
 
 
+def _setting_fault(key: str, value) -> str | None:
+    """Why a config value of the right type cannot be used (file or flag), or None."""
+    if key in ("step_budget", "concurrency", "max_rounds") and value < 1:
+        return "must be >= 1"
+    allowed = _CONFIG_CHOICES.get(key)
+    if allowed is not None and value is not None and value not in allowed:
+        return f"must be one of {', '.join(allowed)}"
+    return None
+
+
 def load_config_file(path: str) -> RunConfig:
     data = read_json(path, "config")
     if not isinstance(data, dict):
@@ -184,13 +192,9 @@ def load_config_file(path: str) -> RunConfig:
         if isinstance(value, bool) or not isinstance(value, types[key]):
             shown = RunConfig.__dataclass_fields__[key].type
             raise DataError(f"{path}: config key '{key}' must be {shown}")
-        if key in ("step_budget", "concurrency", "max_rounds") and value < 1:
-            raise DataError(f"{path}: config key '{key}' must be >= 1")
-        allowed = _CONFIG_CHOICES.get(key)
-        if allowed is not None and value is not None and value not in allowed:
-            raise DataError(
-                f"{path}: config key '{key}' must be one of {', '.join(allowed)}"
-            )
+        fault = _setting_fault(key, value)
+        if fault:
+            raise DataError(f"{path}: config key '{key}' {fault}")
         if key == "examples_files":
             for name, file in value.items():
                 if name not in PROFILES or not isinstance(file, str):
@@ -207,7 +211,7 @@ def load_config_file(path: str) -> RunConfig:
 def _truth_for(data: dict, task: TaskQuery, where: str) -> FinalAnswer:
     answer = data.get("answer")
     if task.kind is TaskKind.MULTIPLE_CHOICE:
-        if not isinstance(answer, int):
+        if type(answer) is not int:  # nor a bool
             raise DataError(f"{where}: MCQ answer must be an integer index")
         if not 1 <= answer <= len(task.options):
             raise DataError(
@@ -221,11 +225,14 @@ def _truth_for(data: dict, task: TaskQuery, where: str) -> FinalAnswer:
     for pair in answer:
         if not isinstance(pair, list) or len(pair) != 2:
             raise DataError(f"{where}: each range must be a [start, end] pair")
+        for v in pair:
+            if not isinstance(v, str) and type(v) is not int:
+                raise DataError(
+                    f"{where}: bad range value {v!r}: expected whole seconds or a timestamp"
+                )
         try:
-            start, end = (
-                parse_timestamp(v) if isinstance(v, str) else int(v) for v in pair
-            )
-        except (TimestampError, TypeError, ValueError) as exc:
+            start, end = (parse_timestamp(v) if isinstance(v, str) else v for v in pair)
+        except TimestampError as exc:
             raise DataError(f"{where}: bad range value: {exc}") from exc
         if start > end or start < 0:
             raise DataError(f"{where}: invalid range [{start}, {end}]")
@@ -314,17 +321,27 @@ def _score(item: DatasetItem, final: FinalAnswer) -> tuple[bool | None, float | 
     return None, interval_union_iou(pred, item.truth.segments)
 
 
+def _critic_examples(config: RunConfig) -> dict:
+    """Each configured examples file, read before any item so a bad one fails fast."""
+    if config.mode != "agent_critic":
+        return {}
+    return {name: load_examples_file(path) for name, path in config.examples_files.items()}
+
+
 def run_item(
     item: DatasetItem,
     config: RunConfig,
     model: ModelClient,
     fixed_subset: StrategySubset | None = None,
-    read_examples=load_examples_file,
+    examples: dict | None = None,
 ) -> tuple[dict, list[Trace]]:
-    """Evaluate one dataset item; returns (report record, traces to persist)."""
+    """Evaluate one dataset item; returns (report record, traces to persist).
+    `examples` is `_critic_examples(config)`, read here when not given."""
     runner = _RUNNERS.get(config.mode)
     if runner is None:
         raise UsageError(f"unknown mode '{config.mode}'")
+    if examples is None:
+        examples = _critic_examples(config)
     task = item.task
     try:
         profile = profile_for_task(task, config.profile)
@@ -337,7 +354,7 @@ def run_item(
         )
 
     chosen, traces, extra = runner(
-        task, profile, factory, model, config, fixed_subset, read_examples
+        task, profile, factory, model, config, fixed_subset, examples
     )
     final = chosen.final
     record: dict = {
@@ -377,17 +394,11 @@ def evaluate(
     if not items:
         raise DataError("refusing to report on an empty dataset")
     started = time.time()
-    lock, examples_read = threading.Lock(), {}
-
-    def read_examples(path: str):  # a user's critic examples, read once per run
-        with lock:
-            if path not in examples_read:
-                examples_read[path] = load_examples_file(path)
-            return examples_read[path]
+    examples = _critic_examples(config)
 
     def one(item: DatasetItem) -> tuple[dict, list[Trace]]:
         try:
-            return run_item(item, config, model, fixed_subset, read_examples)
+            return run_item(item, config, model, fixed_subset, examples)
         except FatalError:
             raise
         except Exception as exc:
@@ -598,8 +609,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="clipcritic", description="Video reasoning evaluation")
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--traces-dir", help="directory for persisted traces")
-    parser.add_argument("--mode", choices=MODES, help="evaluation mode")
-    parser.add_argument("--profile", choices=sorted(PROFILES), help="strategy profile")
+    parser.add_argument("--mode", choices=_CONFIG_CHOICES["mode"], help="evaluation mode")
+    parser.add_argument("--profile", choices=_CONFIG_CHOICES["profile"], help="strategy profile")
     parser.add_argument("--budget", type=int, help="agent step budget")
     parser.add_argument(
         "--concurrency",
@@ -633,24 +644,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# the argparse dest of each flag that sets a config key, with that key
+_FLAG_KEYS = {"mode": "mode", "profile": "profile", "budget": "step_budget",
+              "concurrency": "concurrency", "traces_dir": "traces_dir", "cassette": "cassette"}
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     config = load_config_file(args.config) if args.config else RunConfig()
-    if args.mode:
-        config.mode = args.mode
-    if args.profile:
-        config.profile = args.profile
-    if args.budget is not None:
-        if args.budget < 1:
-            raise UsageError("--budget must be >= 1")
-        config.step_budget = args.budget
-    if args.concurrency is not None:
-        if args.concurrency < 1:
-            raise UsageError("--concurrency must be >= 1")
-        config.concurrency = args.concurrency
-    if args.traces_dir:
-        config.traces_dir = args.traces_dir
-    if args.cassette:
-        config.cassette = args.cassette
+    for dest, key in _FLAG_KEYS.items():
+        value = getattr(args, dest)
+        if value in (None, ""):  # an empty string keeps the config's value
+            continue
+        fault = _setting_fault(key, value)
+        if fault:
+            raise UsageError(f"--{dest.replace('_', '-')} {fault}")
+        setattr(config, key, value)
     return config
 
 

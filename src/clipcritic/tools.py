@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .core import (
@@ -71,20 +70,6 @@ def segments_intersect(a: VideoSegment, b: VideoSegment) -> bool:
         return True
     # touching endpoints only count when one side is a degenerate segment
     return a.duration == 0 or b.duration == 0
-
-
-@dataclass(frozen=True)
-class LocalizationFinding:
-    segment: VideoSegment
-    justification: str
-
-
-def format_findings(findings: list[LocalizationFinding]) -> str:
-    lines = []
-    for f in findings:
-        start, end = f.segment.as_strings()
-        lines.append(f'["{start}", "{end}"]: {f.justification}')
-    return "\n".join(lines)
 
 
 def _options_block(answer_options) -> str:
@@ -156,14 +141,12 @@ class ToolSuite:
     def _find_when_oracle(self, query: str, segment: VideoSegment) -> str:
         tokens = content_tokens(query)
         findings = [
-            LocalizationFinding(ev.segment, ev.justification or ev.label)
+            '["{}", "{}"]: {}'.format(*ev.segment.as_strings(), ev.justification or ev.label)
             for ev in sorted(self.video.events, key=lambda e: e.segment.start)
             if segments_intersect(ev.segment, segment)
             and tokens & content_tokens(ev.label)
         ]
-        if not findings:
-            return NO_RANGES_SENTENCE
-        return format_findings(findings)
+        return "\n".join(findings) or NO_RANGES_SENTENCE
 
     def _find_when_model(self, query: str, segment: VideoSegment) -> str:
         template = load_prompt_text("find_when_window.txt")

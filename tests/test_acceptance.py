@@ -240,7 +240,7 @@ def test_criterion_4_verdict_corpus(criterion):
 def _strategy_successes(item, traces_dir):
     wins = {}
     for label in "ABC":
-        doc = json.loads(open(os.path.join(traces_dir, f"{item.task.id}.{label}.json")).read())
+        doc = json.loads(Path(traces_dir, f"{item.task.id}.{label}.json").read_text())
         final = final_from_dict(doc["final"]) if doc["final"] else None
         if item.task.kind is TaskKind.MULTIPLE_CHOICE:
             wins[label] = final is not None and answers_equal(final, item.truth)
@@ -313,12 +313,12 @@ def test_criterion_7_record_replay(criterion, tmp_path, suite_paths, all_items):
         names = sorted(os.listdir(config.traces_dir))
         assert len(names) == 3 * len(all_items)
         for name in names:
-            want = open(os.path.join(config.traces_dir, name), "rb").read()
-            got = open(os.path.join(out_dir, name), "rb").read()
+            want = Path(config.traces_dir, name).read_bytes()
+            got = Path(out_dir, name).read_bytes()
             assert want == got, name
 
         # corrupt the baseline report: the CLI replay must exit 3
-        broken = json.loads(open(report_path).read())
+        broken = json.loads(Path(report_path).read_text())
         broken["items"][0]["selected"]["value"] = 3
         broken_path = str(tmp_path / "broken_report.json")
         with open(broken_path, "w") as fh:

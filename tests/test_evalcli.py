@@ -9,6 +9,7 @@ import threading
 import time
 import zlib
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +119,17 @@ GOOD_ROW = {
             "invalid range",
         ),
         (lambda r: {**r, "id": "grp/v01"}, 2, "id 'grp/v01' must not contain '/'"),
+        (
+            lambda r: {"id": "t0", "video": "clip.json", "question": "When?", "answer": [[0, float("inf")]]},
+            2,
+            "bad range value inf: expected whole seconds",
+        ),
+        (
+            lambda r: {"id": "t0", "video": "clip.json", "question": "When?", "answer": [[1.5, 3.9]]},
+            2,
+            "bad range value 1.5: expected whole seconds",
+        ),
+        (lambda r: {**r, "id": "t0", "answer": True}, 2, "MCQ answer must be an integer index"),
     ],
 )
 def test_load_dataset_diagnostics(tmp_path, mutate, line_no, fragment):
@@ -272,7 +284,7 @@ def test_trace_persistence(tmp_path, all_items):
     evaluate(all_items[:1], cfg, oracle_suite.scripted_model())
     names = sorted(os.listdir(cfg.traces_dir))
     assert names == ["v01.A.json", "v01.B.json", "v01.C.json"]
-    body = open(os.path.join(cfg.traces_dir, "v01.A.json")).read()
+    body = Path(cfg.traces_dir, "v01.A.json").read_text()
     assert body.endswith("\n")
     data = json.loads(body)
     assert body == json.dumps(data, indent=2, sort_keys=True) + "\n"
@@ -355,6 +367,20 @@ def test_bad_examples_file_stops_the_run(tmp_path, all_items, content, fragment)
     cfg = config("agent_critic", tmp_path, examples_files={"visual_mcq": str(path)})
     with pytest.raises(DataError, match=fragment):
         evaluate(all_items, cfg, oracle_suite.scripted_model())
+
+
+@pytest.mark.parametrize("profile", ["temporal_range", "asr_mcq"])
+def test_bad_examples_file_fails_before_any_model_call(tmp_path, all_items, profile):
+    """The files are read before the first item, so a bad one for a late
+    item's profile costs no earlier item's model calls."""
+    path = tmp_path / "examples.json"
+    path.write_text("{}")
+    cfg = config("agent_critic", tmp_path, examples_files={profile: str(path)})
+    model = oracle_suite.scripted_model()
+    with pytest.raises(DataError, match="expected a nonempty JSON array"):
+        evaluate(all_items, cfg, model)
+    assert model.calls == []
+    assert not os.path.exists(cfg.traces_dir)
 
 
 @pytest.mark.parametrize("concurrency", [1, 8])
@@ -599,8 +625,8 @@ def test_replay_reproduces_recorded_run(tmp_path, all_items):
     assert sorted(os.listdir(out_dir)) == baseline
     assert len(baseline) == 60
     for name in baseline:
-        want = open(os.path.join(cfg.traces_dir, name), "rb").read()
-        got = open(os.path.join(out_dir, name), "rb").read()
+        want = Path(cfg.traces_dir, name).read_bytes()
+        got = Path(out_dir, name).read_bytes()
         assert want == got, name
 
 
@@ -608,9 +634,9 @@ def test_replay_reports_recorded_calls_it_did_not_replay(tmp_path, all_items):
     item = all_items[0]
     assert item.task.id == "v01"
     cfg, cassette_path, report_path = record_baseline(tmp_path, [item], mode="agent")
-    lines = open(cassette_path, "rb").read()
+    lines = Path(cassette_path).read_bytes()
     assert lines.count(b"\n") == 4
-    open(cassette_path, "wb").write(lines * 2)  # a second recording onto the same file
+    Path(cassette_path).write_bytes(lines * 2)  # a second recording onto the same file
     match = f"^{re.escape(cassette_path)}: 4 recorded calls of episode 'v01/C' were not replayed$"
     with pytest.raises(ReplayDivergence, match=match):
         replay_run([item], cfg, cassette_path, cfg.traces_dir, report_path, str(tmp_path / "replayed"))
@@ -619,8 +645,8 @@ def test_replay_reports_recorded_calls_it_did_not_replay(tmp_path, all_items):
 def test_replay_detects_tampered_trace(tmp_path, all_items):
     cfg, cassette_path, report_path = record_baseline(tmp_path, all_items[:2])
     victim = os.path.join(cfg.traces_dir, sorted(os.listdir(cfg.traces_dir))[0])
-    body = open(victim).read().replace("Final Answer", "FinalAnswer", 1)
-    open(victim, "w").write(body)
+    body = Path(victim).read_text().replace("Final Answer", "FinalAnswer", 1)
+    Path(victim).write_text(body)
     with pytest.raises(ReplayDivergence, match="differs"):
         replay_run(
             all_items[:2], cfg, cassette_path, cfg.traces_dir, report_path,
@@ -631,7 +657,7 @@ def test_replay_detects_tampered_trace(tmp_path, all_items):
 def test_replay_detects_prompt_drift(tmp_path, suite_paths, all_items):
     cfg, cassette_path, report_path = record_baseline(tmp_path, all_items[:2])
     # same ids, one question changed: recorded fingerprints no longer match
-    rows = [json.loads(line) for line in open(suite_paths["all"])][:2]
+    rows = [json.loads(line) for line in Path(suite_paths["all"]).read_text().splitlines()][:2]
     rows[1]["question"] = rows[1]["question"] + " Really?"
     drifted = tmp_path / "drifted.jsonl"
     with open(drifted, "w") as fh:
@@ -674,7 +700,7 @@ def test_replay_names_diverging_tool_window(tmp_path, mode, tampered):
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    rows = [json.loads(line) for line in open(cassette_path)]
+    rows = [json.loads(line) for line in Path(cassette_path).read_text().splitlines()]
     assert tampered in [row["tag"] for row in rows]
     for row in rows:
         if row["tag"] == tampered:
@@ -1096,7 +1122,7 @@ def test_cli_eval_direct(tmp_path, suite_paths, capsys):
         ]
     )
     assert code == 0
-    report = json.load(open(report_path))
+    report = json.loads(Path(report_path).read_text())
     assert report["aggregate"]["accuracy"] == pytest.approx(0.4)
     printed = json.loads(capsys.readouterr().out)
     assert printed == report["aggregate"]
@@ -1173,6 +1199,38 @@ def test_cli_run_records_an_item_failure(tmp_path, suite_paths, capsys, monkeypa
             "correct": False,
         }
     }
+
+
+def test_cli_flags_set_their_config_keys(tmp_path, suite_paths, monkeypatch):
+    monkeypatch.setattr(evalcli, "build_model", lambda config: oracle_suite.scripted_model())
+    report_path = tmp_path / "report.json"
+    argv = [
+        "--profile", "temporal_range",
+        "--budget", "12",
+        "--concurrency", "3",
+        "--traces-dir", str(tmp_path / "traces"),
+        "eval", suite_paths["temporal"],
+        "--report", str(report_path),
+    ]
+    assert main(argv) == 0
+    report = json.loads(report_path.read_text())
+    assert report["config"] == {
+        "backend": "oracle",
+        "concurrency": 3,
+        "max_rounds": 3,
+        "mode": "agent_critic",
+        "profile": "temporal_range",
+        "step_budget": 12,
+    }
+
+
+def test_build_model_caps_a_transport_at_the_configured_concurrency():
+    transport = {"endpoint": "http://localhost:9/v1", "model_name": "m"}
+    model = evalcli.build_model(RunConfig(transport=transport, concurrency=3))
+    assert isinstance(model, ConcurrencyLimitedClient)
+    assert model.width == 3
+    assert isinstance(model.inner, HttpModelClient)
+    assert model.inner.endpoint == "http://localhost:9/v1"
 
 
 @pytest.mark.parametrize(
@@ -1377,7 +1435,7 @@ def test_cli_malformed_video_exits_2(tmp_path, capsys, video, files, fragment):
 
 def test_cli_replay_tampered_cassette_exits_3(tmp_path, suite_paths, all_items, capsys):
     cfg, cassette_path, report_path = record_baseline(tmp_path, all_items)
-    rows = [json.loads(line) for line in open(cassette_path)]
+    rows = [json.loads(line) for line in Path(cassette_path).read_text().splitlines()]
     rows[0]["fingerprint"] = "0" * 64
     with open(cassette_path, "w") as fh:
         for row in rows:
@@ -1411,7 +1469,7 @@ def test_cli_replay_roundtrip_and_divergence(tmp_path, suite_paths, all_items, c
     assert "replay matched" in capsys.readouterr().out
 
     # corrupt the baseline report: the rerun no longer matches it
-    report = json.load(open(report_path))
+    report = json.loads(Path(report_path).read_text())
     report["items"][0]["selected"]["value"] = 3
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

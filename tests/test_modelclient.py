@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import urllib.error
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -361,7 +362,7 @@ def test_recording_writes_the_file_only(tmp_path):
     recorder.complete(text_request("p", tag="t1/A/0"))
     recorder.complete_all([text_request("q", tag="t1/A/1"), text_request("r", tag="t1/A/2")])
     assert recorder.cassette.entries == []
-    assert [json.loads(line)["response"] for line in open(path)] == ["one", "two", "three"]
+    assert [json.loads(line)["response"] for line in Path(path).read_text().splitlines()] == ["one", "two", "three"]
 
 
 def test_cassette_replay_detects_prompt_drift(tmp_path):
@@ -385,7 +386,7 @@ def test_cassette_replay_rejects_tampered_file(tmp_path):
     request = text_request("prompt", tag="t1/A/0")
     recorder.complete(request)
 
-    lines = [json.loads(l) for l in open(path)]
+    lines = [json.loads(l) for l in Path(path).read_text().splitlines()]
     lines[0]["fingerprint"] = "0" * 64
     with open(path, "w") as fh:
         for entry in lines:
@@ -842,7 +843,7 @@ def test_complete_all_stress_more_workers_than_cores(tmp_path):
     assert model.peak <= 8
     for j in range(2):
         assert results[j] == [f"reply to {r.tag}" for r in batches[j]]
-        tags = [json.loads(line)["tag"] for line in open(tmp_path / f"t{j}.jsonl")]
+        tags = [json.loads(line)["tag"] for line in (tmp_path / f"t{j}.jsonl").read_text().splitlines()]
         assert tags == [r.tag for r in batches[j]]
 
 
@@ -864,7 +865,7 @@ def test_complete_all_failure_raises_first_in_order_and_records_prefix(tmp_path)
     with pytest.raises(ValueError, match=f"window {k} failed"):
         recorder.complete_all(window_requests(40))
     # exactly what a serial run would have recorded before window k raised
-    tags = [json.loads(line)["tag"] for line in open(path)]
+    tags = [json.loads(line)["tag"] for line in Path(path).read_text().splitlines()]
     assert tags == [f"t1/C/find_when/window/{i}" for i in range(k)]
     # queued windows were cancelled instead of sent
     assert len(model.started) < 40

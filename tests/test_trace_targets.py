@@ -9,6 +9,7 @@ counts.
 
 import importlib.util
 import os
+from pathlib import Path
 
 import pytest
 
@@ -109,7 +110,7 @@ def test_tracer_sees_the_cassette_layer_of_a_replay(tmp_path):
     )
     report_path = tmp_path / "report.json"
     report_path.write_text(pretty_json(evaluate([item], config, recorder)))
-    recorded = open(cassette, "rb").read().count(b"\n")
+    recorded = Path(cassette).read_bytes().count(b"\n")
     assert recorded > 0
     spans = load_spans()
     tracer = spans.Tracer()
