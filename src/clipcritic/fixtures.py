@@ -1,11 +1,13 @@
 """Videos as frame tables, their loaders, and frame access for tools.
 
 Every video is a `VideoFixture`: its duration, fps, source kind, and a
-frame table whose times strictly increase within the video. A fixture file
-is a JSON description of a video: captioned frames, labeled events, an
-optional transcript, and question-answering facts, so oracle tools answer
-from it deterministically and the whole pipeline runs without pixels or
-models. A frames directory (image files plus a sidecar metadata.json)
+`FrameTable` whose times strictly increase within the video. The table
+holds the frames as columns and builds a `FrameRef` only where a frame is
+read, so a long video costs a few arrays, not an object per frame. A
+fixture file is a JSON description of a video: captioned frames, labeled
+events, an optional transcript, and question-answering facts, so oracle
+tools answer from it deterministically and the whole pipeline runs
+without pixels or models. A frames directory (image files plus a sidecar metadata.json)
 loads as a `VideoFixture` with no annotations, for model-backed tools.
 """
 
@@ -18,12 +20,13 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import accumulate, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, attrgetter, le
-from typing import NamedTuple, Sequence
+from operator import add, le, lt
+from typing import NamedTuple
 
 from .core import (
     DataError,
@@ -53,17 +56,12 @@ class FrameRef:
     t: float
     caption: str | None = None
     path: str | None = None
-    _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def key(self) -> str:
         """The frame's id in request fingerprints: its path, or `index@t`
-        without one. Memoised on first read; racing threads store the same."""
-        key = self._key
-        if key is None:
-            key = self.path or f"{self.index}@{self.t:g}"
-            object.__setattr__(self, "_key", key)
-        return key
+        without one."""
+        return self.path or f"{self.index}@{self.t:g}"
 
     def label(self) -> str:
         return format_timestamp(int(round(self.t)))
@@ -89,6 +87,103 @@ class QaFact:
     answer: str
 
 
+class FrameColumns(NamedTuple):
+    """One video's frames as columns: row i holds frame i of the table."""
+
+    indices: Sequence[int]  # a range for a fixture file, a list for a frames directory
+    times: array  # array('d')
+    captions: list[str | None] | None  # None where no frame has one
+    paths: list[str | None] | None
+
+
+class FrameTable(Sequence):
+    """A read-only sequence of frames, read from one video's columns.
+
+    A table reads the `rows` of its columns, in order: a range (the whole
+    video, or a run of it such as a window) or a list (frames picked from
+    it). Selecting rows, and so a slice, costs one table and shares the
+    columns. A `FrameRef` is built only where a frame is read: indexing
+    builds one, and iterating builds the table's refs in one pass over
+    each column.
+    """
+
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, indices: Sequence[int], times: array, captions=None, paths=None):
+        self.columns = FrameColumns(indices, times, captions, paths)
+        self.rows: range | list[int] = range(len(times))
+
+    @classmethod
+    def of(cls, refs) -> FrameTable:
+        """The table of the given frames."""
+        refs = tuple(refs)
+        captions = [ref.caption for ref in refs]
+        paths = [ref.path for ref in refs]
+        return cls(
+            [ref.index for ref in refs],
+            array("d", [ref.t for ref in refs]),
+            None if captions.count(None) == len(refs) else captions,
+            None if paths.count(None) == len(refs) else paths,
+        )
+
+    def select(self, rows: range | list[int]) -> FrameTable:
+        """The table of the given rows of the same columns."""
+        table = object.__new__(FrameTable)
+        table.columns, table.rows = self.columns, rows
+        return table
+
+    def _values(self) -> list:
+        """Each column's values at the table's rows (None for a missing column)."""
+        rows = self.rows
+        if isinstance(rows, range) and rows.step == 1:
+            run = slice(rows.start, rows.stop)
+            return [None if c is None else c[run] for c in self.columns]
+        return [None if c is None else list(map(c.__getitem__, rows)) for c in self.columns]
+
+    def encoded_keys(self) -> list[str]:
+        """Each frame's `key` as `json.dumps` writes it, formatted straight
+        from the columns."""
+        indices, times, _, paths = self._values()
+        if paths is None:  # every key is `index@t`, which JSON writes unescaped
+            return list(map('"{}@{:g}"'.format, indices, times))
+        return [
+            encode_basestring_ascii(path or f"{index}@{t:g}")
+            for index, t, path in zip(indices, times, paths)
+        ]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.select(self.rows[i])
+        row = self.rows[i]
+        return next(iter(self.select(range(row, row + 1))))
+
+    def __iter__(self):
+        values = (repeat(None) if v is None else v for v in self._values())
+        return iter(_rows(FrameRef, len(self.rows), *values))
+
+    def __eq__(self, other):
+        if isinstance(other, (FrameTable, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"FrameTable({list(self)!r})"
+
+
+def _increasing(values: Sequence) -> bool:
+    """Whether the values strictly increase; a range does when its step is
+    positive."""
+    if isinstance(values, range):
+        return values.step > 0
+    return all(map(lt, values, islice(values, 1, None)))
+
+
 @dataclass(frozen=True)
 class VideoFixture:
     """A video's frame table, and the annotations oracle tools answer from
@@ -97,7 +192,8 @@ class VideoFixture:
     # a task carries its video, so the tables stay out of the task's repr
     duration: int
     fps: float
-    frames: tuple[FrameRef, ...] = field(repr=False)
+    # a sequence of FrameRefs given here is turned into a table once
+    frames: FrameTable = field(repr=False)
     events: tuple[Event, ...] = field(default=(), repr=False)
     asr: tuple[AsrLine, ...] = field(default=(), repr=False)
     qa_facts: tuple[QaFact, ...] = field(default=(), repr=False)
@@ -108,30 +204,49 @@ class VideoFixture:
             raise FixtureError("duration must be positive")
         if not self.fps > 0:
             raise FixtureError("fps must be positive")
+        frames = self.frames
+        if not isinstance(frames, FrameTable) or frames.rows != range(len(frames.columns.times)):
+            frames = FrameTable.of(frames)
+            object.__setattr__(self, "frames", frames)
         # Frame access bisects on `t`, and retrieval on `index`, so both must
         # strictly increase; and the frames outside a segment are two slices
-        # of the table, so every frame must lie within the video.
+        # of the table, so every frame must lie within the video. The columns
+        # are checked in passes (a NaN time fails them); the loop runs only to
+        # name the first bad frame.
+        indices, times = frames.columns.indices, frames.columns.times
+        if (
+            _increasing(times)
+            and _increasing(indices)
+            and (not times or 0 <= times[0] and times[-1] <= self.duration)
+        ):
+            return
         prev_t = prev_index = -math.inf
-        for i, ref in enumerate(self.frames):
-            if ref.t <= prev_t:
+        for i, (index, t) in enumerate(zip(indices, times)):
+            if t <= prev_t:
                 raise FixtureError(f"frames[{i}]: frame times must be strictly increasing")
-            if ref.index <= prev_index:
+            if index <= prev_index:
                 raise FixtureError(f"frames[{i}]: frame indices must be strictly increasing")
-            if not 0 <= ref.t <= self.duration:
-                raise FixtureError(
-                    f"frames[{i}]: t {ref.t:g} outside the video [0, {self.duration}]"
-                )
-            prev_t, prev_index = ref.t, ref.index
+            if not 0 <= t <= self.duration:
+                raise FixtureError(f"frames[{i}]: t {t:g} outside the video [0, {self.duration}]")
+            prev_t, prev_index = t, index
 
     @cached_property
     def key_table(self) -> tuple[bytes, array]:
         """Every frame's `key` encoded as `json.dumps` writes it, joined by
         commas, and where each frame's entry starts, so the JSON list body of
-        frames[i:j] is `table[starts[i]:starts[j] - 1]`. Built on first use;
-        threads racing to build it build equal tables."""
-        encoded = [encode_basestring_ascii(ref.key) for ref in self.frames]
+        frames[i:j] is `table[starts[i]:starts[j] - 1]`. Built on first use,
+        straight from the columns; threads racing to build it build equal
+        tables."""
+        encoded = self.frames.encoded_keys()
         starts = array("q", accumulate((len(e) + 1 for e in encoded), initial=0))
         return ",".join(encoded).encode("ascii"), starts
+
+    def key_fragment(self, frames: FrameTable) -> bytes:
+        """The JSON list body of the keys of `frames`, rows of this video's
+        table picked in any order, joined from the key table."""
+        table, starts = self.key_table
+        view = memoryview(table)
+        return b",".join([view[starts[row] : starts[row + 1] - 1] for row in frames.rows])
 
     @cached_property
     def asr_chunks(self) -> tuple[str, ...]:
@@ -159,7 +274,7 @@ class VideoFixture:
 class FrameWindow(NamedTuple):
     """A run of consecutive frames, and the whole seconds it spans."""
 
-    refs: tuple[FrameRef, ...]
+    refs: FrameTable  # a run of the video's rows, sharing its columns
     start: int  # the first frame's time, rounded down
     end: int  # the last frame's time, rounded up
     # the JSON list body of the refs' keys, a slice of the video's key table
@@ -265,22 +380,17 @@ _SLOTS = {
 }
 
 
-def _rows(cls: type, n: int, *columns) -> tuple:
+def _rows(cls: type, n: int, *columns) -> list:
     """n objects of the frozen slotted dataclass `cls`, one per row of the
     columns of its field values, built slot by slot: each slot is set through
     its descriptor in one map loop, with no `__init__` call per object."""
-    rows = tuple(map(object.__new__, repeat(cls, n)))
+    rows = list(map(object.__new__, repeat(cls, n)))
     for set_slot, values in zip(_SLOTS[cls], columns, strict=True):
         deque(map(set_slot, rows, values), maxlen=0)
     return rows
 
 
-def _frame_table(indices: Sequence[int], times, captions, paths) -> tuple[FrameRef, ...]:
-    """The frames `FrameRef(i, t, caption, path)` for the rows of the columns."""
-    return _rows(FrameRef, len(indices), indices, times, captions, paths, repeat(None))
-
-
-def _frames(data: dict, path: str) -> tuple[FrameRef, ...]:
+def _frames(data: dict, path: str) -> FrameTable:
     entries = _object_list(data, "frames", path)
     times = captions = None
     if all_instances(dict, entries):
@@ -295,7 +405,7 @@ def _frames(data: dict, path: str) -> tuple[FrameRef, ...]:
             captions.append(caption)
     if max(times, default=0) > sys.float_info.max:  # past float range, so past the video
         times = [t if t <= sys.float_info.max else math.inf for t in times]
-    return _frame_table(range(len(times)), map(float, times), captions, repeat(None))
+    return FrameTable(range(len(times)), array("d", times), captions)
 
 
 def _transcript(data: dict, path: str, duration: int) -> tuple[AsrLine, ...]:
@@ -325,7 +435,7 @@ def _transcript(data: dict, path: str, duration: int) -> tuple[AsrLine, ...]:
             times.append(t)
             texts.append(text)
             prev_t = t
-    return _rows(AsrLine, len(times), times, texts)
+    return tuple(_rows(AsrLine, len(times), times, texts))
 
 
 def load_fixture(path: str) -> VideoFixture:
@@ -405,11 +515,10 @@ def load_frames_directory(path: str) -> VideoFixture:
     return VideoFixture(
         duration=duration,
         fps=fps,
-        frames=_frame_table(
+        frames=FrameTable(
             indices,
-            (i / fps for i in indices),
-            repeat(None),
-            (os.path.join(path, name_by_index[i]) for i in indices),
+            array("d", [i / fps for i in indices]),
+            paths=[os.path.join(path, name_by_index[i]) for i in indices],
         ),
         source=VideoSource.FRAMES_DIRECTORY,
     )
@@ -423,41 +532,41 @@ def video_ref_for(path: str) -> VideoFixture:
 # --- frame access ---
 
 
-_TIME = attrgetter("t")
-
-
-def _bounds(frames: Sequence[FrameRef], segment: VideoSegment) -> tuple[int, int]:
+def _bounds(times: array, segment: VideoSegment) -> tuple[int, int]:
     """Slice bounds of the frames with segment.start <= t <= segment.end."""
-    return (
-        bisect_left(frames, segment.start, key=_TIME),
-        bisect_right(frames, segment.end, key=_TIME),
-    )
+    return bisect_left(times, segment.start), bisect_right(times, segment.end)
 
 
-def frames_outside(video: VideoFixture, segment: VideoSegment) -> list[FrameRef]:
-    """The source's frames before and after the segment, in time order."""
+def frames_outside(video: VideoFixture, segment: VideoSegment, k: int) -> FrameTable:
+    """Up to k of the frames before and after the segment, in time order:
+    all of them when they are k or fewer, else the ones at k evenly spaced
+    positions among them (rounded, first and last included)."""
     frames = video.frames
-    lo, hi = _bounds(frames, segment)
-    return [*frames[:lo], *frames[hi:]]
+    lo, hi = _bounds(frames.columns.times, segment)
+    inside = hi - lo
+    outside = len(frames) - inside
+    positions = range(outside)
+    if outside > k:
+        positions = sorted({round(i * (outside - 1) / (k - 1)) for i in range(k)})
+    return frames.select([p if p < lo else p + inside for p in positions])
 
 
-def _nearest(refs: Sequence[FrameRef], target: float) -> FrameRef:
-    # the frame minimising (|t - target|, t): ties break toward the earlier frame
-    i = bisect_left(refs, target, key=_TIME)
-    if i < len(refs) and (
-        i == 0 or abs(refs[i].t - target) < abs(refs[i - 1].t - target)
-    ):
-        return refs[i]
-    # refs[i - 1] is nearest; frames further back tie with it only through
+def _nearest(times: array, lo: int, hi: int, target: float) -> int:
+    """The row in lo:hi minimising (|t - target|, t): ties break toward the
+    earlier frame."""
+    i = bisect_left(times, target, lo, hi)
+    if i < hi and (i == lo or abs(times[i] - target) < abs(times[i - 1] - target)):
+        return i
+    # row i - 1 is nearest; rows further back tie with it only through
     # rounding, and then the earliest of them wins
     i -= 1
-    gap = abs(refs[i].t - target)
-    while i and abs(refs[i - 1].t - target) == gap:
+    gap = abs(times[i] - target)
+    while i > lo and abs(times[i - 1] - target) == gap:
         i -= 1
-    return refs[i]
+    return i
 
 
-def sample_frames(video: VideoFixture, segment: VideoSegment, k: int) -> list[FrameRef]:
+def sample_frames(video: VideoFixture, segment: VideoSegment, k: int) -> FrameTable:
     """Up to k frames spread uniformly over a segment, in time order.
 
     Spaces k target times evenly across the segment (endpoints included
@@ -468,22 +577,22 @@ def sample_frames(video: VideoFixture, segment: VideoSegment, k: int) -> list[Fr
     if k < 1:
         raise ValueError("uniform sampling needs k >= 1")
     frames = video.frames
-    lo, hi = _bounds(frames, segment)
+    times = frames.columns.times
+    lo, hi = _bounds(times, segment)
     if lo == hi:
         # segment between frames, or degenerate beyond the last frame time:
         # fall back to the nearest frame in the whole video
-        return [_nearest(frames, segment.start)] if frames else []
-    candidates = frames[lo:hi]
-    if segment.duration == 0 or k == 1:
-        return [_nearest(candidates, segment.start)]
-    picked: list[FrameRef] = []
-    span = segment.end - segment.start
-    for i in range(k):
-        target = segment.start + span * i / (k - 1)
-        ref = _nearest(candidates, target)
-        if not picked or ref.index > picked[-1].index:
-            picked.append(ref)
-    return picked
+        rows = [_nearest(times, 0, len(times), segment.start)] if times else []
+    elif segment.duration == 0 or k == 1:
+        rows = [_nearest(times, lo, hi, segment.start)]
+    else:
+        rows = []
+        span = segment.end - segment.start
+        for i in range(k):
+            row = _nearest(times, lo, hi, segment.start + span * i / (k - 1))
+            if not rows or row > rows[-1]:
+                rows.append(row)
+    return frames.select(rows)
 
 
 def windows(video: VideoFixture, segment: VideoSegment, size: int) -> list[FrameWindow]:
@@ -495,14 +604,16 @@ def windows(video: VideoFixture, segment: VideoSegment, size: int) -> list[Frame
     if size < 1:
         raise ValueError("window size must be >= 1")
     frames = video.frames
-    lo, hi = _bounds(frames, segment)
+    times = frames.columns.times
+    lo, hi = _bounds(times, segment)
     table, starts = video.key_table
     view = memoryview(table)
+    select = frames.select
     new = tuple.__new__  # a named tuple without the Python-level NamedTuple.__new__
     out: list[FrameWindow] = []
     for i in range(lo, hi, size):
         j = min(i + size, hi)
-        chunk = frames[i:j]
-        start, end = math.floor(chunk[0].t), math.ceil(chunk[-1].t)
-        out.append(new(FrameWindow, (chunk, start, end, view[starts[i] : starts[j] - 1])))
+        start, end = math.floor(times[i]), math.ceil(times[j - 1])
+        fragment = view[starts[i] : starts[j] - 1]
+        out.append(new(FrameWindow, (select(range(i, j)), start, end, fragment)))
     return out

@@ -1,8 +1,8 @@
 """Model access for the agent, the critic, and model-backed tools.
 
 Everything upstream speaks ModelRequest: ordered text and frame-reference
-parts plus a bookkeeping tag. Backends include scripted responses for
-tests, a record/replay cassette for deterministic reruns, and a live HTTP
+parts plus a bookkeeping tag. Backends include an adapter for a plain
+function, a record/replay cassette for deterministic reruns, and a live HTTP
 transport. Frame references are resolved to bytes only inside the live
 transport, so the rest of the system never touches pixels.
 """
@@ -38,7 +38,7 @@ from .core import (
     scan_json_lines,
     writing,
 )
-from .fixtures import FrameRef
+from .fixtures import FrameTable
 
 FRAME_BUDGET = 120  # frames per request, the context-size proxy
 MAX_ATTEMPTS = 3  # live transport attempts per request
@@ -69,10 +69,6 @@ class ReplayMismatchError(ReplayDivergence):
         super().__init__(f"replay mismatch at tag '{tag}': {detail}")
 
 
-class ScriptExhaustedError(RuntimeError):
-    """A scripted backend ran out of responses (a test setup bug)."""
-
-
 class EpisodeStopped(RuntimeError):
     """An item or episode run side by side stopped at its next request, as
     one before it failed: a serial run would not have started it."""
@@ -96,14 +92,20 @@ class TextPart:
 
 @dataclass(frozen=True)
 class FramesPart:
-    frames: tuple[FrameRef, ...]
-    # the JSON list body of the frames' keys, when the frames are a run of
-    # their video's table (the `fragment` of a window from
-    # `fixtures.windows`); it spares fingerprint encoding them one by one
-    fragment: memoryview | None = field(default=None, repr=False, compare=False)
+    frames: FrameTable  # any other sequence of FrameRefs is turned into one
+    # the JSON list body of the frames' keys, cut from their video's key
+    # table (a window's `fragment`, or `VideoFixture.key_fragment`); it
+    # spares fingerprint formatting them one by one
+    fragment: bytes | memoryview | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.frames:
+        frames = self.frames
+        if type(frames) is not FrameTable:
+            frames = FrameTable.of(frames)
+            object.__setattr__(self, "frames", frames)
+        # every request takes this path, so the length is read off the
+        # table's rows: no Python-level __len__ call
+        if not frames.rows:
             raise ValueError("a frames part carries at least one frame")
 
 
@@ -121,7 +123,7 @@ def budget_frames(parts) -> int:
     total = 0
     for part in parts:
         if isinstance(part, FramesPart):
-            total += len(part.frames)
+            total += len(part.frames.rows)  # no Python-level __len__ call
     return total
 
 
@@ -144,7 +146,7 @@ def fingerprint(req: ModelRequest) -> str:
             digest.update(part.fragment)
             digest.update(b"]}")
         else:
-            keys = ",".join([encode_basestring_ascii(r.key) for r in part.frames])
+            keys = ",".join(part.frames.encoded_keys())
             digest.update(b'{"frames":[%s]}' % keys.encode("ascii"))
     digest.update(b"]")
     return digest.hexdigest()
@@ -250,40 +252,6 @@ class ModelClient:
 
     def _complete(self, req: ModelRequest) -> str:
         raise NotImplementedError
-
-
-class ScriptedModel(ModelClient):
-    """Responses keyed by tag prefix, consumed in order per key.
-
-    The empty-string key is a catch-all queue. The longest matching prefix
-    wins, so per-strategy scripts coexist with a shared default.
-    """
-
-    def __init__(self, scripts: dict[str, list[str]]):
-        self._scripts = {k: deque(v) for k, v in scripts.items()}
-        self._lock = threading.Lock()
-        self.calls: list[ModelRequest] = []
-
-    @classmethod
-    def from_queue(cls, responses: list[str]) -> "ScriptedModel":
-        return cls({"": list(responses)})
-
-    def _complete(self, req: ModelRequest) -> str:
-        with self._lock:
-            self.calls.append(req)
-            match = None
-            for key in self._scripts:
-                if req.tag.startswith(key):
-                    if match is None or len(key) > len(match):
-                        match = key
-            if match is None:
-                raise ScriptExhaustedError(f"no script for tag '{req.tag}'")
-            queue = self._scripts[match]
-            if not queue:
-                raise ScriptExhaustedError(
-                    f"script for '{match}' exhausted at tag '{req.tag}'"
-                )
-            return queue.popleft()
 
 
 class CallableModel(ModelClient):

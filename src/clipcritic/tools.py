@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from operator import attrgetter
 
 from .core import (
     TaskQuery,
@@ -22,7 +21,7 @@ from .core import (
     format_timestamp,
     parse_timestamp,
 )
-from .fixtures import FrameRef, frames_outside, sample_frames, windows
+from .fixtures import FrameTable, frames_outside, sample_frames, windows
 from .modelclient import FramesPart, ModelClient, ModelRequest, TextPart
 from .toolkit import StrategySubset, ToolRegistry, api_listing, load_prompt_text
 
@@ -41,7 +40,6 @@ RETRIEVAL_WINDOW = 64  # frames per retrieval_qa phase-1 window request
 # modelclient.FRAME_BUDGET, so the answer request always fits.
 RETRIEVAL_CAP = 64
 CONTEXT_FRAMES = 56
-_INDEX = attrgetter("index")
 
 # articles, pronouns, and bare interrogatives never count as content
 STOPWORDS = frozenset(
@@ -209,21 +207,22 @@ class ToolSuite:
             ]
         )
         # a reply line names a frame by index; only frames of its own window
-        # count, and a frames directory may skip indices, so the ref found
+        # count, and a frames directory may skip indices, so the row found
         # must carry the index asked for
-        retrieved: dict[int, FrameRef] = {}
+        retrieved: dict[int, int] = {}  # frame index -> its row in the video's table
         fell_back = False
         for window, response in zip(grid, responses):
-            refs = window.refs
+            indices, run = window.refs.columns.indices, window.refs.rows
             for line in response.split("\n"):
                 idx = ascii_int(line.strip())
                 if idx is None:
                     continue
-                j = bisect_left(refs, idx, key=_INDEX)
-                if j < len(refs) and refs[j].index == idx:
-                    retrieved[idx] = refs[j]
+                row = bisect_left(indices, idx, run.start, run.stop)
+                if row < run.stop and indices[row] == idx:
+                    retrieved[idx] = row
         if retrieved:
-            chosen = [retrieved[i] for i in sorted(retrieved)[:RETRIEVAL_CAP]]
+            rows = [retrieved[i] for i in sorted(retrieved)[:RETRIEVAL_CAP]]
+            chosen = self.video.frames.select(rows)
         else:
             fell_back = True
             chosen = sample_frames(self.video, segment, RETRIEVAL_CAP)
@@ -237,11 +236,11 @@ class ToolSuite:
                     options_block=_options_block(answer_options),
                 )
             ),
-            FramesPart(tuple(chosen)),
+            FramesPart(chosen, self.video.key_fragment(chosen)),
         ]
         if context:
             parts.append(TextPart("Context frames from the rest of the video:"))
-            parts.append(FramesPart(tuple(context)))
+            parts.append(FramesPart(context, self.video.key_fragment(context)))
         answer = self.model.complete(
             ModelRequest(parts=tuple(parts), tag=self._tag("retrieval_qa/answer"))
         )
@@ -249,17 +248,8 @@ class ToolSuite:
             return f"{FALLBACK_NOTE}\n{answer}"
         return answer
 
-    def _context_frames(self, target: VideoSegment) -> list[FrameRef]:
-        candidates = frames_outside(self.video, target)
-        if len(candidates) <= CONTEXT_FRAMES:
-            return candidates
-        picked = []
-        for i in range(CONTEXT_FRAMES):
-            j = round(i * (len(candidates) - 1) / (CONTEXT_FRAMES - 1))
-            ref = candidates[j]
-            if not picked or ref.index > picked[-1].index:
-                picked.append(ref)
-        return picked
+    def _context_frames(self, target: VideoSegment) -> FrameTable:
+        return frames_outside(self.video, target, CONTEXT_FRAMES)
 
     # --- asr_understanding ---
 

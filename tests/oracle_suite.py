@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import json
 import os
 
-from clipcritic.modelclient import ScriptedModel
+from scripted_model import ScriptedModel
 
 MM = lambda t: f"{t // 60:02d}:{t % 60:02d}"
 

@@ -40,11 +40,11 @@ from clipcritic.modelclient import (
     Cassette,
     CassetteClient,
     CassetteMode,
-    ScriptedModel,
     budget_frames,
 )
 from clipcritic.toolkit import PROFILES, StrategySubset, enumerate_module_subsets
 from clipcritic.tools import NO_RANGES_SENTENCE, ToolSuite, build_registry
+from scripted_model import ScriptedModel
 
 DATA_DIR = Path(__file__).parent / "data"
 

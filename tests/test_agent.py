@@ -21,9 +21,9 @@ from clipcritic.core import (
     VideoSegment,
 )
 from clipcritic.fixtures import FrameRef, QaFact, VideoFixture
-from clipcritic.modelclient import ScriptedModel
 from clipcritic.toolkit import PROFILES, StrategySubset
 from clipcritic.tools import build_registry
+from scripted_model import ScriptedModel
 
 
 def make_fixture():

@@ -28,9 +28,10 @@ from clipcritic.critic import (
     select_answer,
 )
 from clipcritic.fixtures import FrameRef, QaFact, VideoFixture
-from clipcritic.modelclient import ScriptedModel, budget_frames
+from clipcritic.modelclient import budget_frames
 from clipcritic.toolkit import PROFILES, StrategySubset
 from clipcritic.tools import build_registry
+from scripted_model import ScriptedModel
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -38,10 +38,10 @@ from clipcritic.modelclient import (
     FramesPart,
     HttpModelClient,
     ModelTransportError,
-    ScriptedModel,
     episode_key,
 )
 from clipcritic.toolkit import PROFILES, StrategySubset, profile_for_task
+from scripted_model import ScriptedModel
 
 
 @pytest.fixture(scope="module")

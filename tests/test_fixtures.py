@@ -1,10 +1,12 @@
 """Fixture loading, uniform frame sampling, and frame windowing."""
 
 import dataclasses
+import gc
 import json
 import math
 import os
 import sys
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,10 +18,10 @@ from clipcritic.fixtures import (
     Event,
     FixtureError,
     FrameRef,
+    FrameTable,
     QaFact,
     VideoFixture,
     _canonical_times,
-    _frame_table,
     _parse_time_field,
     _read_header,
     _segment_field,
@@ -624,13 +626,34 @@ def test_transcript_column_pass_matches_per_entry_loop(tmp_path_factory, asr):
     )
 )
 def test_frame_table_refs_are_constructed_refs(rows):
-    columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
-    table = _frame_table(*columns)
-    assert isinstance(table, tuple) and len(table) == len(rows)
-    for ref, row in zip(table, rows):
+    indices, times, captions, paths = [list(column) for column in zip(*rows)] or [[]] * 4
+    table = FrameTable(indices, array("d", times), captions, paths)
+    assert len(table) == len(rows)
+    # iterating builds a run of refs in one pass; indexing builds one ref
+    read = [*table, *(table[i] for i in range(len(rows)))]
+    for ref, row in zip(read, rows + rows, strict=True):
         want = FrameRef(*row)
         assert ref == want and hash(ref) == hash(want) and repr(ref) == repr(want)
         assert ref.key == want.key
-        for name in ("index", "t", "caption", "path", "_key"):
+        for name in ("index", "t", "caption", "path"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(ref, name, None)
+
+
+def test_a_long_video_holds_no_frame_refs(tmp_path):
+    doc = {
+        "duration": format_timestamp(7200),
+        "frames": [{"t": format_timestamp(t), "caption": f"frame {t}"} for t in range(7200)],
+    }
+    path = write_fixture(tmp_path, doc)
+
+    def live_refs():
+        gc.collect()
+        return sum(type(o) is FrameRef for o in gc.get_objects())
+
+    before = live_refs()
+    video = load_fixture(path)
+    table, _ = video.key_table
+    assert table.startswith(b'"0@0","1@1",') and len(video.frames) == 7200
+    assert live_refs() == before
+    assert video.frames[4321] == video.frames[4321] == FrameRef(4321, 4321.0, "frame 4321")

@@ -3,12 +3,21 @@
 import hashlib
 import json
 import math
+from array import array
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clipcritic.core import TaskKind, TaskQuery, VideoSegment, VideoSource, format_timestamp
-from clipcritic.fixtures import FrameRef, VideoFixture, sample_frames, windows
+from clipcritic.fixtures import (
+    FixtureError,
+    FrameRef,
+    FrameTable,
+    VideoFixture,
+    sample_frames,
+    windows,
+)
 from clipcritic.modelclient import (
     FRAME_BUDGET,
     CallableModel,
@@ -19,7 +28,7 @@ from clipcritic.modelclient import (
     fingerprint,
 )
 from clipcritic.toolkit import load_prompt_text
-from clipcritic.tools import FIND_WHEN_WINDOW, RETRIEVAL_WINDOW, ToolSuite
+from clipcritic.tools import CONTEXT_FRAMES, FIND_WHEN_WINDOW, RETRIEVAL_WINDOW, ToolSuite
 
 FPS = (0.3, 0.5, 1.0, 2.0, 3.0, 29.97)
 
@@ -93,7 +102,7 @@ def reference_sample(frames, segment, k):
 def test_sample_frames_matches_linear_scan(data, source, k):
     video, frames = source
     segment = data.draw(segments(video.duration))
-    assert sample_frames(video, segment, k) == reference_sample(frames, segment, k)
+    assert list(sample_frames(video, segment, k)) == reference_sample(frames, segment, k)
 
 
 @settings(max_examples=200, deadline=None)
@@ -222,3 +231,140 @@ def test_model_tool_requests_stay_within_frame_budget(data, source, retrieve_all
     suite.find_when("the door", segment)
     suite.retrieval_qa("What is shown?", ["a", "b"], segment)
     assert all(n <= FRAME_BUDGET for n in used)
+
+
+# --- column tables against a plain tuple of FrameRefs ---
+
+# quotes, backslashes, control characters and non-ASCII text in paths
+PATH_NAMES = st.text(st.sampled_from('ab"\\\x00\né€'), max_size=3)
+
+
+@st.composite
+def column_videos(draw):
+    """The columns a loader hands over, and the same frames as a tuple of
+    FrameRefs: a fixture table (indices a range, captions, no paths) or a
+    frames-directory table (sparse indices, paths, no captions)."""
+    fps = draw(st.sampled_from(FPS))
+    dense = draw(st.booleans())  # dense tables have frames enough to pick context from
+    if draw(st.booleans()):
+        times = (
+            list(range(draw(st.integers(0, 9)), 601, draw(st.integers(1, 9))))
+            if dense
+            else sorted(draw(st.sets(st.integers(0, 600), max_size=150)))
+        )
+        captions = draw(st.lists(st.text(max_size=3), min_size=len(times), max_size=len(times)))
+        columns = (range(len(times)), array("d", times), captions, None)
+        duration, source = 600, VideoSource.FIXTURE_PATH
+    else:
+        indices = (
+            list(range(draw(st.integers(0, 9)), draw(st.integers(10, 1800)), draw(st.integers(1, 9))))
+            if dense
+            else sorted(draw(st.sets(st.integers(0, 1800), min_size=1, max_size=150)))
+        )
+        names = draw(st.lists(PATH_NAMES, min_size=len(indices), max_size=len(indices)))
+        paths = [f"d/{name}{i}.jpg" for i, name in zip(indices, names)]
+        columns = (indices, array("d", [i / fps for i in indices]), None, paths)
+        duration, source = math.ceil(indices[-1] / fps) + 1, VideoSource.FRAMES_DIRECTORY
+    refs = tuple(FrameRef(*row) for row in zip(*(c or [None] * len(columns[1]) for c in columns)))
+    return duration, fps, source, columns, refs
+
+
+def reference_validate(duration, refs):
+    """The per-frame check every frame table passes, over plain refs."""
+    prev_t = prev_index = -math.inf
+    for i, ref in enumerate(refs):
+        if ref.t <= prev_t:
+            raise FixtureError(f"frames[{i}]: frame times must be strictly increasing")
+        if ref.index <= prev_index:
+            raise FixtureError(f"frames[{i}]: frame indices must be strictly increasing")
+        if not 0 <= ref.t <= duration:
+            raise FixtureError(f"frames[{i}]: t {ref.t:g} outside the video [0, {duration}]")
+        prev_t, prev_index = ref.t, ref.index
+
+
+def reference_context(frames, segment):
+    """Context frames by listing every frame outside the segment and picking
+    CONTEXT_FRAMES of them evenly."""
+    outside = [r for r in frames if not segment.start <= r.t <= segment.end]
+    if len(outside) <= CONTEXT_FRAMES:
+        return outside
+    picked = []
+    for i in range(CONTEXT_FRAMES):
+        ref = outside[round(i * (len(outside) - 1) / (CONTEXT_FRAMES - 1))]
+        if not picked or ref.index > picked[-1].index:
+            picked.append(ref)
+    return picked
+
+
+def key_body(refs):
+    return ",".join(json.dumps(r.path or f"{r.index}@{r.t:g}") for r in refs).encode("ascii")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), video=column_videos(), size=st.integers(1, 100), k=COUNTS)
+def test_column_tables_match_a_tuple_of_refs(data, video, size, k):
+    duration, fps, source, columns, refs = video
+    got = VideoFixture(duration, fps, FrameTable(*columns), source=source)
+    assert got.frames == refs and list(got.frames) == list(refs)
+    assert got == VideoFixture(duration, fps, refs, source=source)
+    table, starts = got.key_table
+    assert table == key_body(refs)
+    assert [bytes(table[starts[i] : starts[i + 1] - 1]) for i in range(len(refs))] == [
+        key_body([r]) for r in refs
+    ]
+    segment = data.draw(segments(duration))
+    grid = windows(got, segment, size)
+    assert [(tuple(w.refs), VideoSegment(w.start, w.end), bytes(w.fragment)) for w in grid] == [
+        (chunk, span, keys.encode("ascii"))
+        for chunk, span, keys in reference_windows(refs, segment, size)
+    ]
+    assert list(sample_frames(got, segment, k)) == reference_sample(refs, segment, k)
+    task = TaskQuery("t1", "What is shown?", TaskKind.MULTIPLE_CHOICE, got, ("a", "b"), False)
+    suite = ToolSuite(task, backend="model", model=CallableModel(lambda req: ""))
+    context = suite._context_frames(segment)
+    want = reference_context(refs, segment)
+    assert list(context) == want
+    parts = [TextPart("q")] + [FramesPart(w.refs, w.fragment) for w in grid]
+    want_parts = [{"text": "q"}] + [
+        {"frames": [r.path or f"{r.index}@{r.t:g}" for r in chunk]}
+        for chunk, _, _ in reference_windows(refs, segment, size)
+    ]
+    if want:
+        parts.append(FramesPart(context, got.key_fragment(context)))
+        want_parts.append({"frames": [r.path or f"{r.index}@{r.t:g}" for r in want]})
+    req = ModelRequest(tuple(parts))
+    plain = ModelRequest(
+        tuple(FramesPart(tuple(p.frames)) if isinstance(p, FramesPart) else p for p in parts)
+    )
+    written = json.dumps(want_parts, sort_keys=True, separators=(",", ":"))
+    assert fingerprint(req) == fingerprint(plain) == hashlib.sha256(written.encode()).hexdigest()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    video=column_videos().filter(lambda v: len(v[4]) >= 2),
+    fault=st.sampled_from(("repeated time", "falling index", "time out of range", "NaN time")),
+    data=st.data(),
+)
+def test_bad_column_tables_name_the_first_bad_frame(video, fault, data):
+    duration, fps, source, (indices, times, captions, paths), _ = video
+    indices, times = list(indices), array("d", times)
+    i = data.draw(st.integers(1, len(times) - 1))
+    if fault == "repeated time":
+        times[i] = times[i - 1]
+    elif fault == "falling index":
+        indices[i] = indices[i - 1] - 1
+    elif fault == "time out of range":
+        times[i] = duration + 1.5
+    else:
+        times[i] = math.nan
+    refs = tuple(
+        FrameRef(index, t, (captions or [None] * len(times))[j], (paths or [None] * len(times))[j])
+        for j, (index, t) in enumerate(zip(indices, times))
+    )
+    with pytest.raises(FixtureError) as want:
+        reference_validate(duration, refs)
+    for frames in (FrameTable(indices, times, captions, paths), refs):
+        with pytest.raises(FixtureError) as got:
+            VideoFixture(duration, fps, frames, source=source)
+        assert str(got.value) == str(want.value)

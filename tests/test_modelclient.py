@@ -42,8 +42,6 @@ from clipcritic.modelclient import (
     ModelRequest,
     ModelTransportError,
     ReplayMismatchError,
-    ScriptedModel,
-    ScriptExhaustedError,
     TextPart,
     budget_frames,
     episode_key,
@@ -51,6 +49,7 @@ from clipcritic.modelclient import (
     in_order,
     text_request,
 )
+from scripted_model import ScriptedModel, ScriptExhaustedError
 
 
 def frames(n, start=0):
@@ -906,16 +905,22 @@ def test_a_capped_client_runs_every_request_on_one_pool(monkeypatch):
 
 
 def test_a_dropped_capped_client_releases_its_workers():
-    before = threading.active_count()
+    # workers of pools that earlier tests dropped may still be exiting, so
+    # only the threads started here are counted
+    before = set(threading.enumerate())
+
+    def started_here():
+        return [thread for thread in threading.enumerate() if thread not in before]
+
     for _ in range(20):
         client = ConcurrencyLimitedClient(InflightModel(overlap=4), 4)
         client.complete_all(window_requests(4))
-        assert threading.active_count() >= before + 4
+        assert len(started_here()) >= 4
     del client
     deadline = time.monotonic() + 5
-    while threading.active_count() > before and time.monotonic() < deadline:
+    while started_here() and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert threading.active_count() <= before
+    assert not started_here()
 
 
 def test_width_comes_from_the_client_chain(tmp_path):

@@ -252,13 +252,14 @@ def test_window_requests_carry_a_key_table_fragment():
     suite.retrieval_qa("question?", video_segment=VideoSegment(100, 300))
     window_requests = [r for r in log if "/window/" in r.tag]
     assert {r.tag.split("/")[2] for r in window_requests} == {"find_when", "retrieval_qa"}
-    for req in window_requests:
-        part = req.parts[1]
+    # the answer request's frames are picked rows of the table, and their
+    # fragment is joined from the key table
+    (answer,) = [r for r in log if r.tag.endswith("/retrieval_qa/answer")]
+    picked = [p for p in answer.parts if isinstance(p, FramesPart)]
+    assert len(picked) == 2
+    for part in [req.parts[1] for req in window_requests] + picked:
         per_frame = ",".join(json.dumps(reference_frame_id(r)) for r in part.frames)
         assert part.fragment is not None and bytes(part.fragment) == per_frame.encode("ascii")
-    # the answer request's frames are not one run of the table: no fragment
-    (answer,) = [r for r in log if r.tag.endswith("/retrieval_qa/answer")]
-    assert [p.fragment for p in answer.parts if isinstance(p, FramesPart)] == [None, None]
     assert all(fingerprint(req) == reference_fingerprint(req) for req in log)
 
 
