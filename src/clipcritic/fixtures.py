@@ -87,13 +87,35 @@ class QaFact:
     answer: str
 
 
-class FrameColumns(NamedTuple):
-    """One video's frames as columns: row i holds frame i of the table."""
+@dataclass(slots=True, eq=False)
+class FrameColumns:
+    """One video's frames as columns: row i holds frame i of the table. Every
+    table of the columns cuts its fingerprint keys from their key table."""
 
     indices: Sequence[int]  # a range for a fixture file, a list for a frames directory
     times: array  # array('d')
-    captions: list[str | None] | None  # None where no frame has one
-    paths: list[str | None] | None
+    captions: list[str | None] | None = None  # None where no frame has one
+    paths: list[str | None] | None = None
+    _keys: tuple[memoryview, array] | None = field(default=None, init=False, repr=False)
+
+    def key_table(self) -> tuple[memoryview, array]:
+        """Every row's `FrameRef.key` as `json.dumps` writes it, joined by
+        commas, and where each row's entry starts, so the JSON list body of
+        rows i:j is `table[starts[i]:starts[j] - 1]`. Built on first use,
+        straight from the columns; threads racing to build it build equal
+        tables."""
+        keys = self._keys
+        if keys is None:
+            if self.paths is None:  # every key is `index@t`, which JSON writes unescaped
+                encoded = list(map('"{}@{:g}"'.format, self.indices, self.times))
+            else:
+                encoded = [
+                    encode_basestring_ascii(path or f"{index}@{t:g}")
+                    for index, t, path in zip(self.indices, self.times, self.paths)
+                ]
+            starts = array("q", accumulate((len(e) + 1 for e in encoded), initial=0))
+            keys = self._keys = (memoryview(",".join(encoded).encode("ascii")), starts)
+        return keys
 
 
 class FrameTable(Sequence):
@@ -102,9 +124,9 @@ class FrameTable(Sequence):
     A table reads the `rows` of its columns, in order: a range (the whole
     video, or a run of it such as a window) or a list (frames picked from
     it). Selecting rows, and so a slice, costs one table and shares the
-    columns. A `FrameRef` is built only where a frame is read: indexing
-    builds one, and iterating builds the table's refs in one pass over
-    each column.
+    columns, and so their key table. A `FrameRef` is built only where a
+    frame is read: indexing builds one, and iterating builds the table's
+    refs in one pass over each column.
     """
 
     __slots__ = ("columns", "rows")
@@ -134,22 +156,32 @@ class FrameTable(Sequence):
 
     def _values(self) -> list:
         """Each column's values at the table's rows (None for a missing column)."""
-        rows = self.rows
+        rows, cols = self.rows, self.columns
+        columns = (cols.indices, cols.times, cols.captions, cols.paths)
         if isinstance(rows, range) and rows.step == 1:
             run = slice(rows.start, rows.stop)
-            return [None if c is None else c[run] for c in self.columns]
-        return [None if c is None else list(map(c.__getitem__, rows)) for c in self.columns]
+            return [None if c is None else c[run] for c in columns]
+        return [None if c is None else list(map(c.__getitem__, rows)) for c in columns]
 
-    def encoded_keys(self) -> list[str]:
-        """Each frame's `key` as `json.dumps` writes it, formatted straight
-        from the columns."""
-        indices, times, _, paths = self._values()
-        if paths is None:  # every key is `index@t`, which JSON writes unescaped
-            return list(map('"{}@{:g}"'.format, indices, times))
-        return [
-            encode_basestring_ascii(path or f"{index}@{t:g}")
-            for index, t, path in zip(indices, times, paths)
-        ]
+    def key_fragment(self) -> bytes | memoryview:
+        """The JSON list body of the table's frame keys, cut from its columns'
+        key table: one slice for a run of rows, the rows' entries joined for
+        any other."""
+        table, starts = self.columns.key_table()
+        rows = self.rows
+        if isinstance(rows, range) and rows.step == 1 and rows:
+            return table[starts[rows.start] : starts[rows.stop] - 1]
+        return b",".join([table[starts[row] : starts[row + 1] - 1] for row in rows])
+
+    def row_of(self, index: int) -> int | None:
+        """The row, in the table's columns, of its frame with the given
+        index, or None when it has none. The table's frame indices must
+        increase, as those of a video and of any run of its rows do."""
+        rows, indices = self.rows, self.columns.indices
+        i = bisect_left(rows, index, key=indices.__getitem__)
+        if i < len(rows) and indices[rows[i]] == index:
+            return rows[i]
+        return None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -231,30 +263,11 @@ class VideoFixture:
             prev_t, prev_index = t, index
 
     @cached_property
-    def key_table(self) -> tuple[bytes, array]:
-        """Every frame's `key` encoded as `json.dumps` writes it, joined by
-        commas, and where each frame's entry starts, so the JSON list body of
-        frames[i:j] is `table[starts[i]:starts[j] - 1]`. Built on first use,
-        straight from the columns; threads racing to build it build equal
-        tables."""
-        encoded = self.frames.encoded_keys()
-        starts = array("q", accumulate((len(e) + 1 for e in encoded), initial=0))
-        return ",".join(encoded).encode("ascii"), starts
-
-    def key_fragment(self, frames: FrameTable) -> bytes:
-        """The JSON list body of the keys of `frames`, rows of this video's
-        table picked in any order, joined from the key table."""
-        table, starts = self.key_table
-        view = memoryview(table)
-        return b",".join([view[starts[row] : starts[row + 1] - 1] for row in frames.rows])
-
-    @cached_property
     def asr_chunks(self) -> tuple[str, ...]:
         """The transcript as `[MM:SS] text` lines, cut into chunks of whole
         lines: a chunk takes lines while it stays within ASR_CHUNK_CHARS
         (each line counting one more for its newline), and a line longer
-        than that is a chunk of its own. Built on first use, like
-        `key_table`."""
+        than that is a chunk of its own. Built on first use."""
         chunks: list[str] = []
         current: list[str] = []
         size = 0
@@ -277,8 +290,6 @@ class FrameWindow(NamedTuple):
     refs: FrameTable  # a run of the video's rows, sharing its columns
     start: int  # the first frame's time, rounded down
     end: int  # the last frame's time, rounded up
-    # the JSON list body of the refs' keys, a slice of the video's key table
-    fragment: memoryview
 
 
 # --- loading ---
@@ -606,14 +617,11 @@ def windows(video: VideoFixture, segment: VideoSegment, size: int) -> list[Frame
     frames = video.frames
     times = frames.columns.times
     lo, hi = _bounds(times, segment)
-    table, starts = video.key_table
-    view = memoryview(table)
     select = frames.select
     new = tuple.__new__  # a named tuple without the Python-level NamedTuple.__new__
     out: list[FrameWindow] = []
     for i in range(lo, hi, size):
         j = min(i + size, hi)
         start, end = math.floor(times[i]), math.ceil(times[j - 1])
-        fragment = view[starts[i] : starts[j] - 1]
-        out.append(new(FrameWindow, (select(range(i, j)), start, end, fragment)))
+        out.append(new(FrameWindow, (select(range(i, j)), start, end)))
     return out

@@ -93,19 +93,13 @@ class TextPart:
 @dataclass(frozen=True)
 class FramesPart:
     frames: FrameTable  # any other sequence of FrameRefs is turned into one
-    # the JSON list body of the frames' keys, cut from their video's key
-    # table (a window's `fragment`, or `VideoFixture.key_fragment`); it
-    # spares fingerprint formatting them one by one
-    fragment: bytes | memoryview | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         frames = self.frames
         if type(frames) is not FrameTable:
             frames = FrameTable.of(frames)
             object.__setattr__(self, "frames", frames)
-        # every request takes this path, so the length is read off the
-        # table's rows: no Python-level __len__ call
-        if not frames.rows:
+        if not len(frames):
             raise ValueError("a frames part carries at least one frame")
 
 
@@ -123,7 +117,7 @@ def budget_frames(parts) -> int:
     total = 0
     for part in parts:
         if isinstance(part, FramesPart):
-            total += len(part.frames.rows)  # no Python-level __len__ call
+            total += len(part.frames)
     return total
 
 
@@ -133,7 +127,7 @@ def fingerprint(req: ModelRequest) -> str:
     The sha256 of the parts as `json.dumps` writes them, sorted keys and no
     spaces: `[{"text":...},{"frames":[<key>,...]},...]`. The bytes are fed
     piece by piece, each string through `json.dumps`' own C escaper, and a
-    frames part's keys from its fragment when it has one.
+    frames part's keys as `FrameTable.key_fragment` cuts them.
     """
     digest = hashlib.sha256(b"[")
     for i, part in enumerate(req.parts):
@@ -141,13 +135,10 @@ def fingerprint(req: ModelRequest) -> str:
             digest.update(b",")
         if isinstance(part, TextPart):
             digest.update(b'{"text":%s}' % encode_basestring_ascii(part.text).encode("ascii"))
-        elif part.fragment is not None:
-            digest.update(b'{"frames":[')
-            digest.update(part.fragment)
-            digest.update(b"]}")
         else:
-            keys = ",".join(part.frames.encoded_keys())
-            digest.update(b'{"frames":[%s]}' % keys.encode("ascii"))
+            digest.update(b'{"frames":[')
+            digest.update(part.frames.key_fragment())
+            digest.update(b"]}")
     digest.update(b"]")
     return digest.hexdigest()
 
@@ -290,15 +281,17 @@ class Cassette:
     @classmethod
     def open(cls, path: str, mode: CassetteMode) -> "Cassette":
         """Replay reads and checks every line; record opens the file for
-        append once, so a path it cannot write fails before any model call.
+        append once, so a path it cannot write, or a cassette that already
+        holds lines, fails before any model call.
 
         Replay decodes the lines with `scan_json_lines` and checks the
         entries in column passes. A file either pass finds irregular is
         decoded again line by line, and a fault is a DataError naming its
         line."""
         if mode is CassetteMode.RECORD:
-            with writing(path, "cassette"):
-                open(path, "a", encoding="utf-8").close()
+            with writing(path, "cassette"), open(path, "a", encoding="utf-8") as fh:
+                if fh.tell():  # replay would serve the lines already there first
+                    raise DataError(f"{path}: cassette is not empty; record into a new file")
             return cls(path=path, mode=mode)
         data = read_bytes(path, "cassette")
         entries = scan_json_lines(data)

@@ -11,7 +11,6 @@ byte-for-byte.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 
 from .core import (
     TaskQuery,
@@ -159,11 +158,11 @@ class ToolSuite:
                             end=format_timestamp(end),
                         )
                     ),
-                    FramesPart(refs, fragment),
+                    FramesPart(refs),
                 ),
                 prefix + str(i),
             )
-            for i, (refs, start, end, fragment) in enumerate(
+            for i, (refs, start, end) in enumerate(
                 windows(self.video, segment, FIND_WHEN_WINDOW)
             )
         ]
@@ -202,8 +201,8 @@ class ToolSuite:
         grid = windows(self.video, segment, RETRIEVAL_WINDOW)
         responses = self.model.complete_all(
             [
-                ModelRequest((prompt, FramesPart(refs, fragment)), prefix + str(i))
-                for i, (refs, _, _, fragment) in enumerate(grid)
+                ModelRequest((prompt, FramesPart(refs)), prefix + str(i))
+                for i, (refs, _, _) in enumerate(grid)
             ]
         )
         # a reply line names a frame by index; only frames of its own window
@@ -212,13 +211,10 @@ class ToolSuite:
         retrieved: dict[int, int] = {}  # frame index -> its row in the video's table
         fell_back = False
         for window, response in zip(grid, responses):
-            indices, run = window.refs.columns.indices, window.refs.rows
             for line in response.split("\n"):
                 idx = ascii_int(line.strip())
-                if idx is None:
-                    continue
-                row = bisect_left(indices, idx, run.start, run.stop)
-                if row < run.stop and indices[row] == idx:
+                row = None if idx is None else window.refs.row_of(idx)
+                if row is not None:
                     retrieved[idx] = row
         if retrieved:
             rows = [retrieved[i] for i in sorted(retrieved)[:RETRIEVAL_CAP]]
@@ -236,11 +232,11 @@ class ToolSuite:
                     options_block=_options_block(answer_options),
                 )
             ),
-            FramesPart(chosen, self.video.key_fragment(chosen)),
+            FramesPart(chosen),
         ]
         if context:
             parts.append(TextPart("Context frames from the rest of the video:"))
-            parts.append(FramesPart(context, self.video.key_fragment(context)))
+            parts.append(FramesPart(context))
         answer = self.model.complete(
             ModelRequest(parts=tuple(parts), tag=self._tag("retrieval_qa/answer"))
         )

@@ -1307,6 +1307,34 @@ def test_cli_unwritable_recording_stops_before_any_model_call(tmp_path, suite_pa
     assert err == f"data error: {cassette}: cannot write cassette: No such file or directory\n"
 
 
+def test_cli_refuses_to_record_onto_a_cassette_that_holds_lines(tmp_path, suite_paths, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        HttpModelClient, "_complete", lambda self, req: calls.append(req) or "Final Answer: (1)"
+    )
+    config_path = tmp_path / "config.json"
+    transport = {"endpoint": "http://localhost:9/v1", "model_name": "m"}
+    config_path.write_text(json.dumps({"transport": transport}))
+    cassette = tmp_path / "run.cassette.jsonl"
+    argv = [
+        "--config", str(config_path),
+        "--cassette", f"record:{cassette}",
+        "--mode", "agent",
+        "--traces-dir", str(tmp_path / "traces"),
+        "run", suite_paths["all"], "--task", "v01",
+    ]
+    assert main(argv) == 0
+    recorded, served = cassette.read_bytes(), len(calls)
+    assert recorded.count(b"\n") == served > 0
+    capsys.readouterr()
+    # a second recording onto the same path would leave the first one's
+    # lines ahead of its own, and replay would serve those
+    assert main(argv) == 2
+    assert len(calls) == served and cassette.read_bytes() == recorded
+    err = capsys.readouterr().err
+    assert err == f"data error: {cassette}: cassette is not empty; record into a new file\n"
+
+
 @pytest.mark.parametrize(
     "transport, fault",
     [

@@ -653,7 +653,7 @@ def test_a_long_video_holds_no_frame_refs(tmp_path):
 
     before = live_refs()
     video = load_fixture(path)
-    table, _ = video.key_table
-    assert table.startswith(b'"0@0","1@1",') and len(video.frames) == 7200
+    keys = bytes(video.frames.key_fragment())
+    assert keys.startswith(b'"0@0","1@1",') and len(video.frames) == 7200
     assert live_refs() == before
     assert video.frames[4321] == video.frames[4321] == FrameRef(4321, 4321.0, "frame 4321")

@@ -139,7 +139,10 @@ def test_windows_match_the_reference_record(data, source, size):
     segment = data.draw(segments(video.duration))
     grid = windows(video, segment, size)
     assert all(type(w.start) is int and type(w.end) is int for w in grid)
-    got = [(w.refs, VideoSegment(w.start, w.end), bytes(w.fragment).decode("ascii")) for w in grid]
+    got = [
+        (w.refs, VideoSegment(w.start, w.end), bytes(w.refs.key_fragment()).decode("ascii"))
+        for w in grid
+    ]
     assert got == reference_windows(frames, segment, size)
 
 
@@ -206,7 +209,7 @@ def test_tool_window_requests_match_the_reference(data, source, prefix, query):
     got = [req for req in sent if "/window/" in req.tag]
     want = reference_window_requests(frames, segment, query, query, prefix)
     assert [req.tag for req in got] == [req.tag for req in want]
-    assert got == want  # texts and frames; a fragment takes no part in equality
+    assert got == want  # texts and frames
     assert [fingerprint(req) for req in got] == [reference_fingerprint(req) for req in want]
 
 
@@ -307,14 +310,27 @@ def test_column_tables_match_a_tuple_of_refs(data, video, size, k):
     got = VideoFixture(duration, fps, FrameTable(*columns), source=source)
     assert got.frames == refs and list(got.frames) == list(refs)
     assert got == VideoFixture(duration, fps, refs, source=source)
-    table, starts = got.key_table
-    assert table == key_body(refs)
-    assert [bytes(table[starts[i] : starts[i + 1] - 1]) for i in range(len(refs))] == [
+    assert bytes(got.frames.key_fragment()) == key_body(refs)
+    assert [bytes(got.frames[i : i + 1].key_fragment()) for i in range(len(refs))] == [
         key_body([r]) for r in refs
     ]
+    # a stepped slice and rows picked out of order join their keys entry by entry
+    start, step = data.draw(st.integers(0, 5)), data.draw(st.sampled_from((2, 3, 7, -1, -4)))
+    rows = data.draw(st.lists(st.integers(0, len(refs) - 1), max_size=12)) if refs else []
+    for table, want_refs in (
+        (got.frames[start::step], refs[start::step]),
+        (got.frames.select(rows), [refs[row] for row in rows]),
+    ):
+        assert list(table) == list(want_refs)
+        assert bytes(table.key_fragment()) == key_body(want_refs)
+        if want_refs:
+            req = ModelRequest((TextPart("q"), FramesPart(table)))
+            assert fingerprint(req) == reference_fingerprint(req)
     segment = data.draw(segments(duration))
     grid = windows(got, segment, size)
-    assert [(tuple(w.refs), VideoSegment(w.start, w.end), bytes(w.fragment)) for w in grid] == [
+    assert [
+        (tuple(w.refs), VideoSegment(w.start, w.end), bytes(w.refs.key_fragment())) for w in grid
+    ] == [
         (chunk, span, keys.encode("ascii"))
         for chunk, span, keys in reference_windows(refs, segment, size)
     ]
@@ -324,13 +340,13 @@ def test_column_tables_match_a_tuple_of_refs(data, video, size, k):
     context = suite._context_frames(segment)
     want = reference_context(refs, segment)
     assert list(context) == want
-    parts = [TextPart("q")] + [FramesPart(w.refs, w.fragment) for w in grid]
+    parts = [TextPart("q")] + [FramesPart(w.refs) for w in grid]
     want_parts = [{"text": "q"}] + [
         {"frames": [r.path or f"{r.index}@{r.t:g}" for r in chunk]}
         for chunk, _, _ in reference_windows(refs, segment, size)
     ]
     if want:
-        parts.append(FramesPart(context, got.key_fragment(context)))
+        parts.append(FramesPart(context))
         want_parts.append({"frames": [r.path or f"{r.index}@{r.t:g}" for r in want]})
     req = ModelRequest(tuple(parts))
     plain = ModelRequest(

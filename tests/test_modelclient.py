@@ -138,7 +138,8 @@ def reference_frame_id(ref):
 
 
 def reference_fingerprint(req):
-    """Fingerprint as computed before frames memoised their keys."""
+    """Fingerprint as `json.dumps` writes the parts whole, each frame's key
+    built from its fields."""
     normalized = []
     for part in req.parts:
         if isinstance(part, TextPart):
@@ -178,13 +179,15 @@ def test_fingerprint_matches_reference(data, layout):
             assert ref.key == reference_frame_id(ref)
     req = ModelRequest(parts=tuple(parts))
     assert fingerprint(req) == reference_fingerprint(req)
-    # again, now that every key is memoised
+    # again, now that the frames parts' key tables are built
     assert fingerprint(req) == reference_fingerprint(req)
 
 
 @settings(max_examples=200, deadline=None)
 @given(fields=FRAME_FIELDS, new_path=st.none() | st.text(max_size=12))
-def test_frame_key_memo_is_invisible(fields, new_path):
+def test_frame_ref_key_equality_and_replace(fields, new_path):
+    """`FrameRef.key` matches the reference; refs of equal fields are equal,
+    hash and print alike; and `dataclasses.replace` keys the new path."""
     index, t, caption, path = fields
     read, unread = (FrameRef(index, t, caption=caption, path=path) for _ in range(2))
     assert read.key == reference_frame_id(read)
@@ -195,10 +198,13 @@ def test_frame_key_memo_is_invisible(fields, new_path):
 
 
 def test_frame_keys_race_to_the_same_fingerprint():
-    """Eight threads fingerprint one request whose frame keys are unread."""
+    """Eight threads fingerprint one request whose frames part is a table
+    built from a tuple of refs, so they race to build its key table."""
     refs = tuple(FrameRef(i, i / 3, path=f"f{i}.jpg" if i % 2 else None) for i in range(500))
     req = ModelRequest(parts=(TextPart("q"), FramesPart(refs)))
     expected = reference_fingerprint(req)
+    columns = req.parts[1].frames.columns
+    assert columns._keys is None  # the reference builds refs, not the key table
     digests = []
     barrier = threading.Barrier(8, timeout=30)
 
@@ -217,7 +223,7 @@ def test_frame_keys_race_to_the_same_fingerprint():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert digests == [expected] * 8
+    assert digests == [expected] * 8 and columns._keys is not None
     assert [r.key for r in refs] == [reference_frame_id(r) for r in refs]
 
 
@@ -254,8 +260,8 @@ def test_window_fragments_fingerprint_like_the_reference(data, video, size):
     a, b = (data.draw(st.integers(0, video.duration + 2)) for _ in range(2))
     for window in windows(video, VideoSegment(min(a, b), max(a, b)), size):
         per_frame = ",".join(json.dumps(reference_frame_id(r)) for r in window.refs)
-        assert bytes(window.fragment) == per_frame.encode("ascii")
-        req = ModelRequest(parts=(TextPart("q"), FramesPart(window.refs, window.fragment)))
+        assert bytes(window.refs.key_fragment()) == per_frame.encode("ascii")
+        req = ModelRequest(parts=(TextPart("q"), FramesPart(window.refs)))
         assert fingerprint(req) == reference_fingerprint(req)
 
 
@@ -276,7 +282,7 @@ def test_key_table_races_to_the_reference_fingerprint():
         barrier.wait()
         digests.append(
             [
-                fingerprint(ModelRequest(parts=(TextPart("q"), FramesPart(w.refs, w.fragment))))
+                fingerprint(ModelRequest(parts=(TextPart("q"), FramesPart(w.refs))))
                 for w in windows(video, VideoSegment(0, 4000), 64)
             ]
         )
@@ -440,12 +446,15 @@ def test_unwritable_recording_is_a_data_error(tmp_path):
     path = tmp_path / "nodir" / "run.jsonl"
     with pytest.raises(DataError, match=f"^{path}: cannot write cassette: No such file"):
         Cassette.open(str(path), CassetteMode.RECORD)
-    # a writable one is created empty and keeps what it holds
+    # a writable one is created empty; one that holds lines is refused and
+    # keeps what it holds
     path = tmp_path / "run.jsonl"
     Cassette.open(str(path), CassetteMode.RECORD)
     assert path.read_bytes() == b""
+    Cassette.open(str(path), CassetteMode.RECORD)  # still empty, so still a new file
     path.write_bytes(b"kept\n")
-    Cassette.open(str(path), CassetteMode.RECORD)
+    with pytest.raises(DataError, match=f"^{path}: cassette is not empty; record into a new file$"):
+        Cassette.open(str(path), CassetteMode.RECORD)
     assert path.read_bytes() == b"kept\n"
 
 
@@ -931,7 +940,8 @@ def test_width_comes_from_the_client_chain(tmp_path):
     replayer = CassetteClient(Cassette.open(path, CassetteMode.REPLAY))
     assert recorder.width == 5
     assert replayer.width == 1
-    assert CassetteClient(Cassette.open(path, CassetteMode.RECORD), InflightModel()).width == 1
+    other = str(tmp_path / "other.jsonl")
+    assert CassetteClient(Cassette.open(other, CassetteMode.RECORD), InflightModel()).width == 1
     assert ScriptedModel.from_queue([]).width == 1
     assert HttpModelClient("http://localhost:9/v1", "m").width == 1
 

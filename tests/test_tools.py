@@ -252,14 +252,16 @@ def test_window_requests_carry_a_key_table_fragment():
     suite.retrieval_qa("question?", video_segment=VideoSegment(100, 300))
     window_requests = [r for r in log if "/window/" in r.tag]
     assert {r.tag.split("/")[2] for r in window_requests} == {"find_when", "retrieval_qa"}
-    # the answer request's frames are picked rows of the table, and their
-    # fragment is joined from the key table
+    # the answer request's frames are picked rows of the table, and every
+    # frames part cuts its keys from the video's one key table
     (answer,) = [r for r in log if r.tag.endswith("/retrieval_qa/answer")]
     picked = [p for p in answer.parts if isinstance(p, FramesPart)]
     assert len(picked) == 2
+    video = suite.video
     for part in [req.parts[1] for req in window_requests] + picked:
         per_frame = ",".join(json.dumps(reference_frame_id(r)) for r in part.frames)
-        assert part.fragment is not None and bytes(part.fragment) == per_frame.encode("ascii")
+        assert part.frames.columns is video.frames.columns
+        assert bytes(part.frames.key_fragment()) == per_frame.encode("ascii")
     assert all(fingerprint(req) == reference_fingerprint(req) for req in log)
 
 
