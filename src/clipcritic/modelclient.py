@@ -9,16 +9,12 @@ transport, so the rest of the system never touches pixels.
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import http.client
 import json
 import os
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -51,7 +47,7 @@ class ModelTransportError(RuntimeError):
 
 class FatalTransportError(ModelTransportError, FatalError):
     """A transport fault no retry mends, so the run stops: a missing key,
-    a 4xx other than 429, a JSON reply with no text, or a frame with no image."""
+    a 4xx other than 429, a JSON reply with no string text, or a frame with no image."""
 
     exit_code, label = 1, "model transport error"
 
@@ -443,6 +439,11 @@ class ConcurrencyLimitedClient(ModelClient):
 def _retryable(exc: Exception) -> bool:
     """Transport faults worth another attempt: network errors, replies cut
     off mid-body, 429 and 5xx."""
+    # the HTTP stack (and the ssl and email modules it brings) loads only
+    # in these fault checks and in HttpModelClient: most runs never call out
+    import http.client
+    import urllib.error
+
     if isinstance(exc, urllib.error.HTTPError):
         return exc.code == 429 or exc.code >= 500
     # URLError, timeouts and connection errors are all OSErrors;
@@ -453,6 +454,8 @@ def _retryable(exc: Exception) -> bool:
 def _fatal(exc: Exception) -> bool:
     """Faults that every later request would meet too: a 4xx other than 429,
     or what the default transport raises as FatalTransportError."""
+    import urllib.error
+
     if isinstance(exc, urllib.error.HTTPError):
         return 400 <= exc.code < 500 and exc.code != 429
     return isinstance(exc, FatalTransportError)
@@ -493,6 +496,8 @@ class HttpModelClient(ModelClient):
         self._jitter = jitter
 
     def _payload(self, req: ModelRequest) -> dict:
+        import base64
+
         content = []
         for part in req.parts:
             if isinstance(part, TextPart):
@@ -521,6 +526,8 @@ class HttpModelClient(ModelClient):
         }
 
     def _http_post(self, payload: dict) -> str:
+        import urllib.request
+
         api_key = os.environ.get(self.api_key_env)
         if not api_key:
             raise FatalTransportError(
@@ -537,10 +544,10 @@ class HttpModelClient(ModelClient):
         )
         with urllib.request.urlopen(request, timeout=120) as response:
             reply = json.loads(response.read().decode("utf-8"))
-        try:
-            return reply["text"]
-        except (TypeError, KeyError) as exc:
-            raise FatalTransportError(f"malformed transport reply: {reply!r}") from exc
+        text = reply.get("text") if isinstance(reply, dict) else None
+        if not isinstance(text, str):
+            raise FatalTransportError(f"malformed transport reply: {reply!r}")
+        return text
 
     def _complete(self, req: ModelRequest) -> str:
         payload = self._payload(req)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -628,6 +629,45 @@ def test_replay_reproduces_recorded_run(tmp_path, all_items):
         want = Path(cfg.traces_dir, name).read_bytes()
         got = Path(out_dir, name).read_bytes()
         assert want == got, name
+
+
+# what a live transport loads: the HTTP stack, TLS and the email parser
+LIVE_TRANSPORT_MODULES = ("ssl", "http.client", "urllib.request", "email.parser")
+
+RECORD_THEN_REPLAY = """
+import json, os, sys
+import oracle_suite
+from clipcritic.evalcli import RunConfig, evaluate, load_dataset, replay_run
+from clipcritic.modelclient import Cassette, CassetteClient, CassetteMode
+
+out = sys.argv[1]
+items = load_dataset(oracle_suite.write_suite(os.path.join(out, "suite"))["all"])[:1]
+cfg = RunConfig(mode="agent_critic", traces_dir=os.path.join(out, "traces"))
+cassette_path = os.path.join(out, "run.cassette.jsonl")
+model = CassetteClient(
+    Cassette.open(cassette_path, CassetteMode.RECORD), oracle_suite.scripted_model()
+)
+report_path = os.path.join(out, "report.json")
+with open(report_path, "w") as fh:
+    json.dump(evaluate(items, cfg, model), fh)
+replay_run(items, cfg, cassette_path, cfg.traces_dir, report_path, os.path.join(out, "replayed"))
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_a_run_that_never_calls_out_loads_no_transport_module(tmp_path):
+    """Recording a scripted run and replaying it leaves the HTTP and TLS
+    modules unloaded. A fresh interpreter runs it: this one has them."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "tests")])}
+    done = subprocess.run(
+        [sys.executable, "-c", RECORD_THEN_REPLAY, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    assert "clipcritic.evalcli" in loaded
+    assert loaded.isdisjoint(LIVE_TRANSPORT_MODULES), sorted(loaded & set(LIVE_TRANSPORT_MODULES))
 
 
 def test_replay_reports_recorded_calls_it_did_not_replay(tmp_path, all_items):

@@ -3,12 +3,14 @@
 import dataclasses
 import hashlib
 import http.client
+import io
 import json
 import math
 import sys
 import threading
 import time
 import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -173,10 +175,8 @@ def test_fingerprint_matches_reference(data, layout):
         part = tuple(FrameRef(i, t, caption=c, path=p) for i, t, c, p in fields)
         parts.append(FramesPart(part))
         refs.extend(part)
-    read = data.draw(st.lists(st.booleans(), min_size=len(refs), max_size=len(refs)))
-    for ref, was_read in zip(refs, read):
-        if was_read:
-            assert ref.key == reference_frame_id(ref)
+    for ref in refs:
+        assert ref.key == reference_frame_id(ref)
     req = ModelRequest(parts=tuple(parts))
     assert fingerprint(req) == reference_fingerprint(req)
     # again, now that the frames parts' key tables are built
@@ -235,7 +235,7 @@ PATH_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t\ud800é€😀') | st.c
 @st.composite
 def key_table_videos(draw):
     """A video shaped like a fixture (keys `index@t`) or like a frames
-    directory (skipped indices, keys are paths), some keys read already."""
+    directory (skipped indices, keys are paths)."""
     fps = draw(st.sampled_from((0.5, 1.0, 3.0, 29.97)))
     if draw(st.booleans()):
         times = sorted(draw(st.sets(st.integers(0, 300), max_size=80)))
@@ -249,8 +249,7 @@ def key_table_videos(draw):
         )
         duration, source = math.ceil(900 / fps), VideoSource.FRAMES_DIRECTORY
     for ref in frames:
-        if draw(st.booleans()):
-            assert ref.key == reference_frame_id(ref)
+        assert ref.key == reference_frame_id(ref)
     return VideoFixture(duration, fps, frames, source=source)
 
 
@@ -650,6 +649,58 @@ def test_http_client_requires_api_key(monkeypatch):
     client = HttpModelClient("http://localhost:9/v1", "m", sleep=lambda s: None)
     with pytest.raises(ModelTransportError, match="MODEL_API_KEY"):
         client.complete(text_request("q", tag="t"))
+
+
+def fake_urlopen(monkeypatch, body: bytes) -> list:
+    """Replace `urlopen` with one that records (request, timeout) and replies
+    `body` from a file-like context manager, as a real reply does."""
+    sent = []
+
+    def urlopen(request, timeout=None):
+        sent.append((request, timeout))
+        return io.BytesIO(body)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    return sent
+
+
+def test_http_client_posts_json_and_returns_the_reply_text(monkeypatch):
+    monkeypatch.setenv("MODEL_API_KEY", "test-key")
+    sent = fake_urlopen(monkeypatch, b'{"text": "Final Answer: (2)"}')
+    client = HttpModelClient("http://localhost:9/v1", "m")
+    assert client.complete(text_request("Which option?", tag="t1/A/0")) == "Final Answer: (2)"
+    [(request, timeout)] = sent
+    assert (request.full_url, request.get_method(), timeout) == ("http://localhost:9/v1", "POST", 120)
+    assert request.get_header("Content-type") == "application/json"
+    assert request.get_header("Authorization") == "Bearer test-key"
+    assert json.loads(request.data) == {
+        "model": "m",
+        "temperature": 0.0,
+        "max_output": 1024,
+        "content": [{"type": "text", "text": "Which option?"}],
+    }
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b'{"text": null}', b'{"text": 7}', b'{"text": ["a"]}', b"{}", b'["text"]', b'"text"'],
+    ids=["null-text", "number-text", "list-text", "no-text", "list", "string"],
+)
+def test_http_reply_without_string_text_is_fatal(monkeypatch, tmp_path, body):
+    monkeypatch.setenv("MODEL_API_KEY", "test-key")
+    sent = fake_urlopen(monkeypatch, body)
+    sleeps = []
+    path = str(tmp_path / "run.jsonl")
+    recorder = CassetteClient(
+        Cassette.open(path, CassetteMode.RECORD),
+        HttpModelClient("http://localhost:9/v1", "m", sleep=sleeps.append),
+    )
+    with pytest.raises(FatalTransportError, match="request 't1/A/0': malformed transport reply: "):
+        recorder.complete(text_request("q", tag="t1/A/0"))
+    assert (len(sent), sleeps) == (1, [])
+    # nothing was recorded, so the cassette still opens for replay
+    assert Path(path).read_bytes() == b""
+    Cassette.open(path, CassetteMode.REPLAY)
 
 
 def http_error(code):
