@@ -69,11 +69,13 @@ def read_bytes(path: str, what: str, error=DataError) -> bytes:
 @contextlib.contextmanager
 def writing(path: str, what: str):
     """The output twin of `read_bytes`: an OSError raised in the block, by
-    making `path`'s directory or writing it, is a DataError naming `path`."""
+    making `path`'s directory or writing it, or the ValueError of a NUL in
+    `path`, is a DataError naming `path`."""
     try:
         yield
-    except OSError as exc:
-        raise DataError(f"{path}: cannot write {what}: {exc.strerror}") from exc
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise DataError(f"{path}: cannot write {what}: {reason}") from exc
 
 
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_CLOEXEC

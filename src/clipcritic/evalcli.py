@@ -266,6 +266,8 @@ def load_dataset(
             raise DataError(f"{where}: id must be a nonempty string")
         if "/" in row_id:
             raise DataError(f"{where}: id '{row_id}' must not contain '/'")
+        if "\0" in row_id:  # no trace file could be named for it
+            raise DataError(f"{where}: id {row_id!r} must not contain a NUL byte")
         if row_id in seen_ids:
             raise DataError(f"{where}: duplicate id '{row_id}'")
         seen_ids.add(row_id)

@@ -75,6 +75,10 @@ class EpisodeStopped(RuntimeError):
 _episode = threading.local()
 
 
+def _never() -> bool:
+    return False
+
+
 def _stop_if_an_earlier_episode_failed() -> None:
     stop = getattr(_episode, "stop", None)
     if stop is not None and stop():
@@ -180,7 +184,7 @@ def in_order(call, items: list, width: int) -> tuple[list, Exception | None]:
     if workers < 2:
         return _gather(map(call, items))
     failed = [False] * len(items)
-    outer = getattr(_episode, "stop", None) or (lambda: False)
+    outer = getattr(_episode, "stop", None) or _never
 
     def guarded(position: int):
         _episode.stop = lambda: any(failed[:position]) or outer()
@@ -414,26 +418,62 @@ class CassetteClient(ModelClient):
 
 
 class ConcurrencyLimitedClient(ModelClient):
-    """Shared concurrency cap over an inner client: every request it serves
-    runs on its one pool of `max_concurrent` workers. A worker runs only the
-    inner client's request, so the pool cannot deadlock; its threads end
-    once the client is dropped."""
+    """Shared concurrency cap over an inner client: at most `max_concurrent`
+    inner requests in flight, each run on the thread that asks for it.
+
+    A `complete_all` batch is shared out between its calling thread and up
+    to `max_concurrent - 1` helpers from the client's one pool, which take
+    the requests in order from one cursor. Before each request, under its
+    slot, a taker checks that no earlier request of the batch has failed and
+    that the calling thread's `stop` is false, so a batch stops within the
+    requests already in flight. A helper runs only inner requests, so the
+    pool cannot deadlock; its threads end once the client is dropped."""
 
     def __init__(self, inner: ModelClient, max_concurrent: int):
         if max_concurrent < 1:
             raise ValueError("concurrency cap must be >= 1")
         self.inner = inner
         self.width = max_concurrent
-        self._pool = ThreadPoolExecutor(max_concurrent)
+        self._slots = threading.BoundedSemaphore(max_concurrent)
+        self._pool = ThreadPoolExecutor(max_concurrent - 1) if max_concurrent > 1 else None
 
     def _complete(self, req: ModelRequest) -> str:
-        # `complete` has checked the request here; a second `complete` on the
-        # worker would make one request look like two to a wrapper of it
-        return self._pool.submit(self.inner._complete, req).result()
+        # `complete` has checked the request here, and calling it again would
+        # make one request look like two to a wrapper of it; `stop` is checked
+        # again, as it may have turned true while the request waited for a slot
+        with self._slots:
+            _stop_if_an_earlier_episode_failed()
+            return self.inner._complete(req)
 
     def _complete_each(self, requests: list[ModelRequest]) -> tuple[list, Exception | None]:
-        futures = [self._pool.submit(self.inner.complete, req) for req in requests]
-        return _gather((future.result() for future in futures), futures)
+        stop = getattr(_episode, "stop", None) or _never  # helpers have none of their own
+        responses = [None] * len(requests)
+        first = [len(requests), None]  # the first failed position so far, and its error
+        lock = threading.Lock()
+        positions = iter(range(len(requests)))  # one cursor; next() on it is atomic
+
+        def take() -> None:
+            for position in positions:
+                with self._slots:
+                    if position > first[0]:  # a request before it failed
+                        return
+                    try:
+                        if stop():
+                            raise EpisodeStopped("an earlier item or episode failed")
+                        responses[position] = self.inner.complete(requests[position])
+                    except Exception as exc:
+                        with lock:
+                            if position < first[0]:
+                                first[:] = position, exc
+                        return
+
+        helpers = [self._pool.submit(take) for _ in range(min(self.width, len(requests)) - 1)]
+        take()
+        for helper in helpers:  # one still queued when the batch is done is not needed
+            if not helper.cancel():
+                helper.result()
+        end, error = first
+        return responses[:end], error
 
 
 def _retryable(exc: Exception) -> bool:

@@ -120,6 +120,7 @@ GOOD_ROW = {
             "invalid range",
         ),
         (lambda r: {**r, "id": "grp/v01"}, 2, "id 'grp/v01' must not contain '/'"),
+        (lambda r: {**r, "id": "v\u000001"}, 2, r"id 'v\\x0001' must not contain a NUL byte"),
         (
             lambda r: {"id": "t0", "video": "clip.json", "question": "When?", "answer": [[0, float("inf")]]},
             2,
@@ -1103,10 +1104,48 @@ def test_items_after_a_fatal_one_stop_at_their_next_request(tmp_path, all_items,
     assert started_late == []
 
 
+def test_an_item_after_a_fatal_one_stops_within_its_batch(tmp_path, monkeypatch):
+    """At concurrency 2, item t1's retrieval_qa windows are under way when
+    item t0's fatal fault leaves it. t1 sends at most 2 more requests, one
+    per slot, as its result would be dropped."""
+    [item] = long_asr_item(tmp_path)
+    items = [dataclasses.replace(item, task=dataclasses.replace(item.task, id="t0")), item]
+    window_started, first_left = threading.Event(), threading.Event()
+    late = []
+
+    def run(*args, **kwargs):
+        try:
+            return run_item(*args, **kwargs)
+        except FatalTransportError:
+            first_left.set()
+            raise
+
+    monkeypatch.setattr(evalcli, "run_item", run)
+    windowed = WindowedModel()
+
+    def reply(req):
+        if req.tag.startswith("t0/"):
+            assert window_started.wait(5)
+            raise FatalTransportError(f"request '{req.tag}': HTTP Error 401: Unauthorized")
+        if first_left.is_set():
+            late.append(req.tag)
+        if "/retrieval_qa/window/" in req.tag:
+            window_started.set()
+        return windowed(req)
+
+    model = ConcurrencyLimitedClient(CallableModel(reply), 2)
+    cfg = RunConfig(mode="agent", backend="model", concurrency=2,
+                    traces_dir=str(tmp_path / "traces"))
+    with pytest.raises(FatalTransportError, match="request 't0/"):
+        evaluate(items, cfg, model)
+    assert window_started.is_set()
+    assert len(late) <= 2, late
+
+
 def test_threads_stay_linear_in_the_cap(tmp_path):
     """8 model-backed agent_critic items at concurrency 8 behind a cap-8
-    client: 8 item threads, 3 strategy threads per item and 8 request
-    workers at most, 5 * 8 beside the main thread."""
+    client: 8 item threads, 3 strategy threads per item and 7 request
+    helpers at most, 4 * 8 + 7 beside the main thread."""
     [item] = long_asr_item(tmp_path)
     items = [
         dataclasses.replace(item, task=dataclasses.replace(item.task, id=f"t{n}"))
@@ -1126,7 +1165,7 @@ def test_threads_stay_linear_in_the_cap(tmp_path):
     records = evaluate(items, cfg, model)["items"]
     assert all("error" not in record for record in records)
     assert peak[0] > before + 8
-    assert peak[0] <= before + 5 * 8
+    assert peak[0] <= before + 4 * 8 + 7
 
 
 def test_narrow_models_run_strategies_on_the_calling_thread(tmp_path, all_items, monkeypatch):
@@ -1325,6 +1364,28 @@ def test_cli_data_errors_exit_2(tmp_path, suite_paths, capsys):
         ]
     )
     assert code == 2
+
+
+def test_cli_a_nul_in_an_id_stops_before_any_model_call(tmp_path, capsys, monkeypatch):
+    """A NUL in a row's id could name no trace file, so the dataset load
+    refuses the row, naming its line, before the first request."""
+    calls = []
+    monkeypatch.setattr(HttpModelClient, "_complete", lambda self, req: calls.append(req) or "")
+    config_path = tmp_path / "config.json"
+    transport = {"endpoint": "http://localhost:9/v1", "model_name": "m"}
+    config_path.write_text(json.dumps({"transport": transport}))
+    path = write_rows(tmp_path, [GOOD_ROW, {**GOOD_ROW, "id": "v\u000001"}])
+    argv = [
+        "--config", str(config_path),
+        "--mode", "agent",
+        "--traces-dir", str(tmp_path / "traces"),
+        "eval", path,
+    ]
+    assert main(argv) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err == f"data error: {path}:2: id 'v\\x0001' must not contain a NUL byte\n"
+    assert not os.path.exists(tmp_path / "traces")
 
 
 def test_cli_unwritable_recording_stops_before_any_model_call(tmp_path, suite_paths, capsys, monkeypatch):

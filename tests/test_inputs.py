@@ -22,7 +22,7 @@ from clipcritic.evalcli import (
     replay_run,
 )
 from clipcritic.fixtures import FixtureError, load_fixture
-from clipcritic.modelclient import Cassette, CassetteClient, CassetteMode
+from clipcritic.modelclient import Cassette, CassetteClient, CassetteMode, HttpModelClient
 
 
 def bad_input(tmp_path, kind):
@@ -267,3 +267,22 @@ def test_cli_unwritable_output_is_a_data_error(tmp_path, replay_inputs, capsys, 
         ]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"data error: {path}: cannot write {what}: {strerror}\n"
+
+
+@pytest.mark.parametrize("key, what", [("traces_dir", "traces directory"), ("cassette", "cassette")])
+def test_cli_a_nul_in_a_configured_output_path_is_a_data_error(
+    tmp_path, replay_inputs, capsys, monkeypatch, key, what
+):
+    """`open` and `makedirs` raise ValueError, not OSError, for a path with a
+    NUL in it; that is the same data error naming the path."""
+    monkeypatch.setattr(HttpModelClient, "_complete", lambda self, req: "Final Answer: (1)")
+    path = str(tmp_path / "out\0put")
+    transport = {"endpoint": "http://localhost:9/v1", "model_name": "m"}
+    value = f"record:{path}" if key == "cassette" else path
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"mode": "direct", "transport": transport, key: value}))
+    argv = ["--config", str(config_path), "eval", replay_inputs["dataset"]]
+    if key == "cassette":
+        argv[2:2] = ["--traces-dir", str(tmp_path / "traces")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"data error: {path}: cannot write {what}: embedded null byte\n"

@@ -38,6 +38,7 @@ from clipcritic.modelclient import (
     CassetteClient,
     CassetteMode,
     ConcurrencyLimitedClient,
+    EpisodeStopped,
     FatalTransportError,
     FramesPart,
     HttpModelClient,
@@ -950,7 +951,7 @@ def test_recorded_batch_matches_serial_recording(tmp_path):
     assert replayer.complete_all(requests) == [f"reply to {r.tag}" for r in requests]
 
 
-def test_a_capped_client_runs_every_request_on_one_pool(monkeypatch):
+def test_a_capped_client_serves_requests_on_the_asking_thread(monkeypatch):
     built = []
     pool = modelclient.ThreadPoolExecutor
     monkeypatch.setattr(modelclient, "ThreadPoolExecutor", lambda n: built.append(n) or pool(n))
@@ -959,9 +960,15 @@ def test_a_capped_client_runs_every_request_on_one_pool(monkeypatch):
     for _ in range(3):
         assert client.complete(text_request("q", tag="t1/A/0")) == "reply to t1/A/0"
         assert client.complete_all(window_requests(6)) == [f"reply to {r.tag}" for r in window_requests(6)]
-    assert built == [3]  # one pool, built with the client
+    assert built == [2]  # one pool of helpers, built with the client
     assert len(model.threads) <= 3
-    assert threading.get_ident() not in model.threads
+    assert threading.get_ident() in model.threads  # the asking thread serves too
+    assert len(model.threads - {threading.get_ident()}) <= 2
+    solo = InflightModel()
+    narrow = ConcurrencyLimitedClient(solo, 1)
+    assert narrow.complete_all(window_requests(4)) == [f"reply to {r.tag}" for r in window_requests(4)]
+    assert built == [2]  # a cap-1 client has no pool
+    assert solo.threads == {threading.get_ident()}
 
 
 def test_a_dropped_capped_client_releases_its_workers():
@@ -973,14 +980,118 @@ def test_a_dropped_capped_client_releases_its_workers():
         return [thread for thread in threading.enumerate() if thread not in before]
 
     for _ in range(20):
+        running = set(threading.enumerate())
         client = ConcurrencyLimitedClient(InflightModel(overlap=4), 4)
         client.complete_all(window_requests(4))
-        assert len(started_here()) >= 4
+        # the asking thread and 3 helpers, the only threads started for it
+        assert len([thread for thread in started_here() if thread not in running]) == 3
+        assert len(started_here()) >= 3
     del client
     deadline = time.monotonic() + 5
     while started_here() and time.monotonic() < deadline:
         time.sleep(0.01)
     assert not started_here()
+
+
+def test_strategies_after_a_failed_one_stop_within_their_batches():
+    """At cap 2, strategy A's first request fails while B and C each have a
+    40-window batch under way. B and C send at most 2 requests after A's
+    fault, one per slot: a serial run would never have started them."""
+    window_started, faulted = threading.Event(), threading.Event()
+    late, served = [], []
+
+    def reply(req):
+        if req.tag == "t1/A/0":
+            assert window_started.wait(5)
+            faulted.set()
+            raise FatalTransportError(f"request '{req.tag}': HTTP Error 401: Unauthorized")
+        if faulted.is_set():
+            late.append(req.tag)
+        served.append(req.tag)
+        window_started.set()
+        time.sleep(0.002)
+        return f"reply to {req.tag}"
+
+    client = ConcurrencyLimitedClient(CallableModel(reply), 2)
+
+    def strategy(label):
+        if label == "A":
+            return client.complete(text_request("turn", tag="t1/A/0"))
+        time.sleep(0.002)  # A's request is in flight first
+        return client.complete_all(
+            [text_request(f"w{i}", tag=f"t1/{label}/find_when/window/{i}") for i in range(40)]
+        )
+
+    with pytest.raises(FatalTransportError, match="request 't1/A/0'"):
+        client.episodes(strategy, ["A", "B", "C"])
+    assert window_started.is_set()
+    assert len(late) <= 2, late
+    assert len(served) < 80
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cap=st.integers(1, 5),
+    n=st.integers(0, 12),
+    failing=st.sets(st.integers(0, 11), max_size=3),
+    stop_at=st.none() | st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_a_capped_batch_keeps_the_complete_all_contract(cap, n, failing, stop_at, seed):
+    """At most `cap` requests in flight and `cap - 1` helper threads; replies
+    in request order up to the first failure, in order, which is the error;
+    and once a request fails, or the asking thread's stop turns true at the
+    `stop_at`-th request, at most the `cap - 1` other takers send one more."""
+    errors = {position: ValueError(f"request {position} failed") for position in failing}
+    lock = threading.Lock()
+    events, inflight, peak, threads, stopped = [], [0], [0], set(), [False]
+
+    def reply(req):
+        position = int(req.tag.rsplit("/", 1)[1])
+        with lock:
+            events.append(("start", position))
+            threads.add(threading.get_ident())
+            inflight[0] += 1
+            peak[0] = max(peak[0], inflight[0])
+            if stop_at is not None and sum(kind == "start" for kind, _ in events) == stop_at:
+                stopped[0] = True
+                events.append(("stop", position))
+        try:
+            time.sleep(0.0002 * ((position * 7 + seed) % 3))
+            if position in errors:
+                with lock:
+                    events.append(("fail", position))
+                raise errors[position]
+            return f"reply to {req.tag}"
+        finally:
+            with lock:
+                inflight[0] -= 1
+
+    before = set(threading.enumerate())
+    client = ConcurrencyLimitedClient(CallableModel(reply), cap)
+    modelclient._episode.stop = lambda: stopped[0]
+    try:
+        responses, error = client._complete_each(window_requests(n))
+    finally:
+        del modelclient._episode.stop
+    assert len(set(threading.enumerate()) - before) <= cap - 1
+    assert len(threads - {threading.get_ident()}) <= cap - 1
+    assert peak[0] <= cap
+    started = [position for kind, position in events if kind == "start"]
+    assert len(started) == len(set(started))
+    k = len(responses)
+    assert responses == [f"reply to t1/C/find_when/window/{i}" for i in range(k)]
+    assert set(range(k)) <= set(started)
+    if error is None:
+        assert k == n and not failing & set(started)
+    else:
+        assert k < n
+        assert error is errors.get(k) or (isinstance(error, EpisodeStopped) and stopped[0])
+    # the first failure in order wins: no failed request comes before it
+    assert all(position >= k for position in failing & set(started))
+    seen = [i for i, (kind, _) in enumerate(events) if kind in ("stop", "fail")]
+    if seen:
+        assert len([e for e in events[seen[0] + 1:] if e[0] == "start"]) <= cap - 1
 
 
 def test_width_comes_from_the_client_chain(tmp_path):
