@@ -527,6 +527,9 @@ def replay_run(
     if not isinstance(baseline_report, dict):
         raise DataError(f"{baseline_report_path}: report must be a JSON object")
     baseline_files = _trace_names(baseline_traces_dir, "baseline traces directory")
+    report_dir, report_name = os.path.split(baseline_report_path)
+    if os.path.samefile(report_dir or ".", baseline_traces_dir):  # `eval`'s default layout
+        baseline_files = [name for name in baseline_files if name != report_name]
     model = CassetteClient(Cassette.open(cassette_path, CassetteMode.REPLAY))
     with writing(out_dir, "replayed traces directory"):
         os.makedirs(out_dir, exist_ok=True)  # a run that persists nothing lists as empty

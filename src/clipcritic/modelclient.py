@@ -17,6 +17,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -70,18 +71,15 @@ class EpisodeStopped(RuntimeError):
     one before it failed: a serial run would not have started it."""
 
 
-# `stop`, on a thread running one of `in_order`'s side-by-side items:
+# in one of `in_order`'s side-by-side items, and the requests it asks for:
 # whether an item before it has failed, or the item that called it must stop
-_episode = threading.local()
-
-
-def _never() -> bool:
-    return False
+_stop: ContextVar[Callable[[], bool]] = ContextVar("stop", default=lambda: False)
+# in a recording `CassetteClient`'s side-by-side episode: it, and the episode's lines
+_buffer: ContextVar[tuple] = ContextVar("buffer", default=(None, None))
 
 
 def _stop_if_an_earlier_episode_failed() -> None:
-    stop = getattr(_episode, "stop", None)
-    if stop is not None and stop():
+    if _stop.get()():
         raise EpisodeStopped("an earlier item or episode failed")
 
 
@@ -177,17 +175,18 @@ def in_order(call, items: list, width: int) -> tuple[list, Exception | None]:
     and that error (None when every call returned). Items not yet started
     when it is reached are cancelled. At width 1, or for one item, the items
     run one after another on the calling thread, and none after the first
-    that raised. Side by side, the items after one that raised, or all of
-    them once the caller's own `stop` is true, stop at their next request.
+    that raised. Side by side, each item runs in a copy of the caller's
+    context, and the items after one that raised, or all of them once the
+    caller's own stop is true, stop at their next request.
     """
     workers = min(width, len(items))
     if workers < 2:
         return _gather(map(call, items))
     failed = [False] * len(items)
-    outer = getattr(_episode, "stop", None) or _never
+    outer = _stop.get()
 
     def guarded(position: int):
-        _episode.stop = lambda: any(failed[:position]) or outer()
+        _stop.set(lambda: any(failed[:position]) or outer())
         try:
             return call(items[position])
         except Exception:
@@ -196,7 +195,7 @@ def in_order(call, items: list, width: int) -> tuple[list, Exception | None]:
 
     pool = ThreadPoolExecutor(workers)
     try:
-        futures = [pool.submit(guarded, position) for position in range(len(items))]
+        futures = [pool.submit(copy_context().run, guarded, i) for i in range(len(items))]
         return _gather((future.result() for future in futures), futures)
     finally:
         pool.shutdown(cancel_futures=True)
@@ -317,17 +316,16 @@ class CassetteClient(ModelClient):
     Recording writes one task's lines in the order a serial run writes
     them. A `complete_all` batch goes out through the inner client, then is
     recorded on the calling thread in request order. `episodes` runs a
-    task's strategies side by side, each recording into its own buffer;
-    after the join the buffers are appended in item order, up to and
-    including the first episode that failed. Only the lines of tasks run
-    side by side may interleave.
+    task's strategies side by side, each recording into a buffer its
+    context holds; after the join the buffers are appended in item order,
+    up to and including the first episode that failed. Only the lines of
+    tasks run side by side may interleave.
     """
 
     def __init__(self, cassette: Cassette, inner: ModelClient | None = None):
         self.cassette = cassette
         self.inner = inner
         self._lock = threading.Lock()
-        self._local = threading.local()  # `buffer`: the running episode's lines
         if cassette.mode is CassetteMode.RECORD and inner is None:
             raise ValueError("record mode needs an inner client")
         self._slices: dict[str, deque] = {}
@@ -362,11 +360,11 @@ class CassetteClient(ModelClient):
         buffers = [[] for _ in items]
 
         def buffered(job):
-            self._local.buffer, item = job
+            token = _buffer.set((self, job[0]))
             try:
-                return run(item)
-            finally:
-                self._local.buffer = None
+                return run(job[1])
+            finally:  # one item runs in the caller's own context
+                _buffer.reset(token)
 
         results, error = in_order(buffered, list(zip(buffers, items)), len(items))
         # as in complete_all: what a serial run records before it stops
@@ -386,8 +384,8 @@ class CassetteClient(ModelClient):
         """Lines go to the running episode's buffer, or else to the file
         alone: nothing reads a recording's entries back, and a long
         recording would hold every response in memory."""
-        buffer = getattr(self._local, "buffer", None)
-        if buffer is not None:
+        owner, buffer = _buffer.get()
+        if owner is self:
             buffer.append(lines)
         elif lines:
             path = self.cassette.path
@@ -423,11 +421,12 @@ class ConcurrencyLimitedClient(ModelClient):
 
     A `complete_all` batch is shared out between its calling thread and up
     to `max_concurrent - 1` helpers from the client's one pool, which take
-    the requests in order from one cursor. Before each request, under its
-    slot, a taker checks that no earlier request of the batch has failed and
-    that the calling thread's `stop` is false, so a batch stops within the
-    requests already in flight. A helper runs only inner requests, so the
-    pool cannot deadlock; its threads end once the client is dropped."""
+    the requests in order from one cursor, each helper in a copy of the
+    caller's context. Under its slot, a taker sends a request only if no
+    earlier request of the batch has failed, and `complete` then checks
+    the caller's stop, so a batch stops within the requests already in
+    flight. A helper runs only inner requests, so the pool cannot deadlock;
+    its threads end once the client is dropped."""
 
     def __init__(self, inner: ModelClient, max_concurrent: int):
         if max_concurrent < 1:
@@ -439,14 +438,13 @@ class ConcurrencyLimitedClient(ModelClient):
 
     def _complete(self, req: ModelRequest) -> str:
         # `complete` has checked the request here, and calling it again would
-        # make one request look like two to a wrapper of it; `stop` is checked
+        # make one request look like two to a wrapper of it; the stop is checked
         # again, as it may have turned true while the request waited for a slot
         with self._slots:
             _stop_if_an_earlier_episode_failed()
             return self.inner._complete(req)
 
     def _complete_each(self, requests: list[ModelRequest]) -> tuple[list, Exception | None]:
-        stop = getattr(_episode, "stop", None) or _never  # helpers have none of their own
         responses = [None] * len(requests)
         first = [len(requests), None]  # the first failed position so far, and its error
         lock = threading.Lock()
@@ -458,8 +456,6 @@ class ConcurrencyLimitedClient(ModelClient):
                     if position > first[0]:  # a request before it failed
                         return
                     try:
-                        if stop():
-                            raise EpisodeStopped("an earlier item or episode failed")
                         responses[position] = self.inner.complete(requests[position])
                     except Exception as exc:
                         with lock:
@@ -467,8 +463,8 @@ class ConcurrencyLimitedClient(ModelClient):
                                 first[:] = position, exc
                         return
 
-        helpers = [self._pool.submit(take) for _ in range(min(self.width, len(requests)) - 1)]
-        take()
+        helpers = [self._pool.submit(copy_context().run, take) for _ in requests[1 : self.width]]
+        take()  # beside one helper for each request after the first, up to the cap
         for helper in helpers:  # one still queued when the batch is done is not needed
             if not helper.cancel():
                 helper.result()

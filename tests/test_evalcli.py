@@ -1585,6 +1585,29 @@ def test_cli_replay_tampered_cassette_exits_3(tmp_path, suite_paths, all_items, 
     assert "v01" in err
 
 
+def test_cli_replays_the_report_eval_writes_by_default(tmp_path, suite_paths, all_items, capsys):
+    """`eval` without `--report` writes `<traces_dir>/report.json`: replay
+    leaves that file out of the baseline's traces, and no other file."""
+    cfg, cassette_path, report_path = record_baseline(tmp_path, all_items)
+    default_report = os.path.join(cfg.traces_dir, "report.json")
+    os.replace(report_path, default_report)
+    argv = [
+        "--cassette", f"replay:{cassette_path}",
+        "--traces-dir", cfg.traces_dir,
+        "replay", suite_paths["all"],
+        "--report", default_report,
+        "--out-dir", str(tmp_path / "replayed"),
+    ]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert "replay matched" in capsys.readouterr().out
+
+    # any other stray file in the baseline traces is still a divergence
+    Path(cfg.traces_dir, "notes.json").write_text("{}\n")
+    argv[-1] = str(tmp_path / "replayed2")
+    assert main(argv) == 3
+    assert "trace file sets differ: ['notes.json']" in capsys.readouterr().err
+
+
 def test_cli_replay_roundtrip_and_divergence(tmp_path, suite_paths, all_items, capsys):
     cfg, cassette_path, report_path = record_baseline(tmp_path, all_items)
     argv = [

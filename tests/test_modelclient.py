@@ -1,5 +1,6 @@
 """Model abstraction: scripting, budgets, fingerprints, cassettes, retries."""
 
+import contextvars
 import dataclasses
 import hashlib
 import http.client
@@ -1069,11 +1070,11 @@ def test_a_capped_batch_keeps_the_complete_all_contract(cap, n, failing, stop_at
 
     before = set(threading.enumerate())
     client = ConcurrencyLimitedClient(CallableModel(reply), cap)
-    modelclient._episode.stop = lambda: stopped[0]
+    token = modelclient._stop.set(lambda: stopped[0])
     try:
         responses, error = client._complete_each(window_requests(n))
     finally:
-        del modelclient._episode.stop
+        modelclient._stop.reset(token)
     assert len(set(threading.enumerate()) - before) <= cap - 1
     assert len(threads - {threading.get_ident()}) <= cap - 1
     assert peak[0] <= cap
@@ -1092,6 +1093,49 @@ def test_a_capped_batch_keeps_the_complete_all_contract(cap, n, failing, stop_at
     seen = [i for i, (kind, _) in enumerate(events) if kind in ("stop", "fail")]
     if seen:
         assert len([e for e in events[seen[0] + 1:] if e[0] == "start"]) <= cap - 1
+
+
+def test_side_by_side_work_runs_in_the_askers_context():
+    """Every request of a capped batch, a helper's too, and every item
+    `in_order` runs side by side, sees the context of the thread that asked
+    for it, batch after batch on the same pool threads."""
+    asker = contextvars.ContextVar("asker", default="none")
+    model = InflightModel(overlap=3)
+    seen = []
+
+    def reply(req):
+        seen.append(asker.get())
+        return model._reply(req)
+
+    client = ConcurrencyLimitedClient(CallableModel(reply), 3)
+    for name in ("first", "second"):
+        token = asker.set(name)
+        try:
+            assert client.complete_all(window_requests(6)) == [f"reply to {r.tag}" for r in window_requests(6)]
+            assert in_order(lambda item: asker.get(), [0, 1, 2], 3) == ([name] * 3, None)
+        finally:
+            asker.reset(token)
+        assert seen == [name] * 6
+        seen.clear()
+    assert len(model.threads) == 3  # the helpers served too
+
+
+def test_one_episode_at_width_2_keeps_its_buffer_to_itself(tmp_path):
+    """A one-item `episodes` call runs on the calling thread, in the
+    caller's context: the episode's buffer ends with it, so a request after
+    it is recorded too, after the episode's line."""
+    path = tmp_path / "run.jsonl"
+    recorder = CassetteClient(
+        Cassette.open(str(path), CassetteMode.RECORD),
+        ConcurrencyLimitedClient(InflightModel(), 2),
+    )
+
+    def turn(tag):
+        return recorder.complete(text_request("turn", tag=tag))
+
+    assert recorder.episodes(turn, ["t1/A/0"]) == ["reply to t1/A/0"]
+    assert turn("t1/B/0") == "reply to t1/B/0"
+    assert [json.loads(line)["tag"] for line in path.read_text().splitlines()] == ["t1/A/0", "t1/B/0"]
 
 
 def test_width_comes_from_the_client_chain(tmp_path):
