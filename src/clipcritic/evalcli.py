@@ -520,7 +520,9 @@ def replay_run(
     """Re-run from a cassette and compare against persisted outputs.
 
     The baseline is read before the run, so a bad one fails fast as a
-    DataError. Raises ReplayDivergence naming the first divergent artifact,
+    DataError, as does an `out_dir` that is the baseline traces directory,
+    where each replayed trace would overwrite the one it is compared with.
+    Raises ReplayDivergence naming the first divergent artifact,
     or the first episode with recorded calls the run did not replay.
     """
     baseline_report = read_json(baseline_report_path, "baseline report")
@@ -530,6 +532,11 @@ def replay_run(
     report_dir, report_name = os.path.split(baseline_report_path)
     if os.path.samefile(report_dir or ".", baseline_traces_dir):  # `eval`'s default layout
         baseline_files = [name for name in baseline_files if name != report_name]
+    if os.path.exists(out_dir) and os.path.samefile(out_dir, baseline_traces_dir):
+        raise DataError(
+            f"{out_dir}: the replayed traces would overwrite the baseline traces "
+            "they are compared with; choose another out dir"
+        )
     model = CassetteClient(Cassette.open(cassette_path, CassetteMode.REPLAY))
     with writing(out_dir, "replayed traces directory"):
         os.makedirs(out_dir, exist_ok=True)  # a run that persists nothing lists as empty

@@ -16,7 +16,7 @@ import random
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,6 +39,7 @@ from .fixtures import FrameTable
 
 FRAME_BUDGET = 120  # frames per request, the context-size proxy
 MAX_ATTEMPTS = 3  # live transport attempts per request
+REQUEST_TIMEOUT_S = 120  # seconds a live attempt's connect, or one read of its reply, may wait
 BACKOFF_BASE = 1.0  # seconds before the second attempt, doubling after
 
 
@@ -152,53 +153,66 @@ def episode_key(tag: str) -> str:
     return tag if end < 0 else tag[:end]
 
 
-def _gather(values, futures=()) -> tuple[list, Exception | None]:
-    """What the iterator `values` yields, in order, up to the first value
-    that raised, and its error (None when none did). On an error the
-    `futures` not yet started are cancelled, and the running ones awaited."""
-    results = []
-    try:
-        for value in values:
-            results.append(value)
-    except Exception as exc:
-        for future in futures:
-            future.cancel()
-        wait(futures)
-        return results, exc
-    return results, None
-
-
-def in_order(call, items: list, width: int) -> tuple[list, Exception | None]:
+def in_order(
+    call, items: list, width: int, pool: ThreadPoolExecutor | None = None
+) -> tuple[list, Exception | None]:
     """Apply `call` to each item, up to `width` at once, in item order.
 
     Returns the results before the first item, in order, whose call raised,
-    and that error (None when every call returned). Items not yet started
-    when it is reached are cancelled. At width 1, or for one item, the items
-    run one after another on the calling thread, and none after the first
-    that raised. Side by side, each item runs in a copy of the caller's
-    context, and the items after one that raised, or all of them once the
-    caller's own stop is true, stop at their next request.
+    and that error (None when every call returned). At width 1, or for one
+    item, the items run one after another on the calling thread, and none
+    after the first that raised. Side by side, the calling thread and
+    `min(width, len(items)) - 1` helpers, from `pool` or from a pool of its
+    own, take the items in order from one cursor, each helper in a copy of
+    the caller's context. No item starts once an item before it has raised,
+    and an item already under way, or whose caller's own stop is true,
+    stops at its next request.
     """
     workers = min(width, len(items))
     if workers < 2:
-        return _gather(map(call, items))
-    failed = [False] * len(items)
+        results = []
+        for item in items:
+            try:
+                results.append(call(item))
+            except Exception as exc:
+                return results, exc
+        return results, None
+    if pool is None:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            return in_order(call, items, width, pool)
+    results = [None] * len(items)
+    first = [len(items), None]  # the first failed position so far, and its error
+    lock = threading.Lock()
     outer = _stop.get()
+    positions = iter(range(len(items)))  # one cursor; next() on it is atomic
 
-    def guarded(position: int):
-        _stop.set(lambda: any(failed[:position]) or outer())
-        try:
-            return call(items[position])
-        except Exception:
-            failed[position] = True
-            raise
+    def take() -> None:
+        for position in positions:
+            if position > first[0]:  # an item before it failed
+                return
+            token = _stop.set(lambda position=position: position > first[0] or outer())
+            try:
+                results[position] = call(items[position])
+            except Exception as exc:
+                with lock:
+                    if position < first[0]:
+                        first[:] = position, exc
+                return
+            finally:
+                _stop.reset(token)
 
-    pool = ThreadPoolExecutor(workers)
+    helpers = [pool.submit(copy_context().run, take) for _ in range(workers - 1)]
     try:
-        futures = [pool.submit(copy_context().run, guarded, i) for i in range(len(items))]
-        return _gather((future.result() for future in futures), futures)
+        take()
+    except BaseException:  # an interrupt: the helpers take no more items
+        first[0] = -1
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for helper in helpers:  # one still queued when the items are done is not needed
+            if not helper.cancel():
+                helper.result()
+    end, error = first
+    return results[:end], error
 
 
 class ModelClient:
@@ -227,7 +241,7 @@ class ModelClient:
 
     def _complete_each(self, requests: list[ModelRequest]) -> tuple[list, Exception | None]:
         """`complete_all`'s responses up to the first failed request, and its error."""
-        return _gather(map(self.complete, requests))
+        return in_order(self.complete, requests, 1)
 
     def episodes(self, run, items: list) -> list:
         """`run(item)` for each of one task's independent episodes, results
@@ -419,14 +433,12 @@ class ConcurrencyLimitedClient(ModelClient):
     """Shared concurrency cap over an inner client: at most `max_concurrent`
     inner requests in flight, each run on the thread that asks for it.
 
-    A `complete_all` batch is shared out between its calling thread and up
-    to `max_concurrent - 1` helpers from the client's one pool, which take
-    the requests in order from one cursor, each helper in a copy of the
-    caller's context. Under its slot, a taker sends a request only if no
-    earlier request of the batch has failed, and `complete` then checks
-    the caller's stop, so a batch stops within the requests already in
-    flight. A helper runs only inner requests, so the pool cannot deadlock;
-    its threads end once the client is dropped."""
+    A `complete_all` batch runs through `in_order` at the cap, with the
+    client's one pool for its helpers. Under its slot, the inner client's
+    `complete` checks the stop, which is true once an earlier request of
+    the batch has failed or the caller must stop, so a batch stops within
+    the requests already in flight. A helper runs only inner requests, so the pool cannot
+    deadlock; its threads end once the client is dropped."""
 
     def __init__(self, inner: ModelClient, max_concurrent: int):
         if max_concurrent < 1:
@@ -445,31 +457,11 @@ class ConcurrencyLimitedClient(ModelClient):
             return self.inner._complete(req)
 
     def _complete_each(self, requests: list[ModelRequest]) -> tuple[list, Exception | None]:
-        responses = [None] * len(requests)
-        first = [len(requests), None]  # the first failed position so far, and its error
-        lock = threading.Lock()
-        positions = iter(range(len(requests)))  # one cursor; next() on it is atomic
+        return in_order(self._capped, requests, self.width, self._pool)
 
-        def take() -> None:
-            for position in positions:
-                with self._slots:
-                    if position > first[0]:  # a request before it failed
-                        return
-                    try:
-                        responses[position] = self.inner.complete(requests[position])
-                    except Exception as exc:
-                        with lock:
-                            if position < first[0]:
-                                first[:] = position, exc
-                        return
-
-        helpers = [self._pool.submit(copy_context().run, take) for _ in requests[1 : self.width]]
-        take()  # beside one helper for each request after the first, up to the cap
-        for helper in helpers:  # one still queued when the batch is done is not needed
-            if not helper.cancel():
-                helper.result()
-        end, error = first
-        return responses[:end], error
+    def _capped(self, req: ModelRequest) -> str:
+        with self._slots:
+            return self.inner.complete(req)
 
 
 def _retryable(exc: Exception) -> bool:
@@ -578,7 +570,7 @@ class HttpModelClient(ModelClient):
                 "Authorization": f"Bearer {api_key}",
             },
         )
-        with urllib.request.urlopen(request, timeout=120) as response:
+        with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT_S) as response:
             reply = json.loads(response.read().decode("utf-8"))
         text = reply.get("text") if isinstance(reply, dict) else None
         if not isinstance(text, str):

@@ -1144,8 +1144,8 @@ def test_an_item_after_a_fatal_one_stops_within_its_batch(tmp_path, monkeypatch)
 
 def test_threads_stay_linear_in_the_cap(tmp_path):
     """8 model-backed agent_critic items at concurrency 8 behind a cap-8
-    client: 8 item threads, 3 strategy threads per item and 7 request
-    helpers at most, 4 * 8 + 7 beside the main thread."""
+    client: beside the main thread, which takes items too, 7 item helpers,
+    2 strategy helpers per item and 7 request helpers at most, 3 * 8 + 6."""
     [item] = long_asr_item(tmp_path)
     items = [
         dataclasses.replace(item, task=dataclasses.replace(item.task, id=f"t{n}"))
@@ -1165,7 +1165,7 @@ def test_threads_stay_linear_in_the_cap(tmp_path):
     records = evaluate(items, cfg, model)["items"]
     assert all("error" not in record for record in records)
     assert peak[0] > before + 8
-    assert peak[0] <= before + 4 * 8 + 7
+    assert peak[0] <= before + 3 * 8 + 6
 
 
 def test_narrow_models_run_strategies_on_the_calling_thread(tmp_path, all_items, monkeypatch):
@@ -1606,6 +1606,37 @@ def test_cli_replays_the_report_eval_writes_by_default(tmp_path, suite_paths, al
     argv[-1] = str(tmp_path / "replayed2")
     assert main(argv) == 3
     assert "trace file sets differ: ['notes.json']" in capsys.readouterr().err
+
+
+def test_replay_refuses_an_out_dir_that_is_the_baseline_traces(tmp_path, suite_paths, all_items,
+                                                             capsys, monkeypatch):
+    """Replaying into the baseline traces directory would write each trace
+    over the one it is compared with, so a changed baseline would match
+    itself: a data error before the cassette is opened or any trace is
+    written, whatever path names that directory."""
+    cfg, cassette_path, report_path = record_baseline(tmp_path, all_items)
+    victim = Path(cfg.traces_dir, sorted(os.listdir(cfg.traces_dir))[0])
+    victim.write_bytes(victim.read_bytes() + b" ")
+    baseline = {name: Path(cfg.traces_dir, name).read_bytes() for name in os.listdir(cfg.traces_dir)}
+    argv = [
+        "--cassette", f"replay:{cassette_path}",
+        "--traces-dir", cfg.traces_dir,
+        "replay", suite_paths["all"],
+        "--report", report_path,
+        "--out-dir", cfg.traces_dir,
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {cfg.traces_dir}: ") and "overwrite the baseline" in err
+
+    def no_open(*args):
+        raise AssertionError("the cassette was opened")
+
+    monkeypatch.setattr(Cassette, "open", no_open)
+    alias = os.path.join(str(tmp_path), ".", "traces", "")
+    with pytest.raises(DataError, match="overwrite the baseline traces"):
+        replay_run(all_items, cfg, cassette_path, cfg.traces_dir, report_path, alias)
+    assert {name: Path(cfg.traces_dir, name).read_bytes() for name in os.listdir(cfg.traces_dir)} == baseline
 
 
 def test_cli_replay_roundtrip_and_divergence(tmp_path, suite_paths, all_items, capsys):

@@ -1,19 +1,22 @@
 """`HttpModelClient` against a loopback HTTP server, so the real
 `urllib.request` and `http.client` path runs: the body on the wire, the
-statuses that are retried or fatal, a reply cut off mid-body, and a reply
-that is not JSON."""
+statuses that are retried or fatal, a reply cut off mid-body, a reply
+that is not JSON, and a server that stalls past the request timeout."""
 
 import contextlib
 import http.server
 import json
 import os
 import threading
+import time
 
 import pytest
 
+from clipcritic import modelclient
 from clipcritic.core import FatalError
 from clipcritic.fixtures import FrameRef
 from clipcritic.modelclient import (
+    MAX_ATTEMPTS,
     FatalTransportError,
     FramesPart,
     HttpModelClient,
@@ -24,6 +27,7 @@ from clipcritic.modelclient import (
 )
 
 ANSWER = b'{"text": "Final Answer: (2)"}'
+STALL = None  # a reply that never comes: the request is held until the server stops
 
 
 @pytest.fixture(autouse=True)
@@ -36,15 +40,20 @@ def live_key(monkeypatch):
 
 @contextlib.contextmanager
 def serve(*replies):
-    """Serve one POST per `(status, body[, content_length])` reply, in order,
-    on 127.0.0.1; yields the endpoint and the list of request bodies and
-    headers received. A content length is that of the body unless given."""
-    received = []
+    """Serve one POST per `(status, body[, content_length])` reply, or
+    STALL, in order, on 127.0.0.1; yields the endpoint and the list of
+    request bodies and headers received. A content length is that of the
+    body unless given."""
+    received, stopping = [], threading.Event()
 
     class Handler(http.server.BaseHTTPRequestHandler):
         def do_POST(self):
             received.append((self.rfile.read(int(self.headers["Content-Length"])), self.headers))
-            status, body, *length = replies[len(received) - 1]
+            reply = replies[len(received) - 1]
+            if reply is STALL:
+                stopping.wait(5)
+                return
+            status, body, *length = reply
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(length[0] if length else len(body)))
@@ -60,6 +69,7 @@ def serve(*replies):
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}/v1", received
     finally:
+        stopping.set()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
@@ -115,3 +125,26 @@ def test_a_reply_that_is_not_json_fails_its_item_after_one_attempt():
             client(endpoint).complete(text_request("q", tag="t1/A/0"))
     assert not isinstance(err.value, FatalError)
     assert len(received) == 1
+
+
+@pytest.fixture
+def short_timeout(monkeypatch):
+    monkeypatch.setattr(modelclient, "REQUEST_TIMEOUT_S", 0.25)
+
+
+def test_a_server_that_stalls_once_is_retried_then_served(short_timeout):
+    with serve(STALL, (200, ANSWER)) as (endpoint, received):
+        started = time.monotonic()
+        assert client(endpoint).complete(text_request("q", tag="t1/A/0")) == "Final Answer: (2)"
+        assert time.monotonic() - started < 5  # the client gave up, not the stalled server
+    assert len(received) == 2
+
+
+def test_a_server_that_always_stalls_fails_its_item_naming_the_tag(short_timeout):
+    with serve(*[STALL] * MAX_ATTEMPTS) as (endpoint, received):
+        match = f"request 't1/A/0' failed after {MAX_ATTEMPTS} attempts: "
+        with pytest.raises(ModelTransportError, match=match) as err:
+            client(endpoint).complete(text_request("q", tag="t1/A/0"))
+    assert not isinstance(err.value, FatalError)
+    assert isinstance(err.value.__cause__, TimeoutError)
+    assert len(received) == MAX_ATTEMPTS

@@ -1,5 +1,6 @@
 """Model abstraction: scripting, budgets, fingerprints, cassettes, retries."""
 
+import contextlib
 import contextvars
 import dataclasses
 import hashlib
@@ -13,6 +14,7 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -1030,19 +1032,23 @@ def test_strategies_after_a_failed_one_stop_within_their_batches():
     assert len(served) < 80
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
+    bare=st.booleans(),
     cap=st.integers(1, 5),
     n=st.integers(0, 12),
     failing=st.sets(st.integers(0, 11), max_size=3),
     stop_at=st.none() | st.integers(1, 12),
     seed=st.integers(0, 2**16),
 )
-def test_a_capped_batch_keeps_the_complete_all_contract(cap, n, failing, stop_at, seed):
-    """At most `cap` requests in flight and `cap - 1` helper threads; replies
-    in request order up to the first failure, in order, which is the error;
-    and once a request fails, or the asking thread's stop turns true at the
-    `stop_at`-th request, at most the `cap - 1` other takers send one more."""
+def test_a_capped_batch_keeps_the_complete_all_contract(bare, cap, n, failing, stop_at, seed):
+    """A capped batch, or bare `in_order` at width `cap` whose items check
+    the stop as their next request would: at most `cap` requests in flight
+    and `cap - 1` helper threads, and no pool or helper for one item or at
+    width 1; replies in request order up to the first failure, in order,
+    which is the error; and once a request fails, or the asking thread's
+    stop turns true at the `stop_at`-th request, at most the `cap - 1`
+    other takers send one more."""
     errors = {position: ValueError(f"request {position} failed") for position in failing}
     lock = threading.Lock()
     events, inflight, peak, threads, stopped = [], [0], [0], set(), [False]
@@ -1068,15 +1074,25 @@ def test_a_capped_batch_keeps_the_complete_all_contract(cap, n, failing, stop_at
             with lock:
                 inflight[0] -= 1
 
+    def item(req):
+        modelclient._stop_if_an_earlier_episode_failed()
+        return reply(req)
+
     before = set(threading.enumerate())
     client = ConcurrencyLimitedClient(CallableModel(reply), cap)
+    serial = min(cap, n) < 2
+    no_pool = mock.patch.object(modelclient, "ThreadPoolExecutor", side_effect=AssertionError("a pool"))
     token = modelclient._stop.set(lambda: stopped[0])
     try:
-        responses, error = client._complete_each(window_requests(n))
+        with no_pool if serial else contextlib.nullcontext():
+            if bare:
+                responses, error = in_order(item, window_requests(n), cap)
+            else:
+                responses, error = client._complete_each(window_requests(n))
     finally:
         modelclient._stop.reset(token)
     assert len(set(threading.enumerate()) - before) <= cap - 1
-    assert len(threads - {threading.get_ident()}) <= cap - 1
+    assert len(threads - {threading.get_ident()}) <= (0 if serial else cap - 1)
     assert peak[0] <= cap
     started = [position for kind, position in events if kind == "start"]
     assert len(started) == len(set(started))
@@ -1093,6 +1109,58 @@ def test_a_capped_batch_keeps_the_complete_all_contract(cap, n, failing, stop_at
     seen = [i for i, (kind, _) in enumerate(events) if kind in ("stop", "fail")]
     if seen:
         assert len([e for e in events[seen[0] + 1:] if e[0] == "start"]) <= cap - 1
+
+
+def test_in_order_takers_keep_the_first_failure_under_switch_pressure():
+    """Eight takers over 400 items with the switch interval cut to 1 us:
+    each item runs at most once, on at most eight threads, the results come
+    back in order, and of two neighbouring items that fail side by side the
+    first in order is the error."""
+    failing = {position: ValueError(f"item {position} failed") for position in (150, 151, 300)}
+    ran, lock = [], threading.Lock()
+
+    def call(position):
+        with lock:
+            ran.append((position, threading.get_ident()))
+        if position in failing:
+            raise failing[position]
+        return position * 2
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        whole = in_order(lambda position: position * 2, list(range(400)), 8)
+        results, error = in_order(call, list(range(400)), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert whole == ([position * 2 for position in range(400)], None)
+    assert results == [position * 2 for position in range(150)]
+    assert error is failing[150]
+    positions = [position for position, _ in ran]
+    assert len(positions) == len(set(positions)) and set(range(151)) <= set(positions)
+    assert len({thread for _, thread in ran}) <= 8
+
+
+def test_an_interrupt_on_the_caller_stops_the_helpers_taking_items():
+    """An interrupt the calling thread meets in its own item leaves
+    `in_order` once the helpers' items in flight are done: they take no
+    more, and those items stop at their next request."""
+    ran, stopped, interrupted = [], [], threading.Event()
+
+    def call(item):
+        ran.append(item)
+        if threading.current_thread() is threading.main_thread():
+            interrupted.set()
+            raise KeyboardInterrupt
+        assert interrupted.wait(5)
+        time.sleep(0.01)
+        stopped.append(modelclient._stop.get()())
+        return item
+
+    with pytest.raises(KeyboardInterrupt):
+        in_order(call, list(range(50)), 3)
+    assert sorted(ran) == [0, 1, 2]
+    assert stopped == [True, True]
 
 
 def test_side_by_side_work_runs_in_the_askers_context():
